@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DataFormatError
-from .spectral import FloatArray, FrequencyGrid, PatchSignalClip, dft_onesided, recompose
+from .spectral import FloatArray, FrequencyGrid, PatchSignalClip, forward_stack, inverse_stack
 
 KIND_IDENTITY = "identity"
 KIND_NOTCH = "notch"
@@ -236,33 +236,47 @@ def build_mask(spec: AttackSpec, grid: FrequencyGrid) -> FloatArray:
     raise ValueError(f"attack kind {spec.kind!r} is not mask-shaped; use apply_attack")
 
 
-def apply_attack(clip: PatchSignalClip, spec: AttackSpec) -> PatchSignalClip:
-    """Transform the amplitude spectrum per the spec and rebuild with original phase."""
-    spectrum = dft_onesided(clip)
-    amp = spectrum.amplitude
-
+def edit_amplitude(amplitude: FloatArray, spec: AttackSpec, grid: FrequencyGrid) -> FloatArray:
+    """The spec's per-bin amplitude transform of one clip's ``(M, K)`` amplitude,
+    or of an ``(N, M, K)`` stack that shares the spec."""
     if spec.kind in (KIND_IDENTITY, KIND_NOTCH, KIND_BAND_MASK):
-        mask = build_mask(spec, spectrum.grid)
-        new_amp = amp * mask[None, :]
+        new_amp = amplitude * build_mask(spec, grid)
     elif spec.kind == KIND_TILT:
         params = spec.params
         assert isinstance(params, TiltParams)
-        w = spectrum.grid.bins
-        factor = np.exp(params.beta1 * w + params.beta2 * w * w)
-        new_amp = (amp + params.eps0) * factor[None, :]
+        w = grid.bins
+        new_amp = (amplitude + params.eps0) * np.exp(params.beta1 * w + params.beta2 * w * w)
     elif spec.kind == KIND_NOISE:
         params = spec.params
         assert isinstance(params, NoiseParams)
         draws = np.asarray(params.draws)
-        if draws.shape != amp.shape:
+        if draws.shape != amplitude.shape[-2:]:
             raise ValueError(
-                f"noise draws cover {draws.shape}, clip spectrum is {amp.shape}"
+                f"noise draws cover {draws.shape}, clip spectrum is {amplitude.shape[-2:]}"
             )
-        new_amp = (amp + params.eps0) * np.exp(draws)
+        new_amp = (amplitude + params.eps0) * np.exp(draws)
     else:
         raise ValueError(f"unknown attack kind {spec.kind!r}")
+    if not np.all(np.isfinite(new_amp)):
+        raise ValueError("attacked spectrum contains non-finite entries")
+    return new_amp
 
-    return recompose(new_amp, spectrum.phase, spectrum.grid, fps=clip.fps)
+
+def attack_spectra(
+    amplitude: FloatArray, phase: FloatArray, specs: Sequence[AttackSpec], grid: FrequencyGrid
+) -> FloatArray:
+    """Attacked signals ``(N, M, T)`` of a spectrum stack ``(N, M, K)``, clip i
+    under ``specs[i]``: one amplitude edit per clip, one inverse transform."""
+    new_amp = np.stack([edit_amplitude(a, spec, grid) for a, spec in zip(amplitude, specs, strict=True)])
+    return inverse_stack(new_amp, phase, grid.window)
+
+
+def apply_attack(clip: PatchSignalClip, spec: AttackSpec) -> PatchSignalClip:
+    """Transform the amplitude spectrum per the spec and rebuild with original phase."""
+    grid = FrequencyGrid(clip.frame_count)
+    amplitude, phase = forward_stack(clip.signals)
+    signals = inverse_stack(edit_amplitude(amplitude, spec, grid), phase, grid.window)
+    return PatchSignalClip(signals=signals, fps=clip.fps)
 
 
 def spec_to_dict(spec: AttackSpec) -> dict:

@@ -21,7 +21,7 @@ from . import models as md
 from .autodiff import Node
 from .errors import DataFormatError, NumericalAbort
 from .parallel import parallel_map
-from .spectral import FloatArray, FrequencyGrid, PatchSignalClip, dft_onesided, recompose
+from .spectral import FloatArray, FrequencyGrid, PatchSignalClip, forward_stack, inverse_stack
 from .synthdata import LabeledClip
 
 DEFAULT_ADAPTIVE_BUDGET = math.log(2.0)
@@ -51,17 +51,19 @@ def compute_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def _clean_path(bundle: md.ModelBundle, x: FloatArray) -> tuple[FloatArray, FloatArray]:
     """Features and fake-probabilities for a stack of flat clips."""
-    p = {name: Node(arr) for name, arr in md.named_arrays(bundle).items()}
+    p = md.const_params(bundle)
     h = md.encoder_forward(md.standardize_rows(Node(x)), p)
     probs = ad.softmax(md.classifier_logits(h, p))
     return h.value, probs.value
 
 
-def score_clips(bundle: md.ModelBundle, clips: list[PatchSignalClip]) -> np.ndarray:
-    """Fake-class probability per clip through the clean inference path."""
-    if not clips:
+def score_clips(bundle: md.ModelBundle, clips: list[PatchSignalClip] | FloatArray) -> np.ndarray:
+    """Fake-class probability per clip through the clean inference path;
+    ``clips`` is a list of clips or an ``(N, M, T)`` stack of their signals."""
+    if len(clips) == 0:
         return np.zeros(0)
-    x = np.stack([c.signals.reshape(-1) for c in clips])
+    signals = clips if isinstance(clips, np.ndarray) else np.stack([c.signals for c in clips])
+    x = signals.reshape(len(signals), -1)
     if x.shape[1] != bundle.input_width:
         raise ValueError(f"clips flatten to {x.shape[1]}, model expects {bundle.input_width}")
     _, probs = _clean_path(bundle, x)
@@ -138,6 +140,53 @@ def _ordered(labeled: list[LabeledClip]) -> list[tuple[int, LabeledClip]]:
     return pairs
 
 
+def _signal_stack(clips: list[PatchSignalClip]) -> FloatArray:
+    if not clips:
+        raise ValueError("evaluation needs at least one clip")
+    return np.stack([c.signals for c in clips])
+
+
+def _run_suite(
+    bundle: md.ModelBundle,
+    config: dict,
+    clip_ids: list[int],
+    labels: list[int],
+    signals: FloatArray,
+    plan: dict[str, list[tuple[int, list[atk.AttackSpec]]]],
+) -> EvalReport:
+    """Score the clean stack, then the stack under every seed's specs of every
+    kind in ``plan``; the clean stack is transformed once for all of them."""
+    y = np.array(labels, dtype=np.intp)
+    clean_scores = score_clips(bundle, signals)
+    report = EvalReport(
+        config=config,
+        clip_ids=clip_ids,
+        labels=labels,
+        clean_scores=[float(s) for s in clean_scores],
+        clean_auc=compute_auc(clean_scores, y),
+    )
+    grid = FrequencyGrid(signals.shape[-1])
+    amplitude, phase = forward_stack(signals)
+    for kind, seeded_specs in plan.items():
+        per_seed = []
+        for seed, specs in seeded_specs:
+            scores = score_clips(bundle, atk.attack_spectra(amplitude, phase, specs, grid))
+            per_seed.append({
+                "seed": seed,
+                "specs": [atk.spec_to_dict(s) for s in specs],
+                "scores": [float(s) for s in scores],
+                "auc": compute_auc(scores, y),
+            })
+        aucs = [block["auc"] for block in per_seed]
+        report.attacks[kind] = {
+            "aucs": aucs,
+            "mean": float(np.mean(aucs)),
+            "std": float(np.std(aucs)),
+            "per_seed": per_seed,
+        }
+    return report
+
+
 def evaluate_under_attacks(
     bundle: md.ModelBundle,
     labeled: list[LabeledClip],
@@ -150,121 +199,65 @@ def evaluate_under_attacks(
     """Sample one attack per clip per seed per kind, score, and aggregate AUC."""
     pairs = _ordered(labeled)
     clip_ids = [cid for cid, _ in pairs]
-    clips = [lc.clip for _, lc in pairs]
-    labels = np.array([lc.y for _, lc in pairs], dtype=np.intp)
-    grid = FrequencyGrid(clips[0].frame_count)
+    signals = _signal_stack([lc.clip for _, lc in pairs])
+    grid = FrequencyGrid(signals.shape[-1])
 
-    clean_scores = score_clips(bundle, clips)
-    clean_auc = compute_auc(clean_scores, labels)
-    report = EvalReport(
-        config={
-            "base_seed": base_seed,
-            "eval_seeds": list(range(n_seeds)),
-            "kinds": list(kinds),
-            "sigma": sigma,
-            "tukey_alpha": tukey_alpha,
-            "n_clips": len(clips),
-        },
-        clip_ids=clip_ids,
-        labels=[int(y) for y in labels],
-        clean_scores=[float(s) for s in clean_scores],
-        clean_auc=clean_auc,
-    )
+    def specs(kind: str, eval_seed: int) -> list[atk.AttackSpec]:
+        return [
+            atk.sample_attack(kind, grid, _attack_seed(base_seed, eval_seed, kind, cid),
+                              patches=signals.shape[1], sigma=sigma, tukey_alpha=tukey_alpha)
+            for cid in clip_ids
+        ]
 
-    patches = clips[0].patch_count
-    for kind in kinds:
-        per_seed = []
-        aucs = []
-        for eval_seed in range(n_seeds):
-            specs = [
-                atk.sample_attack(
-                    kind, grid, _attack_seed(base_seed, eval_seed, kind, cid),
-                    patches=patches, sigma=sigma, tukey_alpha=tukey_alpha,
-                )
-                for cid in clip_ids
-            ]
-            attacked = parallel_map(
-                lambda pair: atk.apply_attack(pair[0], pair[1]), list(zip(clips, specs))
-            )
-            scores = score_clips(bundle, attacked)
-            auc = compute_auc(scores, labels)
-            aucs.append(auc)
-            per_seed.append({
-                "seed": eval_seed,
-                "specs": [atk.spec_to_dict(s) for s in specs],
-                "scores": [float(s) for s in scores],
-                "auc": auc,
-            })
-        report.attacks[kind] = {
-            "aucs": aucs,
-            "mean": float(np.mean(aucs)),
-            "std": float(np.std(aucs)),
-            "per_seed": per_seed,
-        }
-    return report
+    plan = {kind: [(s, specs(kind, s)) for s in range(n_seeds)] for kind in kinds}
+    config = {
+        "base_seed": base_seed,
+        "eval_seeds": list(range(n_seeds)),
+        "kinds": list(kinds),
+        "sigma": sigma,
+        "tukey_alpha": tukey_alpha,
+        "n_clips": len(clip_ids),
+    }
+    return _run_suite(bundle, config, clip_ids, [int(lc.y) for _, lc in pairs], signals, plan)
 
 
 def replay_report(
     report: EvalReport, bundle: md.ModelBundle, labeled: list[LabeledClip]
 ) -> EvalReport:
     """Recompute a report from its own embedded attack specs (no re-sampling)."""
-    pairs = _ordered(labeled)
-    by_id = {cid: lc for cid, lc in pairs}
+    by_id = dict(_ordered(labeled))
     try:
         clips = [by_id[cid].clip for cid in report.clip_ids]
     except KeyError as exc:
         raise DataFormatError(f"report references missing clip id {exc}") from exc
-    labels = np.array(report.labels, dtype=np.intp)
-
-    clean_scores = score_clips(bundle, clips)
-    out = EvalReport(
-        config=report.config,
-        clip_ids=list(report.clip_ids),
-        labels=list(report.labels),
-        clean_scores=[float(s) for s in clean_scores],
-        clean_auc=compute_auc(clean_scores, labels),
+    plan = {
+        kind: [
+            (seed_block["seed"], [atk.spec_from_dict(d) for d in seed_block["specs"]])
+            for seed_block in block["per_seed"]
+        ]
+        for kind, block in report.attacks.items()
+    }
+    return _run_suite(
+        bundle, report.config, list(report.clip_ids), list(report.labels), _signal_stack(clips), plan
     )
-    for kind, block in report.attacks.items():
-        per_seed = []
-        aucs = []
-        for seed_block in block["per_seed"]:
-            specs = [atk.spec_from_dict(d) for d in seed_block["specs"]]
-            attacked = parallel_map(
-                lambda pair: atk.apply_attack(pair[0], pair[1]), list(zip(clips, specs))
-            )
-            scores = score_clips(bundle, attacked)
-            auc = compute_auc(scores, labels)
-            aucs.append(auc)
-            per_seed.append({
-                "seed": seed_block["seed"],
-                "specs": [atk.spec_to_dict(s) for s in specs],
-                "scores": [float(s) for s in scores],
-                "auc": auc,
-            })
-        out.attacks[kind] = {
-            "aucs": aucs,
-            "mean": float(np.mean(aucs)),
-            "std": float(np.std(aucs)),
-            "per_seed": per_seed,
-        }
-    return out
 
 
 def notch_sweep(bundle: md.ModelBundle, labeled: list[LabeledClip]) -> list[dict]:
     """Clean AUC followed by AUC under a full-suppression unit notch at each
     interior bin; mirrors the vulnerable-band probe."""
     pairs = _ordered(labeled)
-    clips = [lc.clip for _, lc in pairs]
+    signals = _signal_stack([lc.clip for _, lc in pairs])
     labels = np.array([lc.y for _, lc in pairs], dtype=np.intp)
-    grid = FrequencyGrid(clips[0].frame_count)
+    grid = FrequencyGrid(signals.shape[-1])
+    amplitude, phase = forward_stack(signals)
 
-    rows = [{"bin": None, "omega_k": None, "auc": compute_auc(score_clips(bundle, clips), labels)}]
+    rows = [{"bin": None, "omega_k": None, "auc": compute_auc(score_clips(bundle, signals), labels)}]
     for center in range(1, grid.n_bins - 1):
         spec = atk.AttackSpec(
             kind=atk.KIND_NOTCH,
             params=atk.NotchParams(center_bin=center, width_bins=1, floor=0.0),
         )
-        attacked = parallel_map(lambda c: atk.apply_attack(c, spec), clips)
+        attacked = inverse_stack(atk.edit_amplitude(amplitude, spec, grid), phase, grid.window)
         auc = compute_auc(score_clips(bundle, attacked), labels)
         rows.append({"bin": center, "omega_k": center / grid.window, "auc": auc})
     return rows
@@ -293,11 +286,9 @@ def adaptive_attack(
     if budget == 0.0 or steps <= 0:
         return clip, score_clip(bundle, clip)
 
-    spectrum = dft_onesided(clip)
-    amp = spectrum.amplitude
-    phase = spectrum.phase
-    window = spectrum.grid.window
-    params = {name: Node(arr) for name, arr in md.named_arrays(bundle).items()}
+    amp, phase = forward_stack(clip.signals)
+    window = clip.frame_count
+    params = md.const_params(bundle)
     step_size = 2.5 * budget / steps
 
     def objective(u: FloatArray, want_grad: bool) -> tuple[float, FloatArray | None]:
@@ -329,8 +320,7 @@ def adaptive_attack(
     if value > best_obj:
         best_u = u
 
-    attacked_core = recompose(amp * np.exp(best_u), phase, FrequencyGrid(window))
-    attacked = PatchSignalClip(signals=attacked_core.signals, fps=clip.fps)
+    attacked = PatchSignalClip(signals=inverse_stack(amp * np.exp(best_u), phase, window), fps=clip.fps)
     return attacked, score_clip(bundle, attacked)
 
 
@@ -359,16 +349,18 @@ def adaptive_attack_suite(
 def dump_features(bundle: md.ModelBundle, labeled: list[LabeledClip], path: Path) -> None:
     """CSV of encoder features for the clean and env view of every clip."""
     pairs = _ordered(labeled)
-    clips = [lc.clip for _, lc in pairs]
-    x_clean = np.stack([c.signals.reshape(-1) for c in clips])
-    h_clean, _ = _clean_path(bundle, x_clean)
-
-    env_clips = []
-    for clip in clips:
-        env_clip, _ = md.lsa_perturb(dft_onesided(clip), bundle.generator, bundle.delta, fps=clip.fps)
-        env_clips.append(env_clip)
-    x_env = np.stack([c.signals.reshape(-1) for c in env_clips])
-    h_env, _ = _clean_path(bundle, x_env)
+    signals = _signal_stack([lc.clip for _, lc in pairs])
+    h_clean, _ = _clean_path(bundle, signals.reshape(len(signals), -1))
+    amplitude, phase = forward_stack(signals)
+    p = md.const_params(bundle)
+    # one clip per adversary call: BLAS rounds a row of a large matmul stack
+    # differently from the same row alone, and the CSV must not depend on N
+    env = [
+        md.lsa_views(amplitude[i : i + 1], phase[i : i + 1], signals.shape[-1], p,
+                     bundle.generator.alpha, bundle.delta)[0].value
+        for i in range(len(signals))
+    ]
+    h_env, _ = _clean_path(bundle, np.concatenate(env))
 
     dim = h_clean.shape[1]
     header = "clip,view,y," + ",".join(f"h{j}" for j in range(dim))

@@ -24,8 +24,8 @@ from .spectral import (
     FrequencyGrid,
     OneSidedSpectrum,
     PatchSignalClip,
-    minmax_normalize_amplitude,
-    recompose,
+    inverse_stack,
+    minmax_normalize,
 )
 
 DEFAULT_HIDDEN = 64
@@ -220,15 +220,14 @@ def generator_field(norm_amp: Node, p: Mapping[str, Node]) -> Node:
 
 
 def recompose_rows(amp: Node, phase: FloatArray, window: int) -> Node:
-    """Differentiable wrapper over the spectral recompose chokepoint.
+    """Differentiable wrapper over the spectral inverse kernel.
 
-    Forward delegates to :func:`spinshield.spectral.recompose`; with the phase
+    Forward applies :func:`spinshield.spectral.inverse_stack`; with the phase
     held fixed the map from amplitude to signal is linear, and the backward pass
     applies its adjoint via an rFFT of the incoming gradient.
     """
     grid = FrequencyGrid(window)
     phase = np.asarray(phase, dtype=np.float64)
-    clip = recompose(amp.value, phase, grid)
     coef = np.full(grid.n_bins, 2.0 / window)
     coef[0] = 1.0 / window
     if grid.has_nyquist:
@@ -238,7 +237,7 @@ def recompose_rows(amp: Node, phase: FloatArray, window: int) -> Node:
         g_spec = np.fft.rfft(out.grad, axis=1)
         amp.grad += coef[None, :] * np.real(np.exp(1j * phase) * np.conj(g_spec))
 
-    return ad.custom(clip.signals, (amp,), _backward)
+    return ad.custom(inverse_stack(amp.value, phase, window), (amp,), _backward)
 
 
 def lsa_perturb_graph(
@@ -271,10 +270,21 @@ def lsa_perturb_graph(
     return signals, mask
 
 
+def lsa_views(
+    amplitude: FloatArray, phase: FloatArray, window: int, p: Mapping[str, Node], alpha: float, delta: float
+) -> tuple[Node, Node]:
+    """Adversarial views of a stack of clip spectra ``(B, M, K)``: the
+    ``(B, M*T)`` signal node plus the ``(B*M, K)`` mask node."""
+    b, m, k = amplitude.shape
+    rows = [a.reshape(b * m, k) for a in (amplitude, minmax_normalize(amplitude), phase)]
+    signals, mask = lsa_perturb_graph(*rows, window, p, alpha, delta)
+    return ad.reshape(signals, (b, m * window)), mask
+
+
 # --- plain-array wrappers --------------------------------------------------------
 
 
-def _const_params(bundle: ModelBundle) -> dict[str, Node]:
+def const_params(bundle: ModelBundle) -> dict[str, Node]:
     return {name: Node(arr) for name, arr in named_arrays(bundle).items()}
 
 
@@ -316,25 +326,11 @@ def lsa_perturb(
     fps: float | None = None,
 ) -> tuple[PatchSignalClip, ModulationMask]:
     """Perturb one clip's amplitude spectrum with the learned adversary."""
-    p = {
-        "gen.w1": Node(generator.w1), "gen.b1": Node(generator.b1),
-        "gen.w2": Node(generator.w2), "gen.b2": Node(generator.b2),
-    }
-    signals, mask = lsa_perturb_graph(
-        spectrum.amplitude,
-        minmax_normalize_amplitude(spectrum),
-        spectrum.phase,
-        spectrum.grid.window,
-        p,
-        generator.alpha,
-        delta,
-    )
-    clip = PatchSignalClip(signals=signals.value, fps=fps if fps is not None else DEFAULT_FPS)
+    p = {f"gen.{name}": Node(getattr(generator, name)) for name in ("w1", "b1", "w2", "b2")}
+    window = spectrum.grid.window
+    signals, mask = lsa_views(spectrum.amplitude[None], spectrum.phase[None], window, p, generator.alpha, delta)
+    clip = PatchSignalClip(signals=signals.value.reshape(-1, window), fps=DEFAULT_FPS if fps is None else fps)
     return clip, ModulationMask(values=mask.value[None, :, :], delta=delta)
-
-
-def normalized_amplitude(spectrum: OneSidedSpectrum) -> FloatArray:
-    return minmax_normalize_amplitude(spectrum)
 
 
 # --- checkpoints -----------------------------------------------------------------

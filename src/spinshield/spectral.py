@@ -201,41 +201,67 @@ def extract_patch_signals(
     return PatchSignalClip(signals=signals, fps=fps)
 
 
-def dft_onesided(clip: PatchSignalClip) -> OneSidedSpectrum:
-    """Decompose each patch signal into one-sided amplitude and phase."""
-    t = clip.frame_count
-    grid = FrequencyGrid(window=t)
-    coeffs = np.fft.rfft(clip.signals, axis=1)
+def _canonical_phase(amplitude: FloatArray, phase: FloatArray) -> FloatArray:
+    return np.where(amplitude == 0.0, 0.0, np.where(phase == -np.pi, np.pi, phase))
+
+
+def forward_stack(signals: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """Canonical one-sided amplitude and phase, ``(..., M, T)`` -> ``(..., M, K)``.
+
+    Unvalidated: callers pass validated clips.  Phase is exactly ``{0, pi}`` at
+    the DC and Nyquist bins, ``pi`` rather than ``-pi``, and 0 where the
+    amplitude is 0.
+    """
+    grid = FrequencyGrid(signals.shape[-1])
+    coeffs = np.fft.rfft(signals, axis=-1)
     amplitude = np.abs(coeffs)
     phase = np.angle(coeffs)
     # bins that are real by construction get an exact {0, pi} phase
-    real_bins = [0] + ([grid.n_bins - 1] if grid.has_nyquist else [])
-    for k in real_bins:
-        phase[:, k] = np.where(coeffs[:, k].real >= 0.0, 0.0, np.pi)
-    phase = np.where(amplitude == 0.0, 0.0, phase)
-    return OneSidedSpectrum(amplitude=amplitude, phase=phase, grid=grid)
+    for k in [0] + ([grid.n_bins - 1] if grid.has_nyquist else []):
+        phase[..., k] = np.where(coeffs[..., k].real >= 0.0, 0.0, np.pi)
+    return amplitude, _canonical_phase(amplitude, phase)
 
 
-def _mirror_full(spectrum: OneSidedSpectrum) -> npt.NDArray[np.complex128]:
-    """Full T-bin complex spectrum via conjugate mirroring of the one-sided half."""
-    grid = spectrum.grid
-    coeffs = spectrum.amplitude * np.exp(1j * spectrum.phase)
+def ifft_onesided(coeffs: npt.NDArray[np.complex128], window: int) -> npt.NDArray[np.complex128]:
+    """Normalized inverse DFT of one-sided coefficients ``(..., M, K)``, mirrored
+    to the negative half; real up to rounding, which the caller may check."""
     # for even T the Nyquist bin is its own mirror image and is not repeated
-    stop = grid.n_bins - 1 if grid.has_nyquist else grid.n_bins
-    mirrored = np.conj(coeffs[:, 1:stop][:, ::-1])
-    return np.concatenate([coeffs, mirrored], axis=1)
+    stop = coeffs.shape[-1] - 1 if window % 2 == 0 else coeffs.shape[-1]
+    mirrored = np.conj(coeffs[..., 1:stop][..., ::-1])
+    return np.fft.ifft(np.concatenate([coeffs, mirrored], axis=-1), axis=-1)
+
+
+def inverse_stack(amplitude: FloatArray, phase: FloatArray, window: int) -> FloatArray:
+    """Real signals ``(..., M, T)`` from amplitude and phase ``(..., M, K)``.
+
+    Every amplitude-only transform in the package funnels through this kernel,
+    which keeps attacks and the spectral adversary phase-preserving.
+    Unvalidated, like :func:`forward_stack`.
+    """
+    coeffs = amplitude * np.exp(1j * _canonical_phase(amplitude, phase))
+    return np.ascontiguousarray(ifft_onesided(coeffs, window).real)
+
+
+def minmax_normalize(amplitude: FloatArray) -> FloatArray:
+    """Min-max normalize each clip of an ``(..., M, K)`` stack jointly over its
+    patches and bins; a constant clip maps to zeros."""
+    lo = amplitude.min(axis=(-2, -1), keepdims=True)
+    span = amplitude.max(axis=(-2, -1), keepdims=True) - lo
+    return np.where(span == 0.0, 0.0, (amplitude - lo) / np.where(span == 0.0, 1.0, span))
+
+
+def dft_onesided(clip: PatchSignalClip) -> OneSidedSpectrum:
+    """Decompose each patch signal into one-sided amplitude and phase."""
+    amplitude, phase = forward_stack(clip.signals)
+    return OneSidedSpectrum(amplitude=amplitude, phase=phase, grid=FrequencyGrid(clip.frame_count))
 
 
 def idft_real(spectrum: OneSidedSpectrum) -> PatchSignalClip:
-    """Invert a one-sided spectrum back to real patch signals.
-
-    The one-sided half is mirrored to negative frequencies to enforce Hermitian
-    symmetry before applying the normalized inverse DFT.  The imaginary residual
-    is asserted to be negligible rather than silently discarded.
-    """
+    """Invert a one-sided spectrum back to real patch signals (see
+    :func:`ifft_onesided`), asserting that the imaginary residual is negligible
+    rather than silently discarding it."""
     _check_real_bins(spectrum.amplitude, spectrum.phase, spectrum.grid)
-    full = _mirror_full(spectrum)
-    signals = np.fft.ifft(full, axis=1)
+    signals = ifft_onesided(spectrum.amplitude * np.exp(1j * spectrum.phase), spectrum.grid.window)
     residual = np.max(np.abs(signals.imag)) if signals.size else 0.0
     bound = 1e-9 * max(float(np.max(spectrum.amplitude)), 0.0)
     if residual > bound:
@@ -248,12 +274,7 @@ def idft_real(spectrum: OneSidedSpectrum) -> PatchSignalClip:
 
 def minmax_normalize_amplitude(spectrum: OneSidedSpectrum) -> FloatArray:
     """Min-max normalize amplitude jointly over all patches and bins of the clip."""
-    amp = spectrum.amplitude
-    lo = float(np.min(amp))
-    hi = float(np.max(amp))
-    if hi == lo:
-        return np.zeros_like(amp)
-    return (amp - lo) / (hi - lo)
+    return minmax_normalize(spectrum.amplitude)
 
 
 def recompose(
@@ -262,16 +283,11 @@ def recompose(
     grid: FrequencyGrid,
     fps: float = DEFAULT_FPS,
 ) -> PatchSignalClip:
-    """Rebuild a time-domain clip from a transformed amplitude and the original phase.
-
-    Every amplitude-only transform in the package funnels through here, which is
-    what guarantees that attacks and the spectral adversary stay phase-preserving.
-    """
+    """Rebuild a time-domain clip from a transformed amplitude and the original
+    phase, validating both on the way in (see :func:`inverse_stack`)."""
     amp = np.asarray(amplitude, dtype=np.float64)
     if np.any(amp < 0.0):
         raise ValueError("recompose rejects negative amplitude (phase inversion must be explicit)")
-    ph = np.asarray(phase, dtype=np.float64)
-    ph = np.where(amp == 0.0, 0.0, ph)
-    spectrum = OneSidedSpectrum(amplitude=amp, phase=ph, grid=grid)
-    clip = idft_real(spectrum)
+    ph = np.where(amp == 0.0, 0.0, np.asarray(phase, dtype=np.float64))
+    clip = idft_real(OneSidedSpectrum(amplitude=amp, phase=ph, grid=grid))
     return PatchSignalClip(signals=clip.signals, fps=fps)

@@ -31,7 +31,7 @@ import numpy as np
 from . import clipio
 from .errors import DataFormatError
 from .parallel import parallel_map
-from .spectral import DEFAULT_FPS, FloatArray, PatchSignalClip
+from .spectral import DEFAULT_FPS, FloatArray, PatchSignalClip, ifft_onesided
 
 PHASE_SLOPE_RANGE = 0.15  # radians per patch-grid step
 
@@ -195,9 +195,7 @@ def phase_cue_statistic(clip: PatchSignalClip, component_bin: int = 1) -> float:
     coeffs = np.fft.rfft(clip.signals, axis=1)
     scale = np.abs(coeffs)
     equalized = np.where(scale > 1e-12, coeffs / np.where(scale > 1e-12, scale, 1.0), 0.0)
-    stop = equalized.shape[1] - 1 if t_len % 2 == 0 else equalized.shape[1]
-    full = np.concatenate([equalized, np.conj(equalized[:, 1:stop][:, ::-1])], axis=1)
-    signals = np.fft.ifft(full, axis=1).real
+    signals = ifft_onesided(equalized, t_len).real
 
     w = max(2, t_len // 2)
     t = np.arange(t_len)
@@ -274,17 +272,21 @@ def save_dataset(
     return manifest_path
 
 
-def load_clips(manifest_path: Path, clip_format: str | None = None) -> list[LabeledClip]:
-    """Load every clip listed in a manifest, validating labels and signals."""
-    manifest_path = Path(manifest_path)
+def _read_manifest(manifest_path: Path) -> dict:
     if not manifest_path.exists():
         raise DataFormatError(f"manifest not found: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"bad manifest JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{manifest_path}: manifest must be a JSON object")
     if manifest.get("version") != MANIFEST_VERSION:
         raise DataFormatError(f"unsupported manifest version {manifest.get('version')!r}")
+    return manifest
+
+
+def _manifest_clips(manifest: dict, manifest_path: Path, clip_format: str | None) -> list[LabeledClip]:
     fmt = clip_format or manifest.get("clip_format", "csv")
     base = manifest_path.parent
     out: list[LabeledClip] = []
@@ -304,8 +306,17 @@ def load_clips(manifest_path: Path, clip_format: str | None = None) -> list[Labe
     return out
 
 
-def load_dataset(manifest_path: Path) -> tuple[DatasetSpec, list[LabeledClip]]:
+def load_clips(manifest_path: Path, clip_format: str | None = None) -> list[LabeledClip]:
+    """Load every clip listed in a manifest, validating labels and signals."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    return _manifest_clips(_read_manifest(manifest_path), manifest_path, clip_format)
+
+
+def load_dataset(manifest_path: Path) -> tuple[DatasetSpec, list[LabeledClip]]:
+    """The manifest's dataset spec and its clips; the manifest is read once."""
+    manifest_path = Path(manifest_path)
+    manifest = _read_manifest(manifest_path)
+    if not isinstance(manifest.get("spec"), dict):
+        raise DataFormatError(f"{manifest_path}: manifest has no dataset spec object")
     spec = spec_from_dict(manifest["spec"])
-    return spec, load_clips(manifest_path)
+    return spec, _manifest_clips(manifest, manifest_path, None)

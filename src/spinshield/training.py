@@ -23,7 +23,7 @@ from .attacks import DEFAULT_EPS0, DEFAULT_NOISE_SIGMA
 from .autodiff import Node
 from .errors import DataFormatError, NumericalAbort
 from .evaluation import compute_auc, score_clips
-from .spectral import FloatArray, FrequencyGrid, dft_onesided, recompose
+from .spectral import FloatArray, forward_stack, inverse_stack
 from .synthdata import LabeledClip
 
 MODES = ("baseline", "spinshield", "naive_aug")
@@ -92,6 +92,8 @@ def config_to_dict(config: TrainConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> TrainConfig:
+    if not isinstance(data, dict) or not isinstance(data.get("weights", {}), dict):
+        raise DataFormatError("bad train config: the config and its weights must be JSON objects")
     try:
         w = data.get("weights", {})
         return TrainConfig(
@@ -173,22 +175,10 @@ def _stack_dataset(clips: list[LabeledClip]) -> tuple[FloatArray, FloatArray, Fl
     if len(shapes) != 1:
         raise ValueError(f"clips have inconsistent shapes: {sorted(shapes)}")
     m, t_len = shapes.pop()
-    amps, phases = [], []
-    for lc in clips:
-        spectrum = dft_onesided(lc.clip)
-        amps.append(spectrum.amplitude)
-        phases.append(spectrum.phase)
     signals = np.stack([lc.clip.signals for lc in clips])
+    amps, phases = forward_stack(signals)
     labels = np.array([lc.y for lc in clips], dtype=np.intp)
-    return signals, np.stack(amps), np.stack(phases), labels, m, t_len, m * t_len
-
-
-def _batch_minmax_norm(amp: FloatArray) -> FloatArray:
-    """Per-clip joint min-max normalization over patches and bins."""
-    lo = amp.min(axis=(1, 2), keepdims=True)
-    hi = amp.max(axis=(1, 2), keepdims=True)
-    span = hi - lo
-    return np.where(span == 0.0, 0.0, (amp - lo) / np.where(span == 0.0, 1.0, span))
+    return signals, amps, phases, labels, m, t_len, m * t_len
 
 
 def _graph_nodes(
@@ -222,29 +212,6 @@ def _check_finite(value: float, what: str, step: int) -> float:
     return float(value)
 
 
-def lsa_env_views(
-    amp: FloatArray,
-    phase: FloatArray,
-    window: int,
-    gen_nodes: dict[str, Node],
-    alpha: float,
-    delta: float,
-) -> tuple[Node, Node]:
-    """Batch adversarial views: (B, M*T) signal node plus the (B*M, bins) mask node."""
-    b, m, k = amp.shape
-    norm = _batch_minmax_norm(amp)
-    signals, mask = md.lsa_perturb_graph(
-        amp.reshape(b * m, k),
-        norm.reshape(b * m, k),
-        phase.reshape(b * m, k),
-        window,
-        gen_nodes,
-        alpha,
-        delta,
-    )
-    return ad.reshape(signals, (b, m * window)), mask
-
-
 def naive_env_views(
     amp: FloatArray,
     phase: FloatArray,
@@ -262,8 +229,7 @@ def naive_env_views(
     b, m, k = amp.shape
     draws = rng.normal(0.0, sigma, size=(b, 1, k)) * np.ones((1, m, 1))
     new_amp = (amp + eps0) * np.exp(draws)
-    clip = recompose(new_amp.reshape(b * m, k), phase.reshape(b * m, k), FrequencyGrid(window))
-    return clip.signals.reshape(b, m * window)
+    return inverse_stack(new_amp, phase, window).reshape(b, m * window)
 
 
 @dataclass
@@ -345,7 +311,7 @@ def train(
             if config.mode == "baseline":
                 x_env_arr = None
             elif config.mode == "spinshield":
-                env_node, _ = lsa_env_views(
+                env_node, _ = md.lsa_views(
                     a_batch, p_batch, t_len, graph, config.alpha, bundle.delta
                 )
                 x_env_arr = env_node.value
@@ -395,7 +361,7 @@ def train(
             batch_counter += 1
             if config.mode == "spinshield" and batch_counter % ratio == 0:
                 graph, tracked = _graph_nodes(bundle, ("gen",))
-                env_node, mask_node = lsa_env_views(
+                env_node, mask_node = md.lsa_views(
                     a_batch, p_batch, t_len, graph, config.alpha, bundle.delta
                 )
                 h_env = md.encoder_forward(md.standardize_rows(env_node), graph)

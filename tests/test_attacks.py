@@ -19,7 +19,7 @@ from spinshield.attacks import (
     tukey_window,
 )
 from spinshield.errors import DataFormatError
-from spinshield.spectral import FrequencyGrid, PatchSignalClip, dft_onesided
+from spinshield.spectral import FrequencyGrid, PatchSignalClip, dft_onesided, forward_stack, inverse_stack
 
 from conftest import random_clip
 
@@ -215,6 +215,31 @@ class TestApplyAttack:
         clip = random_clip(rng, patches=3, frames=16)
         spec = sample_attack("snr_noise", GRID16, seed=1, patches=5)
         with pytest.raises(ValueError, match="draws"):
+            apply_attack(clip, spec)
+
+
+class TestStackPath:
+    @pytest.mark.parametrize("kind", attacks.ALL_KINDS + ("identity",))
+    def test_stack_equals_per_clip_bitwise(self, rng, kind):
+        clips = [random_clip(rng, patches=4, frames=16) for _ in range(7)]
+        specs = [sample_attack(kind, GRID16, seed=i, patches=4) for i in range(len(clips))]
+        amplitude, phase = forward_stack(np.stack([c.signals for c in clips]))
+        stacked = attacks.attack_spectra(amplitude, phase, specs, GRID16)
+        for clip, spec, row in zip(clips, specs, stacked):
+            assert np.array_equal(apply_attack(clip, spec).signals, row)
+
+    def test_shared_spec_edits_a_whole_stack(self, rng):
+        clips = [random_clip(rng, patches=3, frames=16) for _ in range(5)]
+        spec = sample_attack("band_mask", GRID16, seed=4)
+        amplitude, phase = forward_stack(np.stack([c.signals for c in clips]))
+        stacked = inverse_stack(attacks.edit_amplitude(amplitude, spec, GRID16), phase, 16)
+        for clip, row in zip(clips, stacked):
+            assert np.array_equal(apply_attack(clip, spec).signals, row)
+
+    def test_non_finite_edit_rejected(self, rng):
+        clip = random_clip(rng, patches=2, frames=16)
+        spec = AttackSpec(kind="tilt", params=TiltParams(beta1=1e6, beta2=0.0))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             apply_attack(clip, spec)
 
 

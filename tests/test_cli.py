@@ -166,3 +166,31 @@ class TestPipeline:
         ])
         assert code == 0
         assert out.exists()
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("spec", [None, [1, 2], "spec"])
+    def test_manifest_without_spec_object_is_data_error(self, pipeline, tmp_path, capsys, spec):
+        _, manifest, _ = pipeline
+        doc = json.loads(manifest.read_text())
+        if spec is None:
+            del doc["spec"]
+        else:
+            doc["spec"] = spec
+        bad = manifest.parent / f"no_spec_{type(spec).__name__}.json"
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["train", "--data", str(bad), "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "spec" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("config", [[1, 2], {"weights": [0.5]}, {"weights": 3}])
+    def test_non_object_config_is_data_error(self, pipeline, tmp_path, capsys, config):
+        _, manifest, _ = pipeline
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = cli.main(["train", "--config", str(path), "--data", str(manifest),
+                         "--out", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "train config" in err and len(err.strip().splitlines()) == 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spinshield import evaluation
 from spinshield import models as md
 from spinshield import synthdata as sd
+from spinshield.attacks import AttackSpec, NotchParams, apply_attack, spec_from_dict
 from spinshield.errors import DataFormatError
 
 
@@ -131,6 +132,28 @@ class TestEvaluateUnderAttacks:
         assert calls["n"] == 0
 
 
+    def test_suite_scores_are_those_of_per_clip_attacks(self, small_world):
+        bundle, dataset = small_world
+        report = evaluation.evaluate_under_attacks(bundle, dataset, n_seeds=2, base_seed=4)
+        by_id = {lc.provenance["index"]: lc.clip for lc in dataset}
+        clips = [by_id[cid] for cid in report.clip_ids]
+        for kind, block in report.attacks.items():
+            for seed_block in block["per_seed"]:
+                attacked = [apply_attack(c, spec_from_dict(d)) for c, d in zip(clips, seed_block["specs"])]
+                assert list(evaluation.score_clips(bundle, attacked)) == seed_block["scores"], kind
+
+    def test_empty_clip_list_rejected(self, small_world):
+        bundle, _ = small_world
+        empty = evaluation.EvalReport(config={}, clip_ids=[], labels=[], clean_scores=[], clean_auc=0.5)
+        for run in (
+            lambda: evaluation.evaluate_under_attacks(bundle, []),
+            lambda: evaluation.replay_report(empty, bundle, []),
+            lambda: evaluation.notch_sweep(bundle, []),
+        ):
+            with pytest.raises(ValueError, match="at least one clip"):
+                run()
+
+
 class TestNotchSweep:
     def test_layout_and_no_suppression_row(self, small_world):
         bundle, dataset = small_world
@@ -143,6 +166,15 @@ class TestNotchSweep:
         assert rows[0]["auc"] == clean
         assert [r["bin"] for r in rows[1:]] == list(range(1, 8))
         assert all(r["omega_k"] == r["bin"] / 16 for r in rows[1:])
+
+    def test_rows_are_those_of_per_clip_notches(self, small_world):
+        bundle, dataset = small_world
+        ordered = sorted(dataset, key=lambda lc: lc.provenance["index"])
+        labels = np.array([lc.y for lc in ordered])
+        for row in evaluation.notch_sweep(bundle, dataset)[1:]:
+            spec = AttackSpec(kind="notch", params=NotchParams(center_bin=row["bin"], width_bins=1))
+            attacked = [apply_attack(lc.clip, spec) for lc in ordered]
+            assert row["auc"] == evaluation.compute_auc(evaluation.score_clips(bundle, attacked), labels)
 
     def test_csv_format(self, small_world, tmp_path):
         bundle, dataset = small_world

@@ -11,8 +11,11 @@ from spinshield.spectral import (
     Roi,
     dft_onesided,
     extract_patch_signals,
+    forward_stack,
     idft_real,
+    inverse_stack,
     luminance,
+    minmax_normalize,
     minmax_normalize_amplitude,
     recompose,
 )
@@ -221,6 +224,43 @@ class TestMinmaxNormalize:
         assert norm.min() == 0.0 and norm.max() == 1.0
         flat_a, flat_n = spec.amplitude.ravel(), norm.ravel()
         assert np.array_equal(np.argsort(flat_a, kind="stable"), np.argsort(flat_n, kind="stable"))
+
+
+class TestStackKernels:
+    @pytest.mark.parametrize("frames", [8, 16, 17])
+    def test_forward_stack_equals_per_clip_dft(self, rng, frames):
+        clips = [random_clip(rng, patches=3, frames=frames) for _ in range(9)]
+        # exact zeros and a constant patch exercise the canonical phase
+        clips.append(PatchSignalClip(signals=np.vstack([np.zeros(frames), np.full(frames, -2.0), np.ones(frames)])))
+        amplitude, phase = forward_stack(np.stack([c.signals for c in clips]))
+        for clip, amp, ph in zip(clips, amplitude, phase):
+            spec = dft_onesided(clip)
+            assert np.array_equal(spec.amplitude, amp) and np.array_equal(spec.phase, ph)
+
+    @pytest.mark.parametrize("frames", [8, 16, 17])
+    def test_inverse_stack_equals_per_clip_inverse(self, rng, frames):
+        clips = [random_clip(rng, patches=3, frames=frames) for _ in range(9)]
+        amplitude, phase = forward_stack(np.stack([c.signals for c in clips]))
+        scaled = amplitude * rng.uniform(0.0, 2.0, size=amplitude.shape)
+        stacked = inverse_stack(scaled, phase, frames)
+        assert stacked.flags.c_contiguous
+        for amp, ph, row in zip(scaled, phase, stacked):
+            grid = FrequencyGrid(frames)
+            assert np.array_equal(recompose(amp, ph, grid).signals, row)
+            assert np.array_equal(idft_real(OneSidedSpectrum(amp, ph, grid)).signals, row)
+
+    def test_inverse_stack_canonicalizes_phase(self):
+        amplitude = np.array([[[1.0, 0.0, 2.0, 0.5, 0.0]]])
+        phase = np.array([[[0.0, 1.0, -np.pi, 0.3, 0.0]]])
+        canonical = np.array([[[0.0, 0.0, np.pi, 0.3, 0.0]]])
+        assert np.array_equal(inverse_stack(amplitude, phase, 8), inverse_stack(amplitude, canonical, 8))
+
+    def test_minmax_stack_equals_per_clip(self, rng):
+        clips = [random_clip(rng, patches=4, frames=16) for _ in range(6)]
+        clips.append(PatchSignalClip(signals=np.full((4, 16), 0.7)))
+        amplitude, _ = forward_stack(np.stack([c.signals for c in clips]))
+        for clip, norm in zip(clips, minmax_normalize(amplitude)):
+            assert np.array_equal(minmax_normalize_amplitude(dft_onesided(clip)), norm)
 
 
 class TestExtractPatchSignals:
