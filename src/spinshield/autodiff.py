@@ -2,10 +2,18 @@
 
 Values are plain float64 arrays (scalars are 0-d), the graph is built by the
 op functions below, and :func:`backward` walks it in reverse topological order
-exactly once.  Gradients accumulate additively across fan-out and across
-repeated backward calls, so callers reset leaves with :func:`zero_grad` when
-reusing nodes.  There is no automatic broadcasting; the handful of explicit
+exactly once.  There is no automatic broadcasting; the handful of explicit
 row/column ops below cover everything the models and objectives need.
+
+Gradient work happens only where a gradient is needed.  A leaf is trainable
+unless it is made with :func:`const`, and every other node requires a
+gradient exactly when one of its parents does; :func:`backward` visits only
+those nodes, and each op computes a parent's vector-Jacobian product only if
+that parent requires it.  Gradient buffers are lazy: a node's first
+contribution is stored as it is and later ones are added out of place, so the
+engine never writes into an array another node may hold.  Leaves accumulate
+across repeated backward calls, so callers reset them with :func:`zero_grad`
+when reusing nodes.
 """
 
 from __future__ import annotations
@@ -19,35 +27,73 @@ FloatArray = npt.NDArray[np.float64]
 
 
 class Node:
-    """One value in the computation graph plus its gradient accumulator."""
+    """One value in the computation graph plus its (lazy) gradient."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    __slots__ = ("value", "requires_grad", "_grad", "_owned", "_parents", "_backward")
 
     def __init__(
         self,
         value: npt.ArrayLike,
         parents: tuple["Node", ...] = (),
-        backward: Callable[[], None] | None = None,
+        backward: Callable[[FloatArray], None] | None = None,
     ) -> None:
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim > 2:
             raise ValueError(f"engine supports rank <= 2 tensors, got rank {arr.ndim}")
         self.value = arr
-        self.grad = np.zeros_like(arr)
+        self.requires_grad = any(p.requires_grad for p in parents) if parents else True
+        self._grad: FloatArray | None = None
+        self._owned = False
         self._parents = parents
         self._backward = backward
+
+    @property
+    def grad(self) -> FloatArray:
+        """The accumulated gradient, zeros if no backward pass reached this node.
+
+        Inside the engine a buffer may be shared between nodes (an identity
+        op hands its own gradient on), so the first read takes a private copy
+        that the caller may edit in place.
+        """
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        elif not self._owned:
+            self._grad = np.array(self._grad, dtype=np.float64)
+        self._owned = True
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: npt.ArrayLike) -> None:
+        self._grad = np.asarray(value, dtype=np.float64)
+        self._owned = True
 
     def __repr__(self) -> str:
         return f"Node(shape={self.value.shape})"
 
 
+def const(value: npt.ArrayLike) -> Node:
+    """A leaf that never requires or receives a gradient."""
+    node = Node(value)
+    node.requires_grad = False
+    return node
+
+
 def as_node(x: "Node | npt.ArrayLike") -> Node:
-    return x if isinstance(x, Node) else Node(x)
+    return x if isinstance(x, Node) else const(x)
 
 
 def zero_grad(nodes: Iterable[Node]) -> None:
     for node in nodes:
-        node.grad = np.zeros_like(node.value)
+        node._grad = None
+
+
+def _accumulate(node: Node, g: FloatArray) -> None:
+    """Add one gradient contribution, broadcast to the node's shape."""
+    if node._grad is None:
+        node._grad = g if g.shape == node.value.shape else np.broadcast_to(g, node.value.shape)
+    else:
+        node._grad = node._grad + g
+    node._owned = False
 
 
 def _same_shape(a: Node, b: Node, op: str) -> None:
@@ -59,9 +105,11 @@ def add(a: Node, b: Node) -> Node:
     _same_shape(a, b, "add")
     out = Node(a.value + b.value, (a, b))
 
-    def _backward() -> None:
-        a.grad += out.grad
-        b.grad += out.grad
+    def _backward(g: FloatArray) -> None:
+        if a.requires_grad:
+            _accumulate(a, g)
+        if b.requires_grad:
+            _accumulate(b, g)
 
     out._backward = _backward
     return out
@@ -71,9 +119,11 @@ def sub(a: Node, b: Node) -> Node:
     _same_shape(a, b, "sub")
     out = Node(a.value - b.value, (a, b))
 
-    def _backward() -> None:
-        a.grad += out.grad
-        b.grad -= out.grad
+    def _backward(g: FloatArray) -> None:
+        if a.requires_grad:
+            _accumulate(a, g)
+        if b.requires_grad:
+            _accumulate(b, -g)
 
     out._backward = _backward
     return out
@@ -83,9 +133,11 @@ def mul(a: Node, b: Node) -> Node:
     _same_shape(a, b, "mul")
     out = Node(a.value * b.value, (a, b))
 
-    def _backward() -> None:
-        a.grad += out.grad * b.value
-        b.grad += out.grad * a.value
+    def _backward(g: FloatArray) -> None:
+        if a.requires_grad:
+            _accumulate(a, g * b.value)
+        if b.requires_grad:
+            _accumulate(b, g * a.value)
 
     out._backward = _backward
     return out
@@ -93,32 +145,20 @@ def mul(a: Node, b: Node) -> Node:
 
 def neg(a: Node) -> Node:
     out = Node(-a.value, (a,))
-
-    def _backward() -> None:
-        a.grad -= out.grad
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, -g)
     return out
 
 
 def scale(a: Node, c: float) -> Node:
     """Multiply by a python scalar (the only broadcast the engine allows)."""
     out = Node(a.value * c, (a,))
-
-    def _backward() -> None:
-        a.grad += out.grad * c
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, g * c)
     return out
 
 
 def add_scalar(a: Node, c: float) -> Node:
     out = Node(a.value + c, (a,))
-
-    def _backward() -> None:
-        a.grad += out.grad
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, g)
     return out
 
 
@@ -127,9 +167,11 @@ def matmul(a: Node, b: Node) -> Node:
         raise ValueError(f"matmul: incompatible shapes {a.value.shape} @ {b.value.shape}")
     out = Node(a.value @ b.value, (a, b))
 
-    def _backward() -> None:
-        a.grad += out.grad @ b.value.T
-        b.grad += a.value.T @ out.grad
+    def _backward(g: FloatArray) -> None:
+        if a.requires_grad:
+            _accumulate(a, g @ b.value.T)
+        if b.requires_grad:
+            _accumulate(b, a.value.T @ g)
 
     out._backward = _backward
     return out
@@ -137,43 +179,27 @@ def matmul(a: Node, b: Node) -> Node:
 
 def transpose(a: Node) -> Node:
     out = Node(a.value.T, (a,))
-
-    def _backward() -> None:
-        a.grad += out.grad.T
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, g.T)
     return out
 
 
 def reshape(a: Node, shape: Sequence[int]) -> Node:
     out = Node(a.value.reshape(shape), (a,))
-
-    def _backward() -> None:
-        a.grad += out.grad.reshape(a.value.shape)
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, g.reshape(a.value.shape))
     return out
 
 
 def tanh(a: Node) -> Node:
     val = np.tanh(a.value)
     out = Node(val, (a,))
-
-    def _backward() -> None:
-        a.grad += out.grad * (1.0 - val * val)
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, g * (1.0 - val * val))
     return out
 
 
 def exp(a: Node) -> Node:
     val = np.exp(a.value)
     out = Node(val, (a,))
-
-    def _backward() -> None:
-        a.grad += out.grad * val
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, g * val)
     return out
 
 
@@ -181,33 +207,21 @@ def log(a: Node) -> Node:
     if np.any(a.value <= 0.0):
         raise ValueError("log of non-positive value; pre-stabilize with an epsilon")
     out = Node(np.log(a.value), (a,))
-
-    def _backward() -> None:
-        a.grad += out.grad / a.value
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, g / a.value)
     return out
 
 
 def powc(a: Node, c: float) -> Node:
     """Elementwise power with a constant exponent."""
     out = Node(a.value**c, (a,))
-
-    def _backward() -> None:
-        a.grad += out.grad * c * a.value ** (c - 1.0)
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, g * c * a.value ** (c - 1.0))
     return out
 
 
 def clip_min(a: Node, c: float) -> Node:
     """Elementwise max with a constant; gradient passes only where unclamped."""
     out = Node(np.maximum(a.value, c), (a,))
-
-    def _backward() -> None:
-        a.grad += out.grad * (a.value > c)
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, g * (a.value > c))
     return out
 
 
@@ -220,9 +234,9 @@ def softmax(a: Node) -> Node:
     p = e / e.sum(axis=1, keepdims=True)
     out = Node(p, (a,))
 
-    def _backward() -> None:
-        dot = np.sum(out.grad * p, axis=1, keepdims=True)
-        a.grad += p * (out.grad - dot)
+    def _backward(g: FloatArray) -> None:
+        dot = np.sum(g * p, axis=1, keepdims=True)
+        _accumulate(a, p * (g - dot))
 
     out._backward = _backward
     return out
@@ -230,22 +244,14 @@ def softmax(a: Node) -> Node:
 
 def sum_all(a: Node) -> Node:
     out = Node(a.value.sum(), (a,))
-
-    def _backward() -> None:
-        a.grad += out.grad
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, g)
     return out
 
 
 def mean_all(a: Node) -> Node:
     n = a.value.size
     out = Node(a.value.mean(), (a,))
-
-    def _backward() -> None:
-        a.grad += out.grad / n
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, g / n)
     return out
 
 
@@ -253,11 +259,7 @@ def row_sum(a: Node) -> Node:
     if a.value.ndim != 2:
         raise ValueError("row_sum expects a 2-d matrix")
     out = Node(a.value.sum(axis=1, keepdims=True), (a,))
-
-    def _backward() -> None:
-        a.grad += out.grad
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, g)
     return out
 
 
@@ -266,11 +268,7 @@ def row_mean(a: Node) -> Node:
         raise ValueError("row_mean expects a 2-d matrix")
     n = a.value.shape[1]
     out = Node(a.value.mean(axis=1, keepdims=True), (a,))
-
-    def _backward() -> None:
-        a.grad += out.grad / n
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, g / n)
     return out
 
 
@@ -280,9 +278,11 @@ def add_rowvec(m: Node, v: Node) -> Node:
         raise ValueError(f"add_rowvec: shapes {m.value.shape} and {v.value.shape}")
     out = Node(m.value + v.value[None, :], (m, v))
 
-    def _backward() -> None:
-        m.grad += out.grad
-        v.grad += out.grad.sum(axis=0)
+    def _backward(g: FloatArray) -> None:
+        if m.requires_grad:
+            _accumulate(m, g)
+        if v.requires_grad:
+            _accumulate(v, g.sum(axis=0))
 
     out._backward = _backward
     return out
@@ -294,9 +294,11 @@ def add_colvec(m: Node, v: Node) -> Node:
         raise ValueError(f"add_colvec: shapes {m.value.shape} and {v.value.shape}")
     out = Node(m.value + v.value, (m, v))
 
-    def _backward() -> None:
-        m.grad += out.grad
-        v.grad += out.grad.sum(axis=1, keepdims=True)
+    def _backward(g: FloatArray) -> None:
+        if m.requires_grad:
+            _accumulate(m, g)
+        if v.requires_grad:
+            _accumulate(v, g.sum(axis=1, keepdims=True))
 
     out._backward = _backward
     return out
@@ -308,9 +310,11 @@ def mul_colvec(m: Node, v: Node) -> Node:
         raise ValueError(f"mul_colvec: shapes {m.value.shape} and {v.value.shape}")
     out = Node(m.value * v.value, (m, v))
 
-    def _backward() -> None:
-        m.grad += out.grad * v.value
-        v.grad += (out.grad * m.value).sum(axis=1, keepdims=True)
+    def _backward(g: FloatArray) -> None:
+        if m.requires_grad:
+            _accumulate(m, g * v.value)
+        if v.requires_grad:
+            _accumulate(v, (g * m.value).sum(axis=1, keepdims=True))
 
     out._backward = _backward
     return out
@@ -329,11 +333,11 @@ def cross_entropy_with_logits(logits: Node, labels: npt.ArrayLike) -> Node:
     losses = lse - shifted[np.arange(z.shape[0]), y]
     out = Node(losses, (logits,))
 
-    def _backward() -> None:
+    def _backward(g: FloatArray) -> None:
         e = np.exp(shifted)
         p = e / e.sum(axis=1, keepdims=True)
         p[np.arange(z.shape[0]), y] -= 1.0
-        logits.grad += p * out.grad[:, None]
+        _accumulate(logits, p * g[:, None])
 
     out._backward = _backward
     return out
@@ -342,25 +346,35 @@ def cross_entropy_with_logits(logits: Node, labels: npt.ArrayLike) -> Node:
 def grl(a: Node) -> Node:
     """Gradient reversal: identity forward, sign-flipped gradient backward."""
     out = Node(a.value, (a,))
+    out._backward = lambda g: _accumulate(a, -g)
+    return out
 
-    def _backward() -> None:
-        a.grad -= out.grad
+
+def custom(
+    value: npt.ArrayLike,
+    parents: tuple[Node, ...],
+    vjp: Callable[[FloatArray], tuple[FloatArray, ...]],
+) -> Node:
+    """Escape hatch for ops with hand-written vector-Jacobian products:
+    ``vjp`` maps the output's gradient to one contribution per parent."""
+    out = Node(value, parents)
+
+    def _backward(g: FloatArray) -> None:
+        for parent, contribution in zip(parents, vjp(g)):
+            if parent.requires_grad:
+                _accumulate(parent, contribution)
 
     out._backward = _backward
     return out
 
 
-def custom(value: npt.ArrayLike, parents: tuple[Node, ...], backward: Callable[[Node], None]) -> Node:
-    """Escape hatch for ops with hand-written vector-Jacobian products."""
-    out = Node(value, parents)
-    out._backward = lambda: backward(out)
-    return out
-
-
 def backward(loss: Node) -> None:
-    """Populate gradients of every node reachable from the scalar loss."""
+    """Populate the gradients of every node that requires one and that the
+    scalar loss depends on."""
     if loss.value.ndim != 0:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
+    if not loss.requires_grad:
+        return
 
     topo: list[Node] = []
     visited: set[int] = set()
@@ -375,15 +389,15 @@ def backward(loss: Node) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
 
     # interior gradients are per-pass scratch space; only leaves accumulate
     # across calls (hence the explicit zero_grad contract for parameters)
     for node in topo:
         if node._parents:
-            node.grad = np.zeros_like(node.value)
-    loss.grad = loss.grad + 1.0
+            node._grad = None
+    _accumulate(loss, np.ones(()))
     for node in reversed(topo):
-        if node._backward is not None:
-            node._backward()
+        if node._backward is not None and node._grad is not None:
+            node._backward(node._grad)

@@ -52,7 +52,7 @@ def compute_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 def _clean_path(bundle: md.ModelBundle, x: FloatArray) -> tuple[FloatArray, FloatArray]:
     """Features and fake-probabilities for a stack of flat clips."""
     p = md.const_params(bundle)
-    h = md.encoder_forward(md.standardize_rows(Node(x)), p)
+    h = md.encoder_forward(md.standardize_rows(ad.const(x)), p)
     probs = ad.softmax(md.classifier_logits(h, p))
     return h.value, probs.value
 
@@ -293,7 +293,7 @@ def adaptive_attack(
 
     def objective(u: FloatArray, want_grad: bool) -> tuple[float, FloatArray | None]:
         u_node = Node(u)
-        new_amp = ad.mul(Node(amp), ad.exp(u_node))
+        new_amp = ad.mul(ad.const(amp), ad.exp(u_node))
         x = ad.reshape(md.recompose_rows(new_amp, phase, window), (1, amp.shape[0] * window))
         h = md.encoder_forward(md.standardize_rows(x), params)
         logits = md.classifier_logits(h, params)

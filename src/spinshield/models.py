@@ -233,11 +233,11 @@ def recompose_rows(amp: Node, phase: FloatArray, window: int) -> Node:
     if grid.has_nyquist:
         coef[-1] = 1.0 / window
 
-    def _backward(out: Node) -> None:
-        g_spec = np.fft.rfft(out.grad, axis=1)
-        amp.grad += coef[None, :] * np.real(np.exp(1j * phase) * np.conj(g_spec))
+    def _vjp(g: FloatArray) -> tuple[FloatArray]:
+        g_spec = np.fft.rfft(g, axis=1)
+        return (coef[None, :] * np.real(np.exp(1j * phase) * np.conj(g_spec)),)
 
-    return ad.custom(inverse_stack(amp.value, phase, window), (amp,), _backward)
+    return ad.custom(inverse_stack(amp.value, phase, window), (amp,), _vjp)
 
 
 def lsa_perturb_graph(
@@ -257,15 +257,11 @@ def lsa_perturb_graph(
     differentiable with respect to the generator parameters.
     """
     amplitude = np.asarray(amplitude, dtype=np.float64)
-    field = generator_field(Node(np.asarray(norm_amplitude, dtype=np.float64)), p)
+    field = generator_field(ad.const(norm_amplitude), p)
     factor = ad.exp(ad.scale(ad.tanh(field), alpha))
-    new_amp = ad.mul(Node(amplitude), factor)
+    new_amp = ad.mul(ad.const(amplitude), factor)
     denom = amplitude + delta
-
-    def _div_backward(out: Node) -> None:
-        new_amp.grad += out.grad / denom
-
-    mask = ad.custom(new_amp.value / denom, (new_amp,), _div_backward)
+    mask = ad.custom(new_amp.value / denom, (new_amp,), lambda g: (g / denom,))
     signals = recompose_rows(new_amp, phase, window)
     return signals, mask
 
@@ -285,7 +281,8 @@ def lsa_views(
 
 
 def const_params(bundle: ModelBundle) -> dict[str, Node]:
-    return {name: Node(arr) for name, arr in named_arrays(bundle).items()}
+    """Every parameter as a constant node, for graphs that train nothing."""
+    return {name: ad.const(arr) for name, arr in named_arrays(bundle).items()}
 
 
 def encode(clip: PatchSignalClip, encoder: EncoderParams) -> FloatArray:
@@ -296,26 +293,26 @@ def encode(clip: PatchSignalClip, encoder: EncoderParams) -> FloatArray:
             f"clip flattens to width {x.shape[1]}, encoder expects {encoder.w1.shape[0]}"
         )
     p = {
-        "enc.w1": Node(encoder.w1), "enc.b1": Node(encoder.b1),
-        "enc.w2": Node(encoder.w2), "enc.b2": Node(encoder.b2),
+        "enc.w1": ad.const(encoder.w1), "enc.b1": ad.const(encoder.b1),
+        "enc.w2": ad.const(encoder.w2), "enc.b2": ad.const(encoder.b2),
     }
-    return encoder_forward(standardize_rows(Node(x)), p).value[0]
+    return encoder_forward(standardize_rows(ad.const(x)), p).value[0]
 
 
 def classify(h: FloatArray, heads: HeadParams) -> FloatArray:
     """Class distribution over {real, fake} for one feature vector."""
-    p = {"head.wg": Node(heads.wg), "head.bg": Node(heads.bg)}
-    logits = classifier_logits(Node(np.asarray(h).reshape(1, -1)), p)
+    p = {"head.wg": ad.const(heads.wg), "head.bg": ad.const(heads.bg)}
+    logits = classifier_logits(ad.const(np.asarray(h).reshape(1, -1)), p)
     return ad.softmax(logits).value[0]
 
 
 def discriminate_domain(h: FloatArray, heads: HeadParams, through_grl: bool = False) -> FloatArray:
     """Domain distribution over {clean, env}; the GRL only matters inside graphs."""
     p = {
-        "head.wq1": Node(heads.wq1), "head.bq1": Node(heads.bq1),
-        "head.wq2": Node(heads.wq2), "head.bq2": Node(heads.bq2),
+        "head.wq1": ad.const(heads.wq1), "head.bq1": ad.const(heads.bq1),
+        "head.wq2": ad.const(heads.wq2), "head.bq2": ad.const(heads.bq2),
     }
-    logits = domain_logits(Node(np.asarray(h).reshape(1, -1)), p, through_grl=through_grl)
+    logits = domain_logits(ad.const(np.asarray(h).reshape(1, -1)), p, through_grl=through_grl)
     return ad.softmax(logits).value[0]
 
 
@@ -326,7 +323,7 @@ def lsa_perturb(
     fps: float | None = None,
 ) -> tuple[PatchSignalClip, ModulationMask]:
     """Perturb one clip's amplitude spectrum with the learned adversary."""
-    p = {f"gen.{name}": Node(getattr(generator, name)) for name in ("w1", "b1", "w2", "b2")}
+    p = {f"gen.{name}": ad.const(getattr(generator, name)) for name in ("w1", "b1", "w2", "b2")}
     window = spectrum.grid.window
     signals, mask = lsa_views(spectrum.amplitude[None], spectrum.phase[None], window, p, generator.alpha, delta)
     clip = PatchSignalClip(signals=signals.value.reshape(-1, window), fps=DEFAULT_FPS if fps is None else fps)

@@ -129,7 +129,7 @@ def mmd(
 def _mask_node(mask: "Node | ModulationMask") -> Node:
     if isinstance(mask, ModulationMask):
         b, m, k = mask.values.shape
-        return Node(mask.values.reshape(b * m, k))
+        return ad.const(mask.values.reshape(b * m, k))
     return mask
 
 
@@ -248,7 +248,7 @@ def paired_displacement(h_clean: Node, h_env: Node) -> Node:
     # the batch mean enters as a constant: the rows of (h - mean) sum to zero,
     # so the spread's gradient is the same as with the mean differentiated
     mean = np.mean(h_clean.value, axis=0, keepdims=True)
-    centered = ad.sub(h_clean, Node(np.repeat(mean, h_clean.value.shape[0], axis=0)))
+    centered = ad.sub(h_clean, ad.const(np.repeat(mean, h_clean.value.shape[0], axis=0)))
     spread = ad.mean_all(ad.mul(centered, centered))
     return ad.mul(ad.mean_all(ad.mul(diff, diff)), ad.powc(spread, -1.0))
 

@@ -184,32 +184,87 @@ def _stack_dataset(clips: list[LabeledClip]) -> tuple[FloatArray, FloatArray, Fl
 def _graph_nodes(
     bundle: md.ModelBundle, trainable_groups: tuple[str, ...]
 ) -> tuple[dict[str, Node], dict[str, Node]]:
-    """Bind every parameter to a graph node; only the trainable group's nodes
-    are aliased into the tracked map the optimizer reads."""
+    """Bind every parameter to a graph node: the trainable groups' nodes are
+    leaves, aliased into the tracked map the optimizer reads, and the frozen
+    groups' nodes are constants."""
     graph: dict[str, Node] = {}
     tracked: dict[str, Node] = {}
     for name, arr in md.named_arrays(bundle).items():
-        node = Node(arr)
-        graph[name] = node
         if name.split(".", 1)[0] in trainable_groups:
-            tracked[name] = node
+            graph[name] = tracked[name] = Node(arr)
+        else:
+            graph[name] = ad.const(arr)
     return graph, tracked
-
-
-def step_gradients(
-    bundle: md.ModelBundle, graph: dict[str, Node], tracked: dict[str, Node]
-) -> dict[str, FloatArray]:
-    """Gradient map over all parameters; frozen groups are identically zero."""
-    return {
-        name: (tracked[name].grad if name in tracked else np.zeros_like(arr))
-        for name, arr in md.named_arrays(bundle).items()
-    }
 
 
 def _check_finite(value: float, what: str, step: int) -> float:
     if not np.isfinite(value):
         raise NumericalAbort(f"{what} is non-finite ({value}) at step {step}")
     return float(value)
+
+
+def _finite_gradients(tracked: dict[str, Node], step: int) -> dict[str, FloatArray]:
+    """The tracked parameters' gradients, for the optimizer."""
+    grads = {name: node.grad for name, node in tracked.items()}
+    for name, grad in grads.items():
+        if not np.all(np.isfinite(grad)):
+            raise NumericalAbort(f"gradient of {name} is non-finite at step {step}")
+    return grads
+
+
+def _detector_losses(
+    graph: dict[str, Node],
+    x_clean: FloatArray,
+    x_env: FloatArray | None,
+    y: np.ndarray,
+    weights: obj.LossWeights,
+) -> tuple[Node, Node, Node, Node, Node]:
+    """The detector step's (L_det, L_sym, discriminator loss, L_blind, total);
+    ``x_env`` is None in baseline mode, where the invariance terms are 0."""
+    h_clean = md.encoder_forward(md.standardize_rows(ad.const(x_clean)), graph)
+    logits_clean = md.classifier_logits(h_clean, graph)
+    if x_env is None:
+        l_det = obj.detector_loss(logits_clean, None, y)
+        l_sym = l_disc = l_blind = ad.const(0.0)
+    else:
+        h_env = md.encoder_forward(md.standardize_rows(ad.const(x_env)), graph)
+        logits_env = md.classifier_logits(h_env, graph)
+        l_det = obj.detector_loss(logits_clean, logits_env, y)
+        l_sym = obj.symmetric_kl(ad.softmax(logits_clean), ad.softmax(logits_env))
+        # the discriminator learns on detached features; the encoder
+        # learns against a constant copy of the discriminator
+        l_disc = obj.blindness_loss(
+            ad.const(h_clean.value), ad.const(h_env.value),
+            lambda z: md.domain_logits(z, graph, through_grl=False),
+            through_grl=False,
+        )
+        frozen = {
+            name: ad.const(node.value) for name, node in graph.items()
+            if name.startswith(("head.wq", "head.bq"))
+        }
+        l_blind = obj.encoder_blindness_loss(
+            h_clean, h_env, lambda z: md.domain_logits(z, frozen, through_grl=False)
+        )
+    total = obj.total_loss(l_det, l_sym, ad.add(l_disc, l_blind), weights)
+    return l_det, l_sym, l_disc, l_blind, total
+
+
+def _adversary_losses(
+    frozen: dict[str, Node],
+    env_node: Node,
+    mask_node: Node,
+    x_clean: FloatArray,
+    y: np.ndarray,
+    weights: obj.LossWeights,
+) -> tuple[Node, Node, Node]:
+    """The adversary step's (mmd, mask_reg, L_gen) over its views, with the
+    detector's parameters held in ``frozen``."""
+    h_env = md.encoder_forward(md.standardize_rows(env_node), frozen)
+    logits_env = md.classifier_logits(h_env, frozen)
+    h_clean = md.encoder_forward(md.standardize_rows(ad.const(x_clean)), frozen)
+    d_mmd = obj.mmd(h_clean, h_env)
+    l_gen = obj.generator_loss(logits_env, y, d_mmd, mask_node, weights)
+    return d_mmd, obj.mask_regularizer(mask_node), l_gen
 
 
 def naive_env_views(
@@ -274,7 +329,6 @@ def train(
     )
     arrays = md.named_arrays(bundle)
     det_names = [n for n in arrays if n.startswith(("enc.", "head."))]
-    disc_names = [n for n in det_names if n.startswith(("head.wq", "head.bq"))]
     gen_names = [n for n in arrays if n.startswith("gen.")]
     det_opt = Adam({n: arrays[n] for n in det_names}, config.learning_rate, config.adam_betas, config.adam_eps)
     gen_opt = Adam(
@@ -307,48 +361,30 @@ def train(
             p_batch = phases[batch]
 
             # --- detector step: adversary frozen ---------------------------------
-            graph, tracked = _graph_nodes(bundle, ("enc", "head"))
-            if config.mode == "baseline":
-                x_env_arr = None
-            elif config.mode == "spinshield":
-                env_node, _ = md.lsa_views(
-                    a_batch, p_batch, t_len, graph, config.alpha, bundle.delta
+            # the detector step leaves the generator unchanged, so one adversary
+            # graph serves both steps: its value feeds the detector as a
+            # constant, and the adversary step backpropagates through it
+            if config.mode == "spinshield":
+                gen_graph, gen_tracked = _graph_nodes(bundle, ("gen",))
+                env_node, mask_node = md.lsa_views(
+                    a_batch, p_batch, t_len, gen_graph, config.alpha, bundle.delta
                 )
                 x_env_arr = env_node.value
-            else:  # naive_aug
+            elif config.mode == "naive_aug":
                 x_env_arr = naive_env_views(a_batch, p_batch, t_len, naive_rng, sigma=NAIVE_SIGMA)
-
-            h_clean = md.encoder_forward(md.standardize_rows(Node(x_clean)), graph)
-            logits_clean = md.classifier_logits(h_clean, graph)
-            if x_env_arr is None:
-                l_det = obj.detector_loss(logits_clean, None, y)
-                l_sym = Node(0.0)
-                l_disc = Node(0.0)
-                l_blind = Node(0.0)
             else:
-                h_env = md.encoder_forward(md.standardize_rows(Node(x_env_arr)), graph)
-                logits_env = md.classifier_logits(h_env, graph)
-                l_det = obj.detector_loss(logits_clean, logits_env, y)
-                l_sym = obj.symmetric_kl(ad.softmax(logits_clean), ad.softmax(logits_env))
-                # the discriminator learns on detached features; the encoder
-                # learns against a constant copy of the discriminator
-                l_disc = obj.blindness_loss(
-                    Node(h_clean.value), Node(h_env.value),
-                    lambda z: md.domain_logits(z, graph, through_grl=False),
-                    through_grl=False,
-                )
-                frozen = {name: Node(graph[name].value) for name in disc_names}
-                l_blind = obj.encoder_blindness_loss(
-                    h_clean, h_env, lambda z: md.domain_logits(z, frozen, through_grl=False)
-                )
-            total = obj.total_loss(l_det, l_sym, ad.add(l_disc, l_blind), config.weights)
+                x_env_arr = None
+
+            graph, tracked = _graph_nodes(bundle, ("enc", "head"))
+            l_det, l_sym, l_disc, l_blind, total = _detector_losses(
+                graph, x_clean, x_env_arr, y, config.weights
+            )
             checked = ((l_det, "L_det"), (l_sym, "L_sym"), (l_disc, "discriminator loss"),
                        (l_blind, "L_blind"), (total, "total"))
             for node, what in checked:
                 _check_finite(node.value, what, step)
             ad.backward(total)
-            grads = step_gradients(bundle, graph, tracked)
-            det_opt.step({n: grads[n] for n in det_names})
+            det_opt.step(_finite_gradients(tracked, step))
             log_rows.append({
                 "step": step, "phase": "theta",
                 "L_det": float(l_det.value), "L_sym": float(l_sym.value),
@@ -360,22 +396,14 @@ def train(
             # --- adversary step: detector frozen ----------------------------------
             batch_counter += 1
             if config.mode == "spinshield" and batch_counter % ratio == 0:
-                graph, tracked = _graph_nodes(bundle, ("gen",))
-                env_node, mask_node = md.lsa_views(
-                    a_batch, p_batch, t_len, graph, config.alpha, bundle.delta
+                d_mmd, reg, l_gen = _adversary_losses(
+                    md.const_params(bundle), env_node, mask_node, x_clean, y, config.weights
                 )
-                h_env = md.encoder_forward(md.standardize_rows(env_node), graph)
-                logits_env = md.classifier_logits(h_env, graph)
-                h_clean_const = md.encoder_forward(md.standardize_rows(Node(x_clean)), graph)
-                d_mmd = obj.mmd(Node(h_clean_const.value), h_env)
-                l_gen = obj.generator_loss(logits_env, y, d_mmd, mask_node, config.weights)
-                reg = obj.mask_regularizer(mask_node)
                 for node, what in ((d_mmd, "mmd"), (reg, "mask_reg"), (l_gen, "L_gen")):
                     _check_finite(node.value, what, step)
                 loss = ad.neg(l_gen)  # ascend by minimizing the negation
                 ad.backward(loss)
-                grads = step_gradients(bundle, graph, tracked)
-                gen_opt.step({n: grads[n] for n in gen_names})
+                gen_opt.step(_finite_gradients(gen_tracked, step))
                 log_rows.append({
                     "step": step, "phase": "phi",
                     "L_det": None, "L_sym": None, "L_blind": None,

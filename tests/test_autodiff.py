@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from spinshield import autodiff as ad
+from spinshield import models as md
+from spinshield import training
 from spinshield.autodiff import Node
+from spinshield.objectives import LossWeights
+from spinshield.spectral import forward_stack
 
 
 def finite_diff(fn, arrays, which, h=1e-5):
@@ -200,3 +204,93 @@ class TestBackward:
         r1 = ad.tanh(ad.matmul(Node(a), Node(b))).value
         r2 = ad.tanh(ad.matmul(Node(a), Node(b))).value
         np.testing.assert_array_equal(r1, r2)
+
+
+class TestGradientWork:
+    """Constants, pruned visits and lazy buffers change no gradient."""
+
+    @staticmethod
+    def _step_gradients(step):
+        rng = np.random.default_rng(17)
+        b, m, t = 6, 2, 8
+        signals = rng.normal(size=(b, m, t))
+        amps, phases = forward_stack(signals)
+        x = signals.reshape(b, m * t)
+        y = np.array([0, 1] * (b // 2))
+        bundle = md.init_bundle(input_width=m * t, n_bins=t // 2 + 1, hidden=6, feature_dim=4,
+                                gen_hidden=5, domain_hidden=3, seed=4)
+        gen_graph, gen_tracked = training._graph_nodes(bundle, ("gen",))
+        env, mask = md.lsa_views(amps, phases, t, gen_graph, bundle.generator.alpha, bundle.delta)
+        if step == "detector":
+            graph, tracked = training._graph_nodes(bundle, ("enc", "head"))
+            loss = training._detector_losses(graph, x, env.value, y, LossWeights())[-1]
+        else:
+            tracked = gen_tracked
+            losses = training._adversary_losses(md.const_params(bundle), env, mask, x, y, LossWeights())
+            loss = ad.neg(losses[-1])
+        ad.backward(loss)
+        return {name: node.grad for name, node in tracked.items()}
+
+    @pytest.mark.parametrize("step", ["detector", "adversary"])
+    def test_training_graphs_match_every_leaf_trainable(self, step, monkeypatch):
+        pruned = self._step_gradients(step)
+        monkeypatch.setattr(ad, "const", Node)
+        full = self._step_gradients(step)
+        assert sorted(pruned) == sorted(full)
+        for name, grad in pruned.items():
+            assert np.any(grad != 0.0), name
+            assert np.array_equal(grad, full[name]), name
+
+    def test_constants_never_receive_a_gradient(self):
+        rng = np.random.default_rng(23)
+        w = Node(rng.normal(size=(3, 2)))
+        x = ad.const(rng.normal(size=(4, 3)))
+        c = ad.const(rng.normal(size=(4, 2)))
+        fixed = ad.tanh(ad.matmul(x, ad.const(np.ones((3, 2)))))
+        assert not fixed.requires_grad
+        mixed = ad.custom(x.value @ w.value, (x, w), lambda g: (g @ w.value.T, x.value.T @ g))
+        assert mixed.requires_grad
+        loss = ad.sum_all(ad.mul(ad.add(ad.add(ad.matmul(x, w), mixed), fixed), c))
+        ad.backward(loss)
+        for node in (x, c, fixed):
+            assert node._grad is None
+        np.testing.assert_array_equal(w.grad, 2.0 * x.value.T @ c.value)
+        np.testing.assert_array_equal(x.grad, 0.0)
+        # a loss that depends on no trainable leaf does nothing
+        y = ad.const(np.ones(3))
+        ad.backward(ad.sum_all(y))
+        assert y._grad is None
+
+    def test_editing_one_gradient_leaves_every_other(self):
+        # the adds hand one buffer on to `inner`, `x` and `y`: x's second
+        # contribution must not be added into it, and an edit of y's
+        # gradient must not reach it
+        x = Node(np.ones((2, 3)))
+        y = Node(np.full((2, 3), 2.0))
+        inner = ad.add(x, y)
+        outer = ad.add(inner, x)
+        turned = ad.reshape(ad.transpose(outer), (3, 2))
+        loss = ad.sum_all(ad.mul(turned, ad.const(np.ones((3, 2)))))
+        ad.backward(loss)
+        y.grad[0, 0] = 99.0
+        y.grad *= 2.0
+        assert y.grad[0, 0] == 198.0 and np.all(y.grad.flat[1:] == 2.0)
+        np.testing.assert_array_equal(x.grad, 2.0)
+        for node in (inner, outer, turned):
+            np.testing.assert_array_equal(node.grad, 1.0)
+
+    @pytest.mark.parametrize(
+        "reduce,expected",
+        [
+            (ad.sum_all, 1.0),
+            (ad.mean_all, 1.0 / 6.0),
+            (lambda n: ad.sum_all(ad.row_sum(n)), 1.0),
+        ],
+    )
+    def test_reduction_gradient_takes_the_leafs_shape(self, reduce, expected):
+        x = Node(np.arange(6.0).reshape(2, 3))
+        ad.backward(reduce(x))
+        assert x.grad.shape == (2, 3)
+        np.testing.assert_array_equal(x.grad, expected)
+        x.grad += 1.0  # the buffer is the leaf's own, and writable
+        np.testing.assert_array_equal(x.grad, expected + 1.0)
