@@ -177,6 +177,85 @@ def matmul(a: Node, b: Node) -> Node:
     return out
 
 
+def dense(x: Node, w: Node, b: Node, activation: str | None = None) -> Node:
+    """One node for ``x @ w + b``, ``b`` added to every row, optionally
+    through a tanh (``activation="tanh"``)."""
+    if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[0]:
+        raise ValueError(f"dense: incompatible shapes {x.value.shape} @ {w.value.shape}")
+    if b.value.shape != (w.value.shape[1],):
+        raise ValueError(f"dense: bias shape {b.value.shape} for {w.value.shape[1]} outputs")
+    if activation not in (None, "tanh"):
+        raise ValueError(f"dense: unknown activation {activation!r}")
+    val = x.value @ w.value + b.value
+    if activation == "tanh":
+        val = np.tanh(val)
+    out = Node(val, (x, w, b))
+
+    def _backward(g: FloatArray) -> None:
+        if activation == "tanh":
+            g = g * (1.0 - val * val)
+        if x.requires_grad:
+            _accumulate(x, g @ w.value.T)
+        if w.requires_grad:
+            _accumulate(w, x.value.T @ g)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
+
+    out._backward = _backward
+    return out
+
+
+def standardize_rows(x: Node, eps: float) -> Node:
+    """Zero-mean, unit-variance rows, ``(x - mean) / sqrt(var + eps)``, as one
+    node with the closed-form vector-Jacobian product."""
+    if x.value.ndim != 2:
+        raise ValueError("standardize_rows expects a 2-d matrix")
+    centered = x.value - x.value.mean(axis=1, keepdims=True)
+    inv_std = ((centered * centered).mean(axis=1, keepdims=True) + eps) ** -0.5
+    val = centered * inv_std
+    out = Node(val, (x,))
+
+    def _backward(g: FloatArray) -> None:
+        # gradient at the centered rows, then projected onto zero-mean rows
+        g_centered = inv_std * (g - val * (g * val).mean(axis=1, keepdims=True))
+        _accumulate(x, g_centered - g_centered.mean(axis=1, keepdims=True))
+
+    out._backward = _backward
+    return out
+
+
+def row_slice(a: Node, start: int, stop: int) -> Node:
+    """Rows ``start:stop`` of a 2-d matrix."""
+    if a.value.ndim != 2 or not 0 <= start < stop <= a.value.shape[0]:
+        raise ValueError(f"row_slice: rows {start}:{stop} of shape {a.value.shape}")
+
+    def _backward(g: FloatArray) -> None:
+        full = np.zeros_like(a.value)
+        full[start:stop] = g
+        _accumulate(a, full)
+
+    out = Node(a.value[start:stop], (a,))
+    out._backward = _backward
+    return out
+
+
+def concat_rows(a: Node, b: Node) -> Node:
+    """The rows of ``a`` followed by the rows of ``b``."""
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[1]:
+        raise ValueError(f"concat_rows: shapes {a.value.shape} and {b.value.shape}")
+    n = a.value.shape[0]
+    out = Node(np.concatenate([a.value, b.value]), (a, b))
+
+    def _backward(g: FloatArray) -> None:
+        if a.requires_grad:
+            _accumulate(a, g[:n])
+        if b.requires_grad:
+            _accumulate(b, g[n:])
+
+    out._backward = _backward
+    return out
+
+
 def transpose(a: Node) -> Node:
     out = Node(a.value.T, (a,))
     out._backward = lambda g: _accumulate(a, g.T)

@@ -32,12 +32,16 @@ def _add_split_args(sub: argparse.ArgumentParser) -> None:
                      help="seed that produced the train/val/test split")
 
 
-def _resolve_split(args: argparse.Namespace, clips: list) -> list:
-    if args.split == "all":
-        return clips
-    train_idx, val_idx, test_idx = training.split_indices(len(clips), args.split_seed)
-    chosen = {"train": train_idx, "val": val_idx, "test": test_idx}[args.split]
-    return [clips[i] for i in chosen]
+def _load_split(args: argparse.Namespace, limit: int | None = None) -> list:
+    """The chosen split's clips, at most ``limit`` of them; no other clip file is read."""
+
+    def select(n: int):
+        if args.split == "all":
+            return range(n)[:limit]
+        train_idx, val_idx, test_idx = training.split_indices(n, args.split_seed)
+        return {"train": train_idx, "val": val_idx, "test": test_idx}[args.split][:limit]
+
+    return synthdata.load_dataset(args.data, select)[1]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,8 +164,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if kind not in atk.ALL_KINDS + (atk.KIND_IDENTITY,):
             raise UsageError(f"unknown attack kind {kind!r}")
     bundle = md.load_bundle(args.checkpoint)
-    _, clips = synthdata.load_dataset(args.data)
-    subset = _resolve_split(args, clips)
+    subset = _load_split(args)
     report = evaluation.evaluate_under_attacks(
         bundle, subset, kinds=kinds, n_seeds=args.n_seeds, base_seed=args.base_seed
     )
@@ -175,8 +178,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     bundle = md.load_bundle(args.checkpoint)
-    _, clips = synthdata.load_dataset(args.data)
-    rows = evaluation.notch_sweep(bundle, _resolve_split(args, clips))
+    rows = evaluation.notch_sweep(bundle, _load_split(args))
     evaluation.write_sweep_csv(rows, args.out)
     for row in rows:
         label = "none" if row["bin"] is None else f"bin {row['bin']}"
@@ -186,8 +188,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_adaptive(args: argparse.Namespace) -> int:
     bundle = md.load_bundle(args.checkpoint)
-    _, clips = synthdata.load_dataset(args.data)
-    subset = _resolve_split(args, clips)[: args.limit]
+    subset = _load_split(args, args.limit)
     result = evaluation.adaptive_attack_suite(bundle, subset, steps=args.steps, budget=args.budget)
     Path(args.out).write_text(json.dumps(result), encoding="utf-8")
     print(f"post-attack AUC {result['auc']:.4f} over {len(subset)} clips")
@@ -205,8 +206,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 def _cmd_features(args: argparse.Namespace) -> int:
     bundle = md.load_bundle(args.checkpoint)
-    _, clips = synthdata.load_dataset(args.data)
-    evaluation.dump_features(bundle, _resolve_split(args, clips), args.out)
+    evaluation.dump_features(bundle, _load_split(args), args.out)
     print(f"wrote features to {args.out}")
     return 0
 

@@ -352,15 +352,9 @@ def dump_features(bundle: md.ModelBundle, labeled: list[LabeledClip], path: Path
     signals = _signal_stack([lc.clip for _, lc in pairs])
     h_clean, _ = _clean_path(bundle, signals.reshape(len(signals), -1))
     amplitude, phase = forward_stack(signals)
-    p = md.const_params(bundle)
-    # one clip per adversary call: BLAS rounds a row of a large matmul stack
-    # differently from the same row alone, and the CSV must not depend on N
-    env = [
-        md.lsa_views(amplitude[i : i + 1], phase[i : i + 1], signals.shape[-1], p,
-                     bundle.generator.alpha, bundle.delta)[0].value
-        for i in range(len(signals))
-    ]
-    h_env, _ = _clean_path(bundle, np.concatenate(env))
+    env, _ = md.lsa_views(amplitude, phase, signals.shape[-1], md.const_params(bundle),
+                          bundle.generator.alpha, bundle.delta)
+    h_env, _ = _clean_path(bundle, env.value)
 
     dim = h_clean.shape[1]
     header = "clip,view,y," + ",".join(f"h{j}" for j in range(dim))

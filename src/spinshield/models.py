@@ -24,7 +24,7 @@ from .spectral import (
     FrequencyGrid,
     OneSidedSpectrum,
     PatchSignalClip,
-    inverse_stack,
+    inverse_phasor,
     minmax_normalize,
 )
 
@@ -190,54 +190,51 @@ def set_named_arrays(bundle: ModelBundle, arrays: Mapping[str, FloatArray]) -> N
 
 def standardize_rows(x: Node, eps: float = STANDARDIZE_EPS) -> Node:
     """Zero-mean, unit-variance per row (per clip), with an epsilon variance guard."""
-    mu = ad.row_mean(x)
-    centered = ad.add_colvec(x, ad.neg(mu))
-    var = ad.row_mean(ad.mul(centered, centered))
-    inv_std = ad.powc(ad.add_scalar(var, eps), -0.5)
-    return ad.mul_colvec(centered, inv_std)
+    return ad.standardize_rows(x, eps)
 
 
 def encoder_forward(x: Node, p: Mapping[str, Node]) -> Node:
     """Standardized flat clips (B x M*T) to features (B x D)."""
-    h1 = ad.tanh(ad.add_rowvec(ad.matmul(x, p["enc.w1"]), p["enc.b1"]))
-    return ad.add_rowvec(ad.matmul(h1, p["enc.w2"]), p["enc.b2"])
+    h1 = ad.dense(x, p["enc.w1"], p["enc.b1"], "tanh")
+    return ad.dense(h1, p["enc.w2"], p["enc.b2"])
 
 
 def classifier_logits(h: Node, p: Mapping[str, Node]) -> Node:
-    return ad.add_rowvec(ad.matmul(h, p["head.wg"]), p["head.bg"])
+    return ad.dense(h, p["head.wg"], p["head.bg"])
 
 
 def domain_logits(h: Node, p: Mapping[str, Node], through_grl: bool = True) -> Node:
     z = ad.grl(h) if through_grl else h
-    q1 = ad.tanh(ad.add_rowvec(ad.matmul(z, p["head.wq1"]), p["head.bq1"]))
-    return ad.add_rowvec(ad.matmul(q1, p["head.wq2"]), p["head.bq2"])
+    q1 = ad.dense(z, p["head.wq1"], p["head.bq1"], "tanh")
+    return ad.dense(q1, p["head.wq2"], p["head.bq2"])
 
 
 def generator_field(norm_amp: Node, p: Mapping[str, Node]) -> Node:
     """Raw modulation field over bins; rows are individual patches."""
-    g1 = ad.tanh(ad.add_rowvec(ad.matmul(norm_amp, p["gen.w1"]), p["gen.b1"]))
-    return ad.add_rowvec(ad.matmul(g1, p["gen.w2"]), p["gen.b2"])
+    g1 = ad.dense(norm_amp, p["gen.w1"], p["gen.b1"], "tanh")
+    return ad.dense(g1, p["gen.w2"], p["gen.b2"])
 
 
 def recompose_rows(amp: Node, phase: FloatArray, window: int) -> Node:
     """Differentiable wrapper over the spectral inverse kernel.
 
-    Forward applies :func:`spinshield.spectral.inverse_stack`; with the phase
-    held fixed the map from amplitude to signal is linear, and the backward pass
-    applies its adjoint via an rFFT of the incoming gradient.
+    Forward applies :func:`spinshield.spectral.inverse_phasor`, which equals
+    :func:`spinshield.spectral.inverse_stack` for a canonical phase; with the
+    phase held fixed the map from amplitude to signal is linear, and the
+    backward pass applies its adjoint via an rFFT of the incoming gradient.
+    Both use the one phasor ``exp(i phase)``.
     """
     grid = FrequencyGrid(window)
-    phase = np.asarray(phase, dtype=np.float64)
+    phasor = np.exp(1j * np.asarray(phase, dtype=np.float64))
     coef = np.full(grid.n_bins, 2.0 / window)
     coef[0] = 1.0 / window
     if grid.has_nyquist:
         coef[-1] = 1.0 / window
 
     def _vjp(g: FloatArray) -> tuple[FloatArray]:
-        g_spec = np.fft.rfft(g, axis=1)
-        return (coef[None, :] * np.real(np.exp(1j * phase) * np.conj(g_spec)),)
+        return (coef[None, :] * np.real(phasor * np.conj(np.fft.rfft(g, axis=1))),)
 
-    return ad.custom(inverse_stack(amp.value, phase, window), (amp,), _vjp)
+    return ad.custom(inverse_phasor(amp.value, phasor, window), (amp,), _vjp)
 
 
 def lsa_perturb_graph(
@@ -258,8 +255,12 @@ def lsa_perturb_graph(
     """
     amplitude = np.asarray(amplitude, dtype=np.float64)
     field = generator_field(ad.const(norm_amplitude), p)
-    factor = ad.exp(ad.scale(ad.tanh(field), alpha))
-    new_amp = ad.mul(ad.const(amplitude), factor)
+    # new amplitude = amplitude * exp(alpha tanh(field)), so |log m| <= alpha
+    squashed = np.tanh(field.value)
+    new_amp_value = amplitude * np.exp(squashed * alpha)
+    new_amp = ad.custom(
+        new_amp_value, (field,), lambda g: (g * new_amp_value * alpha * (1.0 - squashed * squashed),)
+    )
     denom = amplitude + delta
     mask = ad.custom(new_amp.value / denom, (new_amp,), lambda g: (g / denom,))
     signals = recompose_rows(new_amp, phase, window)

@@ -14,7 +14,7 @@ import numpy as np
 import numpy.typing as npt
 
 from . import autodiff as ad
-from .autodiff import Node
+from .autodiff import FloatArray, Node
 from .models import ModulationMask
 
 PROB_FLOOR = 1e-12
@@ -84,18 +84,6 @@ def resolve_bandwidth(a: np.ndarray, b: np.ndarray, kernel: KernelSpec) -> float
     return med if med > 0.0 else 1.0
 
 
-def _kernel_sum(x: Node, y: Node, inv_two_sq: float) -> Node:
-    """Sum of RBF kernel values over all pairs (rows of x) x (rows of y)."""
-    sq_x = ad.row_sum(ad.mul(x, x))
-    sq_y = ad.row_sum(ad.mul(y, y))
-    cross = ad.matmul(x, ad.transpose(y))
-    d2 = ad.add_rowvec(
-        ad.add_colvec(ad.scale(cross, -2.0), sq_x),
-        ad.reshape(sq_y, (sq_y.value.shape[0],)),
-    )
-    return ad.sum_all(ad.exp(ad.scale(d2, -inv_two_sq)))
-
-
 def mmd(
     features_a: "Node | npt.ArrayLike",
     features_b: "Node | npt.ArrayLike",
@@ -105,8 +93,8 @@ def mmd(
 
     The estimator is mean k(a,a') + mean k(b,b') - 2 mean k(a,b), which is
     non-negative and exactly zero for identical sets.  The cross term is
-    computed in both orders and averaged so the value is bitwise symmetric
-    in its arguments.
+    computed in both orders and summed so the value is bitwise symmetric in
+    its arguments.  One node, with the closed-form vector-Jacobian product.
     """
     a = _as_matrix(features_a)
     b = _as_matrix(features_b)
@@ -116,14 +104,33 @@ def mmd(
         raise ValueError("feature dimensions differ")
     sigma = resolve_bandwidth(a.value, b.value, kernel)
     inv_two_sq = 1.0 / (2.0 * sigma * sigma)
-    na, nb = a.value.shape[0], b.value.shape[0]
-    term_a = ad.scale(_kernel_sum(a, a, inv_two_sq), 1.0 / (na * na))
-    term_b = ad.scale(_kernel_sum(b, b, inv_two_sq), 1.0 / (nb * nb))
-    cross = ad.scale(
-        ad.add(_kernel_sum(a, b, inv_two_sq), _kernel_sum(b, a, inv_two_sq)),
-        1.0 / (na * nb),
+    av, bv = a.value, b.value
+    na, nb = av.shape[0], bv.shape[0]
+    sq_a, sq_b = np.sum(av * av, axis=1), np.sum(bv * bv, axis=1)
+
+    def kernel_block(x, sq_x, y, sq_y):
+        d2 = (x @ y.T * -2.0 + sq_x[:, None]) + sq_y[None, :]
+        return np.exp(d2 * -inv_two_sq)
+
+    k_aa, k_bb = kernel_block(av, sq_a, av, sq_a), kernel_block(bv, sq_b, bv, sq_b)
+    k_ab, k_ba = kernel_block(av, sq_a, bv, sq_b), kernel_block(bv, sq_b, av, sq_a)
+    value = (k_aa.sum() * (1.0 / (na * na)) + k_bb.sum() * (1.0 / (nb * nb))) - (
+        (k_ab.sum() + k_ba.sum()) * (1.0 / (na * nb))
     )
-    return ad.sub(ad.add(term_a, term_b), cross)
+
+    def _vjp(g: FloatArray) -> tuple[FloatArray, FloatArray]:
+        # d k(u_i, u_j) / d u_i = -2 inv_two_sq k(u_i, u_j) (u_i - u_j) over the
+        # union u = [a; b], with each block's coefficient in one weight matrix
+        cross = (k_ab + k_ba.T) * (-1.0 / (na * nb))
+        weights = np.block([
+            [(k_aa + k_aa.T) * (1.0 / (na * na)), cross],
+            [cross.T, (k_bb + k_bb.T) * (1.0 / (nb * nb))],
+        ])
+        union = np.concatenate([av, bv])
+        grad = (union * weights.sum(axis=1)[:, None] - weights @ union) * (-2.0 * inv_two_sq * g)
+        return grad[:na], grad[na:]
+
+    return ad.custom(value, (a, b), _vjp)
 
 
 def _mask_node(mask: "Node | ModulationMask") -> Node:
@@ -187,13 +194,18 @@ def blindness_loss(
     ``discriminate`` maps features to domain logits and must not apply its own
     reversal layer.
     """
-    z_clean = ad.grl(h_clean) if through_grl else h_clean
-    z_env = ad.grl(h_env) if through_grl else h_env
+    z = ad.concat_rows(h_clean, h_env)
+    logits = discriminate(ad.grl(z) if through_grl else z)
     n_clean = h_clean.value.shape[0]
-    n_env = h_env.value.shape[0]
-    loss_clean = batch_cross_entropy(discriminate(z_clean), np.zeros(n_clean, dtype=np.intp))
-    loss_env = batch_cross_entropy(discriminate(z_env), np.ones(n_env, dtype=np.intp))
-    return ad.add(loss_clean, loss_env)
+    labels = np.repeat(np.array([0, 1], dtype=np.intp), [n_clean, h_env.value.shape[0]])
+    return _view_means_sum(ad.cross_entropy_with_logits(logits, labels), n_clean)
+
+
+def _view_means_sum(per_row: Node, n_clean: int) -> Node:
+    """Mean over the first ``n_clean`` rows plus mean over the rest."""
+    n_env = per_row.value.shape[0] - n_clean
+    weights = np.repeat([1.0 / n_clean, 1.0 / n_env], [n_clean, n_env])
+    return ad.sum_all(ad.mul(per_row, ad.const(weights)))
 
 
 def confusion_loss(
@@ -219,16 +231,13 @@ def confusion_loss(
     ``discriminate`` must hold the discriminator parameters constant.
     """
 
-    def uniform_target_ce(h: Node) -> Node:
-        logits = discriminate(h)
-        n = h.value.shape[0]
-        both = ad.add(
-            batch_cross_entropy(logits, np.zeros(n, dtype=np.intp)),
-            batch_cross_entropy(logits, np.ones(n, dtype=np.intp)),
-        )
-        return ad.scale(both, 0.5)
-
-    return ad.add(uniform_target_ce(h_clean), uniform_target_ce(h_env))
+    logits = discriminate(ad.concat_rows(h_clean, h_env))
+    n = logits.value.shape[0]
+    both = ad.add(
+        ad.cross_entropy_with_logits(logits, np.zeros(n, dtype=np.intp)),
+        ad.cross_entropy_with_logits(logits, np.ones(n, dtype=np.intp)),
+    )
+    return ad.scale(_view_means_sum(both, h_clean.value.shape[0]), 0.5)
 
 
 def paired_displacement(h_clean: Node, h_env: Node) -> Node:
@@ -244,13 +253,18 @@ def paired_displacement(h_clean: Node, h_env: Node) -> Node:
     """
     if h_clean.value.shape != h_env.value.shape:
         raise ValueError("paired views must have the same shape")
-    diff = ad.sub(h_clean, h_env)
+    diff = h_clean.value - h_env.value
     # the batch mean enters as a constant: the rows of (h - mean) sum to zero,
     # so the spread's gradient is the same as with the mean differentiated
-    mean = np.mean(h_clean.value, axis=0, keepdims=True)
-    centered = ad.sub(h_clean, ad.const(np.repeat(mean, h_clean.value.shape[0], axis=0)))
-    spread = ad.mean_all(ad.mul(centered, centered))
-    return ad.mul(ad.mean_all(ad.mul(diff, diff)), ad.powc(spread, -1.0))
+    centered = h_clean.value - h_clean.value.mean(axis=0, keepdims=True)
+    shift = np.mean(diff * diff)
+    spread = np.mean(centered * centered)
+
+    def _vjp(g: FloatArray) -> tuple[FloatArray, FloatArray]:
+        g_diff = diff * (2.0 * g / (diff.size * spread))
+        return g_diff - centered * (2.0 * g * shift / (diff.size * spread * spread)), -g_diff
+
+    return ad.custom(shift / spread, (h_clean, h_env), _vjp)
 
 
 def encoder_blindness_loss(
@@ -276,18 +290,28 @@ def symmetric_kl(
     p_env: "Node | npt.ArrayLike",
     floor: float = PROB_FLOOR,
 ) -> Node:
-    """Batch mean of 0.5 (KL(p||q) + KL(q||p)) with entries floored before logs."""
+    """Batch mean of 0.5 (KL(p||q) + KL(q||p)) with entries floored before logs.
+
+    One node: the two KL terms of a row sum to sum_k (p_k - q_k)(log p_k -
+    log q_k), which is bitwise symmetric in p and q and exactly 0 for p = q.
+    """
     p = _as_matrix(p_clean)
     q = _as_matrix(p_env)
     if p.value.shape != q.value.shape:
         raise ValueError("distribution shapes differ")
-    pf = ad.clip_min(p, floor)
-    qf = ad.clip_min(q, floor)
-    log_p = ad.log(pf)
-    log_q = ad.log(qf)
-    kl_pq = ad.row_sum(ad.mul(pf, ad.sub(log_p, log_q)))
-    kl_qp = ad.row_sum(ad.mul(qf, ad.sub(log_q, log_p)))
-    return ad.scale(ad.mean_all(ad.add(kl_pq, kl_qp)), 0.5)
+    pf = np.maximum(p.value, floor)
+    qf = np.maximum(q.value, floor)
+    diff = pf - qf
+    log_ratio = np.log(pf) - np.log(qf)
+    half_mean = 0.5 / p.value.shape[0]
+
+    def _vjp(g: FloatArray) -> tuple[FloatArray, FloatArray]:
+        c = g * half_mean
+        # the floor passes a gradient only where it does not clamp
+        return ((log_ratio + diff / pf) * (p.value > floor) * c,
+                (-log_ratio - diff / qf) * (q.value > floor) * c)
+
+    return ad.custom(np.sum(diff * log_ratio) * half_mean, (p, q), _vjp)
 
 
 def total_loss(l_det: Node, l_sym: Node, l_blind: Node, weights: LossWeights) -> Node:

@@ -222,13 +222,10 @@ def forward_stack(signals: FloatArray) -> tuple[FloatArray, FloatArray]:
     return amplitude, _canonical_phase(amplitude, phase)
 
 
-def ifft_onesided(coeffs: npt.NDArray[np.complex128], window: int) -> npt.NDArray[np.complex128]:
-    """Normalized inverse DFT of one-sided coefficients ``(..., M, K)``, mirrored
-    to the negative half; real up to rounding, which the caller may check."""
-    # for even T the Nyquist bin is its own mirror image and is not repeated
-    stop = coeffs.shape[-1] - 1 if window % 2 == 0 else coeffs.shape[-1]
-    mirrored = np.conj(coeffs[..., 1:stop][..., ::-1])
-    return np.fft.ifft(np.concatenate([coeffs, mirrored], axis=-1), axis=-1)
+def inverse_phasor(amplitude: FloatArray, phasor: npt.NDArray[np.complex128], window: int) -> FloatArray:
+    """Real signals ``(..., M, T)`` from amplitude and unit phasors ``(..., M, K)``
+    by ``irfft``, which takes only the real parts of the DC and Nyquist bins."""
+    return np.fft.irfft(amplitude * phasor, n=window, axis=-1)
 
 
 def inverse_stack(amplitude: FloatArray, phase: FloatArray, window: int) -> FloatArray:
@@ -238,8 +235,7 @@ def inverse_stack(amplitude: FloatArray, phase: FloatArray, window: int) -> Floa
     which keeps attacks and the spectral adversary phase-preserving.
     Unvalidated, like :func:`forward_stack`.
     """
-    coeffs = amplitude * np.exp(1j * _canonical_phase(amplitude, phase))
-    return np.ascontiguousarray(ifft_onesided(coeffs, window).real)
+    return inverse_phasor(amplitude, np.exp(1j * _canonical_phase(amplitude, phase)), window)
 
 
 def minmax_normalize(amplitude: FloatArray) -> FloatArray:
@@ -258,18 +254,10 @@ def dft_onesided(clip: PatchSignalClip) -> OneSidedSpectrum:
 
 def idft_real(spectrum: OneSidedSpectrum) -> PatchSignalClip:
     """Invert a one-sided spectrum back to real patch signals (see
-    :func:`ifft_onesided`), asserting that the imaginary residual is negligible
-    rather than silently discarding it."""
+    :func:`inverse_stack`).  The phase at DC and Nyquist is checked first,
+    because the inverse would silently drop an imaginary part there."""
     _check_real_bins(spectrum.amplitude, spectrum.phase, spectrum.grid)
-    signals = ifft_onesided(spectrum.amplitude * np.exp(1j * spectrum.phase), spectrum.grid.window)
-    residual = np.max(np.abs(signals.imag)) if signals.size else 0.0
-    bound = 1e-9 * max(float(np.max(spectrum.amplitude)), 0.0)
-    if residual > bound:
-        raise ValueError(
-            f"imaginary residual {residual:.3e} exceeds bound {bound:.3e}; "
-            "spectrum is not consistent with a real signal"
-        )
-    return PatchSignalClip(signals=np.ascontiguousarray(signals.real))
+    return PatchSignalClip(signals=inverse_stack(spectrum.amplitude, spectrum.phase, spectrum.grid.window))
 
 
 def minmax_normalize_amplitude(spectrum: OneSidedSpectrum) -> FloatArray:

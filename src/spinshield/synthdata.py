@@ -25,13 +25,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import clipio
 from .errors import DataFormatError
 from .parallel import parallel_map
-from .spectral import DEFAULT_FPS, FloatArray, PatchSignalClip, ifft_onesided
+from .spectral import DEFAULT_FPS, FloatArray, PatchSignalClip
 
 PHASE_SLOPE_RANGE = 0.15  # radians per patch-grid step
 
@@ -195,7 +196,7 @@ def phase_cue_statistic(clip: PatchSignalClip, component_bin: int = 1) -> float:
     coeffs = np.fft.rfft(clip.signals, axis=1)
     scale = np.abs(coeffs)
     equalized = np.where(scale > 1e-12, coeffs / np.where(scale > 1e-12, scale, 1.0), 0.0)
-    signals = ifft_onesided(equalized, t_len).real
+    signals = np.fft.irfft(equalized, n=t_len, axis=1)
 
     w = max(2, t_len // 2)
     t = np.arange(t_len)
@@ -286,23 +287,33 @@ def _read_manifest(manifest_path: Path) -> dict:
     return manifest
 
 
-def _manifest_clips(manifest: dict, manifest_path: Path, clip_format: str | None) -> list[LabeledClip]:
+def _manifest_clips(
+    manifest: dict,
+    manifest_path: Path,
+    clip_format: str | None,
+    select: Callable[[int], Sequence[int]] | None = None,
+) -> list[LabeledClip]:
     fmt = clip_format or manifest.get("clip_format", "csv")
     base = manifest_path.parent
-    out: list[LabeledClip] = []
+    entries = []
     for entry in manifest.get("clips", []):
         try:
-            label = int(entry["label"])
-            rel = entry["path"]
+            label, rel, provenance = int(entry["label"]), entry["path"], dict(entry.get("provenance", {}))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"bad manifest entry {entry!r}: {exc}") from exc
+        if not isinstance(rel, str):
+            raise DataFormatError(f"bad manifest entry {entry!r}: path must be a string")
+        entries.append((label, rel, provenance))
+    if not entries:
+        raise DataFormatError(f"{manifest_path}: manifest lists no clips")
+    out: list[LabeledClip] = []
+    for i in range(len(entries)) if select is None else select(len(entries)):
+        label, rel, provenance = entries[i]
         try:
             clip = clipio.read_clip(base / rel, fmt)
         except ValueError as exc:
             raise DataFormatError(f"{rel}: {exc}") from exc
-        out.append(LabeledClip(clip=clip, y=label, provenance=dict(entry.get("provenance", {}))))
-    if not out:
-        raise DataFormatError(f"{manifest_path}: manifest lists no clips")
+        out.append(LabeledClip(clip=clip, y=label, provenance=provenance))
     return out
 
 
@@ -312,11 +323,18 @@ def load_clips(manifest_path: Path, clip_format: str | None = None) -> list[Labe
     return _manifest_clips(_read_manifest(manifest_path), manifest_path, clip_format)
 
 
-def load_dataset(manifest_path: Path) -> tuple[DatasetSpec, list[LabeledClip]]:
-    """The manifest's dataset spec and its clips; the manifest is read once."""
+def load_dataset(
+    manifest_path: Path, select: Callable[[int], Sequence[int]] | None = None
+) -> tuple[DatasetSpec, list[LabeledClip]]:
+    """The manifest's dataset spec and its clips; the manifest is read once.
+
+    ``select`` maps the manifest's clip count to the indices of the clips to
+    read, in order; by default every clip is read.  Every manifest entry is
+    validated either way, but only the selected clip files are opened.
+    """
     manifest_path = Path(manifest_path)
     manifest = _read_manifest(manifest_path)
     if not isinstance(manifest.get("spec"), dict):
         raise DataFormatError(f"{manifest_path}: manifest has no dataset spec object")
     spec = spec_from_dict(manifest["spec"])
-    return spec, _manifest_clips(manifest, manifest_path, None)
+    return spec, _manifest_clips(manifest, manifest_path, None, select)

@@ -203,13 +203,17 @@ def _check_finite(value: float, what: str, step: int) -> float:
     return float(value)
 
 
-def _finite_gradients(tracked: dict[str, Node], step: int) -> dict[str, FloatArray]:
-    """The tracked parameters' gradients, for the optimizer."""
+def _adam_step(opt: Adam, tracked: dict[str, Node], step: int) -> None:
+    """One optimizer step on the tracked parameters' gradients; a non-finite
+    gradient, or a parameter the step made non-finite, aborts the run."""
     grads = {name: node.grad for name, node in tracked.items()}
     for name, grad in grads.items():
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise NumericalAbort(f"gradient of {name} is non-finite at step {step}")
-    return grads
+    opt.step(grads)
+    for name in grads:
+        if not np.isfinite(opt.arrays[name]).all():
+            raise NumericalAbort(f"parameter {name} is non-finite after the Adam step at step {step}")
 
 
 def _detector_losses(
@@ -220,17 +224,25 @@ def _detector_losses(
     weights: obj.LossWeights,
 ) -> tuple[Node, Node, Node, Node, Node]:
     """The detector step's (L_det, L_sym, discriminator loss, L_blind, total);
-    ``x_env`` is None in baseline mode, where the invariance terms are 0."""
-    h_clean = md.encoder_forward(md.standardize_rows(ad.const(x_clean)), graph)
-    logits_clean = md.classifier_logits(h_clean, graph)
+    ``x_env`` is None in baseline mode, where the invariance terms are 0.
+
+    The clean and env views run through the encoder and classifier as one
+    stack, and each copy of the discriminator runs once over both views."""
+    x = x_clean if x_env is None else np.concatenate([x_clean, x_env])
+    h = md.encoder_forward(md.standardize_rows(ad.const(x)), graph)
+    logits = md.classifier_logits(h, graph)
     if x_env is None:
-        l_det = obj.detector_loss(logits_clean, None, y)
+        l_det = obj.detector_loss(logits, None, y)
         l_sym = l_disc = l_blind = ad.const(0.0)
     else:
-        h_env = md.encoder_forward(md.standardize_rows(ad.const(x_env)), graph)
-        logits_env = md.classifier_logits(h_env, graph)
-        l_det = obj.detector_loss(logits_clean, logits_env, y)
-        l_sym = obj.symmetric_kl(ad.softmax(logits_clean), ad.softmax(logits_env))
+        n = len(x_clean)
+
+        def views(node: Node) -> tuple[Node, Node]:
+            return ad.row_slice(node, 0, n), ad.row_slice(node, n, 2 * n)
+
+        h_clean, h_env = views(h)
+        l_det = obj.detector_loss(*views(logits), y)
+        l_sym = obj.symmetric_kl(*views(ad.softmax(logits)))
         # the discriminator learns on detached features; the encoder
         # learns against a constant copy of the discriminator
         l_disc = obj.blindness_loss(
@@ -384,7 +396,7 @@ def train(
             for node, what in checked:
                 _check_finite(node.value, what, step)
             ad.backward(total)
-            det_opt.step(_finite_gradients(tracked, step))
+            _adam_step(det_opt, tracked, step)
             log_rows.append({
                 "step": step, "phase": "theta",
                 "L_det": float(l_det.value), "L_sym": float(l_sym.value),
@@ -403,7 +415,7 @@ def train(
                     _check_finite(node.value, what, step)
                 loss = ad.neg(l_gen)  # ascend by minimizing the negation
                 ad.backward(loss)
-                gen_opt.step(_finite_gradients(gen_tracked, step))
+                _adam_step(gen_opt, gen_tracked, step)
                 log_rows.append({
                     "step": step, "phase": "phi",
                     "L_det": None, "L_sym": None, "L_blind": None,

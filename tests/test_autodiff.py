@@ -294,3 +294,94 @@ class TestGradientWork:
         np.testing.assert_array_equal(x.grad, expected)
         x.grad += 1.0  # the buffer is the leaf's own, and writable
         np.testing.assert_array_equal(x.grad, expected + 1.0)
+
+
+def _composed_dense(x, w, b, activation=None):
+    z = ad.add_rowvec(ad.matmul(x, w), b)
+    return ad.tanh(z) if activation == "tanh" else z
+
+
+def _composed_standardize(x, eps):
+    mu = ad.row_mean(x)
+    centered = ad.add_colvec(x, ad.neg(mu))
+    var = ad.row_mean(ad.mul(centered, centered))
+    return ad.mul_colvec(centered, ad.powc(ad.add_scalar(var, eps), -0.5))
+
+
+def _assert_close(got, want, rtol=1e-12):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= rtol * scale
+
+
+class TestFusedKernels:
+    """Each fused node equals its composition of primitives, in value and in
+    every gradient, to 1e-12 relative."""
+
+    @staticmethod
+    def _compare(fused, composed, arrays):
+        results = []
+        for build in (fused, composed):
+            nodes = {name: Node(arr) for name, arr in arrays.items()}
+            out = build(nodes)
+            weights = np.random.default_rng(1).normal(size=out.value.shape)
+            ad.backward(ad.sum_all(ad.mul(out, ad.const(weights))))
+            results.append((out.value, {name: node.grad for name, node in nodes.items()}))
+        (value, grads), (ref_value, ref_grads) = results
+        _assert_close(value, ref_value)
+        for name in arrays:
+            _assert_close(grads[name], ref_grads[name])
+
+    @pytest.mark.parametrize("activation", [None, "tanh"])
+    def test_dense_matches_composition(self, activation, rng):
+        arrays = {"x": rng.normal(size=(5, 4)), "w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
+        self._compare(
+            lambda n: ad.dense(n["x"], n["w"], n["b"], activation),
+            lambda n: _composed_dense(n["x"], n["w"], n["b"], activation),
+            arrays,
+        )
+        check_gradients(lambda n: ad.mean_all(ad.dense(n["x"], n["w"], n["b"], activation)), arrays)
+
+    def test_standardize_rows_matches_composition(self, rng):
+        arrays = {"x": rng.normal(size=(4, 6)) * 3.0 + 1.0}
+        self._compare(
+            lambda n: ad.standardize_rows(n["x"], 1e-8),
+            lambda n: _composed_standardize(n["x"], 1e-8),
+            arrays,
+        )
+        weights = rng.normal(size=(4, 6))
+        check_gradients(
+            lambda n: ad.sum_all(ad.mul(ad.standardize_rows(n["x"], 1e-8), ad.const(weights))), arrays
+        )
+
+    def test_row_slice_and_concat_gradients(self, rng):
+        arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(2, 2))}
+
+        def build(n):
+            both = ad.concat_rows(n["a"], n["b"])
+            top, bottom = ad.row_slice(both, 0, 2), ad.row_slice(both, 2, 5)
+            return ad.add(ad.mean_all(ad.tanh(top)), ad.sum_all(ad.exp(bottom)))
+
+        check_gradients(build, arrays)
+        with pytest.raises(ValueError, match="row_slice"):
+            ad.row_slice(Node(np.ones((2, 2))), 1, 3)
+
+    def test_bad_dense_arguments_rejected(self):
+        x, w = Node(np.ones((2, 3))), Node(np.ones((3, 4)))
+        with pytest.raises(ValueError, match="bias"):
+            ad.dense(x, w, Node(np.ones(3)))
+        with pytest.raises(ValueError, match="activation"):
+            ad.dense(x, w, Node(np.ones(4)), "relu")
+
+    def test_constant_parents_are_never_reached(self, rng):
+        x = ad.const(rng.normal(size=(4, 3)))
+        w, b = Node(rng.normal(size=(3, 2))), Node(rng.normal(size=2))
+        frozen = ad.const(rng.normal(size=(2, 2)))
+        h = ad.dense(ad.standardize_rows(x, 1e-8), w, b, "tanh")
+        loss = ad.mean_all(ad.dense(h, frozen, ad.const(np.zeros(2))))
+        visited = []
+        for node in (x, frozen):
+            node._backward = lambda g: visited.append(g)
+        ad.backward(loss)
+        assert not visited
+        assert x._grad is None and frozen._grad is None
+        assert np.any(w.grad != 0.0) and np.any(b.grad != 0.0)

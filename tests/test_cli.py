@@ -184,6 +184,19 @@ class TestMalformedInputs:
         assert code == 2
         assert "spec" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("bad", [{"label": 0, "path": 5}, {"label": 0, "path": "x", "provenance": 3}])
+    def test_every_manifest_entry_is_validated(self, pipeline, tmp_path, capsys, bad):
+        _, manifest, checkpoint = pipeline
+        doc = json.loads(manifest.read_text())
+        doc["clips"].append(bad)
+        path = manifest.parent / f"bad_entry_{len(bad)}.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(path),
+                         "--out", str(tmp_path / "r.json"), "--split", "test", "--split-seed", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad manifest entry" in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("config", [[1, 2], {"weights": [0.5]}, {"weights": 3}])
     def test_non_object_config_is_data_error(self, pipeline, tmp_path, capsys, config):
         _, manifest, _ = pipeline
@@ -194,3 +207,69 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert "train config" in err and len(err.strip().splitlines()) == 1
+
+
+class TestSplitLoading:
+    """Commands that take a split open only that split's clip files."""
+
+    @staticmethod
+    def _split_files(manifest, split):
+        from spinshield import training
+
+        entries = json.loads(manifest.read_text())["clips"]
+        chosen = dict(zip(("train", "val", "test"), training.split_indices(len(entries), 5)))[split]
+        return [manifest.parent / entries[i]["path"] for i in chosen]
+
+    def test_eval_reads_only_the_split(self, pipeline, monkeypatch, tmp_path):
+        from spinshield import clipio
+
+        _, manifest, checkpoint = pipeline
+        read = []
+        original = clipio.read_clip
+
+        def counting(path, fmt):
+            read.append(path)
+            return original(path, fmt)
+
+        monkeypatch.setattr(clipio, "read_clip", counting)
+        code = cli.main([
+            "eval", "--checkpoint", str(checkpoint), "--data", str(manifest), "--out",
+            str(tmp_path / "r.json"), "--n-seeds", "1", "--split", "test", "--split-seed", "5",
+        ])
+        assert code == 0
+        assert read == self._split_files(manifest, "test")
+
+    def test_adaptive_reads_only_its_limit(self, pipeline, monkeypatch, tmp_path):
+        from spinshield import clipio
+
+        _, manifest, checkpoint = pipeline
+        read = []
+        original = clipio.read_clip
+        monkeypatch.setattr(clipio, "read_clip", lambda path, fmt: read.append(path) or original(path, fmt))
+        code = cli.main([
+            "adaptive", "--checkpoint", str(checkpoint), "--data", str(manifest), "--out",
+            str(tmp_path / "a.json"), "--steps", "1", "--limit", "10", "--split", "train", "--split-seed", "5",
+        ])
+        assert code == 0
+        assert read == self._split_files(manifest, "train")[:10]
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_corrupt_clip_fails_only_inside_the_split(self, pipeline, tmp_path, capsys, inside):
+        import shutil
+
+        _, manifest, checkpoint = pipeline
+        copy = tmp_path / "data"
+        shutil.copytree(manifest.parent, copy)
+        test_files = {p.name for p in self._split_files(manifest, "test")}
+        target = next(p for p in sorted(copy.glob("clip_*.spsc")) if (p.name in test_files) == inside)
+        target.write_bytes(b"SPSC garbage")
+        code = cli.main([
+            "sweep", "--checkpoint", str(checkpoint), "--data", str(copy / "manifest.json"),
+            "--out", str(tmp_path / "s.csv"), "--split", "test", "--split-seed", "5",
+        ])
+        err = capsys.readouterr().err
+        if inside:
+            assert code == 2
+            assert target.name in err and len(err.strip().splitlines()) == 1
+        else:
+            assert code == 0 and err == ""

@@ -411,3 +411,110 @@ class TestFullObjectiveGradients:
             numeric = finite_diff(value_fn, gen_arrays, name)
             scale_ref = np.maximum(np.abs(numeric), 1e-3)
             assert np.max(np.abs(nodes[name].grad - numeric) / scale_ref) < 1e-3
+
+
+def _composed_kernel_sum(x, y, inv_two_sq):
+    sq_x = ad.row_sum(ad.mul(x, x))
+    sq_y = ad.row_sum(ad.mul(y, y))
+    d2 = ad.add_rowvec(
+        ad.add_colvec(ad.scale(ad.matmul(x, ad.transpose(y)), -2.0), sq_x),
+        ad.reshape(sq_y, (sq_y.value.shape[0],)),
+    )
+    return ad.sum_all(ad.exp(ad.scale(d2, -inv_two_sq)))
+
+
+def _composed_mmd(a, b, sigma):
+    inv_two_sq = 1.0 / (2.0 * sigma * sigma)
+    na, nb = a.value.shape[0], b.value.shape[0]
+    term_a = ad.scale(_composed_kernel_sum(a, a, inv_two_sq), 1.0 / (na * na))
+    term_b = ad.scale(_composed_kernel_sum(b, b, inv_two_sq), 1.0 / (nb * nb))
+    cross = ad.scale(
+        ad.add(_composed_kernel_sum(a, b, inv_two_sq), _composed_kernel_sum(b, a, inv_two_sq)),
+        1.0 / (na * nb),
+    )
+    return ad.sub(ad.add(term_a, term_b), cross)
+
+
+def _composed_symmetric_kl(p, q, floor=obj.PROB_FLOOR):
+    pf, qf = ad.clip_min(p, floor), ad.clip_min(q, floor)
+    log_p, log_q = ad.log(pf), ad.log(qf)
+    kl_pq = ad.row_sum(ad.mul(pf, ad.sub(log_p, log_q)))
+    kl_qp = ad.row_sum(ad.mul(qf, ad.sub(log_q, log_p)))
+    return ad.scale(ad.mean_all(ad.add(kl_pq, kl_qp)), 0.5)
+
+
+def _composed_paired_displacement(h_clean, h_env):
+    diff = ad.sub(h_clean, h_env)
+    mean = np.mean(h_clean.value, axis=0, keepdims=True)
+    centered = ad.sub(h_clean, ad.const(np.repeat(mean, h_clean.value.shape[0], axis=0)))
+    spread = ad.mean_all(ad.mul(centered, centered))
+    return ad.mul(ad.mean_all(ad.mul(diff, diff)), ad.powc(spread, -1.0))
+
+
+class TestFusedObjectives:
+    """Each one-node objective equals the same loss composed from autodiff
+    primitives, in value and gradient, to 1e-12 relative."""
+
+    @staticmethod
+    def _compare(fused, composed, arrays):
+        results = []
+        for build in (fused, composed):
+            nodes = {name: Node(arr) for name, arr in arrays.items()}
+            out = build(nodes)
+            ad.backward(out)
+            results.append((float(out.value), {name: node.grad for name, node in nodes.items()}))
+        (value, grads), (ref_value, ref_grads) = results
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-300)
+        for name in arrays:
+            scale = float(np.max(np.abs(ref_grads[name])))
+            assert float(np.max(np.abs(grads[name] - ref_grads[name]))) <= 1e-12 * scale
+
+    def test_mmd_matches_composition(self, rng):
+        arrays = {"a": rng.normal(size=(6, 4)), "b": rng.normal(size=(5, 4)) + 0.5}
+        self._compare(
+            lambda n: obj.mmd(n["a"], n["b"], KernelSpec(bandwidth=1.7)),
+            lambda n: _composed_mmd(n["a"], n["b"], 1.7),
+            arrays,
+        )
+        check_gradients(lambda n: obj.mmd(n["a"], n["b"], KernelSpec(bandwidth=1.7)), arrays)
+
+    def test_mmd_median_bandwidth_matches_composition(self, rng):
+        arrays = {"a": rng.normal(size=(8, 3)), "b": rng.normal(size=(8, 3)) * 1.5}
+        sigma = obj.resolve_bandwidth(arrays["a"], arrays["b"], KernelSpec())
+        self._compare(
+            lambda n: obj.mmd(n["a"], n["b"]),
+            lambda n: _composed_mmd(n["a"], n["b"], sigma),
+            arrays,
+        )
+
+    def test_mmd_of_one_node_with_itself(self, rng):
+        a = Node(rng.normal(size=(4, 3)))
+        ad.backward(obj.mmd(a, a, KernelSpec(bandwidth=1.0)))
+        np.testing.assert_allclose(a.grad, 0.0, atol=1e-15)
+
+    def test_mmd_constant_side_gets_no_buffer(self, rng):
+        a = ad.const(rng.normal(size=(4, 3)))
+        b = Node(rng.normal(size=(4, 3)))
+        ad.backward(obj.mmd(a, b, KernelSpec(bandwidth=1.0)))
+        assert a._grad is None and np.any(b.grad != 0.0)
+
+    def test_symmetric_kl_matches_composition(self, rng):
+        p = rng.dirichlet([1, 1, 1], size=5)
+        q = rng.dirichlet([1, 1, 1], size=5)
+        p[0], q[1] = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]  # floored entries pass no gradient
+        arrays = {"p": p, "q": q}
+        self._compare(
+            lambda n: obj.symmetric_kl(n["p"], n["q"]),
+            lambda n: _composed_symmetric_kl(n["p"], n["q"]),
+            arrays,
+        )
+        interior = {"p": rng.dirichlet([2, 2], size=4), "q": rng.dirichlet([2, 2], size=4)}
+        check_gradients(lambda n: obj.symmetric_kl(n["p"], n["q"]), interior)
+
+    def test_paired_displacement_matches_composition(self, rng):
+        arrays = {"clean": rng.normal(size=(6, 4)), "env": rng.normal(size=(6, 4))}
+        self._compare(
+            lambda n: obj.paired_displacement(n["clean"], n["env"]),
+            lambda n: _composed_paired_displacement(n["clean"], n["env"]),
+            arrays,
+        )
