@@ -205,14 +205,21 @@ def dense(x: Node, w: Node, b: Node, activation: str | None = None) -> Node:
     return out
 
 
+def standardized(x: FloatArray, eps: float) -> tuple[FloatArray, FloatArray]:
+    """The rows of a 2-d array standardized as by :func:`standardize_rows`,
+    and each row's ``1 / sqrt(var + eps)``; rows never mix, so a row's result
+    does not depend on the rows stacked with it."""
+    centered = x - x.mean(axis=1, keepdims=True)
+    inv_std = ((centered * centered).mean(axis=1, keepdims=True) + eps) ** -0.5
+    return centered * inv_std, inv_std
+
+
 def standardize_rows(x: Node, eps: float) -> Node:
     """Zero-mean, unit-variance rows, ``(x - mean) / sqrt(var + eps)``, as one
     node with the closed-form vector-Jacobian product."""
     if x.value.ndim != 2:
         raise ValueError("standardize_rows expects a 2-d matrix")
-    centered = x.value - x.value.mean(axis=1, keepdims=True)
-    inv_std = ((centered * centered).mean(axis=1, keepdims=True) + eps) ** -0.5
-    val = centered * inv_std
+    val, inv_std = standardized(x.value, eps)
     out = Node(val, (x,))
 
     def _backward(g: FloatArray) -> None:

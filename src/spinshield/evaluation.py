@@ -65,7 +65,7 @@ def score_clips(bundle: md.ModelBundle, clips: list[PatchSignalClip] | FloatArra
     signals = clips if isinstance(clips, np.ndarray) else np.stack([c.signals for c in clips])
     x = signals.reshape(len(signals), -1)
     if x.shape[1] != bundle.input_width:
-        raise ValueError(f"clips flatten to {x.shape[1]}, model expects {bundle.input_width}")
+        raise ValueError(f"clips flatten to width {x.shape[1]}, model expects {bundle.input_width}")
     _, probs = _clean_path(bundle, x)
     return probs[:, 1]
 
@@ -197,6 +197,8 @@ def evaluate_under_attacks(
     tukey_alpha: float = atk.DEFAULT_TUKEY_ALPHA,
 ) -> EvalReport:
     """Sample one attack per clip per seed per kind, score, and aggregate AUC."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
     pairs = _ordered(labeled)
     clip_ids = [cid for cid, _ in pairs]
     signals = _signal_stack([lc.clip for _, lc in pairs])
@@ -287,6 +289,7 @@ def adaptive_attack(
         return clip, score_clip(bundle, clip)
 
     amp, phase = forward_stack(clip.signals)
+    phasor = np.exp(1j * phase)
     window = clip.frame_count
     params = md.const_params(bundle)
     step_size = 2.5 * budget / steps
@@ -294,7 +297,7 @@ def adaptive_attack(
     def objective(u: FloatArray, want_grad: bool) -> tuple[float, FloatArray | None]:
         u_node = Node(u)
         new_amp = ad.mul(ad.const(amp), ad.exp(u_node))
-        x = ad.reshape(md.recompose_rows(new_amp, phase, window), (1, amp.shape[0] * window))
+        x = ad.reshape(md.recompose_rows(new_amp, phasor, window), (1, amp.shape[0] * window))
         h = md.encoder_forward(md.standardize_rows(x), params)
         logits = md.classifier_logits(h, params)
         ce = ad.mean_all(ad.cross_entropy_with_logits(logits, np.array([y])))

@@ -1,8 +1,8 @@
 """Toy Siamese encoder, classifier and domain heads, and the spectral adversary.
 
 Every forward pass is expressed through the autodiff graph so that training and
-inference share one code path; the plain-array convenience wrappers below just
-bind constants and read values back out.
+inference share one code path; the plain-array wrapper :func:`lsa_perturb` just
+binds constants and reads values back out.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .autodiff import Node
 from .errors import DataFormatError
 from .spectral import (
     DEFAULT_FPS,
+    ComplexArray,
     FloatArray,
     FrequencyGrid,
     OneSidedSpectrum,
@@ -98,6 +99,47 @@ class ModelBundle:
     delta: float = DEFAULT_DELTA
 
 
+# every parameter: canonical name -> (bundle part, field, shape in terms of the
+# checkpoint dims); the order is that of named_arrays, checkpoints and
+# init_bundle's draws
+_PARAMS = {
+    "enc.w1": ("encoder", "w1", ("input_width", "hidden")),
+    "enc.b1": ("encoder", "b1", ("hidden",)),
+    "enc.w2": ("encoder", "w2", ("hidden", "feature_dim")),
+    "enc.b2": ("encoder", "b2", ("feature_dim",)),
+    "head.wg": ("heads", "wg", ("feature_dim", 2)),
+    "head.bg": ("heads", "bg", (2,)),
+    "head.wq1": ("heads", "wq1", ("feature_dim", "domain_hidden")),
+    "head.bq1": ("heads", "bq1", ("domain_hidden",)),
+    "head.wq2": ("heads", "wq2", ("domain_hidden", 2)),
+    "head.bq2": ("heads", "bq2", (2,)),
+    "gen.w1": ("generator", "w1", ("n_bins", "gen_hidden")),
+    "gen.b1": ("generator", "b1", ("gen_hidden",)),
+    "gen.w2": ("generator", "w2", ("gen_hidden", "n_bins")),
+    "gen.b2": ("generator", "b2", ("n_bins",)),
+}
+
+
+def _shape(spec: tuple, dims: Mapping) -> tuple[int, ...]:
+    return tuple(d if isinstance(d, int) else int(dims[d]) for d in spec)
+
+
+def _assemble(
+    arrays: Mapping[str, FloatArray], input_width: int, n_bins: int, alpha: float, delta: float
+) -> ModelBundle:
+    parts: dict[str, dict] = {"encoder": {}, "heads": {}, "generator": {}}
+    for name, (part, field, _) in _PARAMS.items():
+        parts[part][field] = arrays[name]
+    return ModelBundle(
+        encoder=EncoderParams(**parts["encoder"]),
+        heads=HeadParams(**parts["heads"]),
+        generator=GeneratorParams(**parts["generator"], alpha=alpha),
+        input_width=input_width,
+        n_bins=n_bins,
+        delta=delta,
+    )
+
+
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> FloatArray:
     fan_in = shape[0]
     bound = 1.0 / np.sqrt(fan_in)
@@ -120,69 +162,24 @@ def init_bundle(
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    encoder = EncoderParams(
-        w1=_uniform(rng, (input_width, hidden)),
-        b1=np.zeros(hidden),
-        w2=_uniform(rng, (hidden, feature_dim)),
-        b2=np.zeros(feature_dim),
-    )
-    heads = HeadParams(
-        wg=_uniform(rng, (feature_dim, 2)),
-        bg=np.zeros(2),
-        wq1=_uniform(rng, (feature_dim, domain_hidden)),
-        bq1=np.zeros(domain_hidden),
-        wq2=_uniform(rng, (domain_hidden, 2)),
-        bq2=np.zeros(2),
-    )
-    generator = GeneratorParams(
-        w1=_uniform(rng, (n_bins, gen_hidden)),
-        b1=np.zeros(gen_hidden),
-        w2=_uniform(rng, (gen_hidden, n_bins)),
-        b2=np.zeros(n_bins),
-        alpha=alpha,
-    )
-    return ModelBundle(
-        encoder=encoder,
-        heads=heads,
-        generator=generator,
-        input_width=input_width,
-        n_bins=n_bins,
-        delta=delta,
-    )
+    dims = {"input_width": input_width, "n_bins": n_bins, "hidden": hidden,
+            "feature_dim": feature_dim, "gen_hidden": gen_hidden, "domain_hidden": domain_hidden}
+    arrays = {
+        name: _uniform(rng, _shape(spec, dims)) if field.startswith("w") else np.zeros(_shape(spec, dims))
+        for name, (_, field, spec) in _PARAMS.items()
+    }
+    return _assemble(arrays, input_width, n_bins, alpha, delta)
 
 
 def named_arrays(bundle: ModelBundle) -> dict[str, FloatArray]:
     """Canonical name -> live array mapping, grouped by dotted prefix."""
-    enc, hd, gen = bundle.encoder, bundle.heads, bundle.generator
-    return {
-        "enc.w1": enc.w1,
-        "enc.b1": enc.b1,
-        "enc.w2": enc.w2,
-        "enc.b2": enc.b2,
-        "head.wg": hd.wg,
-        "head.bg": hd.bg,
-        "head.wq1": hd.wq1,
-        "head.bq1": hd.bq1,
-        "head.wq2": hd.wq2,
-        "head.bq2": hd.bq2,
-        "gen.w1": gen.w1,
-        "gen.b1": gen.b1,
-        "gen.w2": gen.w2,
-        "gen.b2": gen.b2,
-    }
+    return {name: getattr(getattr(bundle, part), field) for name, (part, field, _) in _PARAMS.items()}
 
 
 def set_named_arrays(bundle: ModelBundle, arrays: Mapping[str, FloatArray]) -> None:
-    enc, hd, gen = bundle.encoder, bundle.heads, bundle.generator
-    targets = {
-        "enc.w1": ("w1", enc), "enc.b1": ("b1", enc), "enc.w2": ("w2", enc), "enc.b2": ("b2", enc),
-        "head.wg": ("wg", hd), "head.bg": ("bg", hd), "head.wq1": ("wq1", hd),
-        "head.bq1": ("bq1", hd), "head.wq2": ("wq2", hd), "head.bq2": ("bq2", hd),
-        "gen.w1": ("w1", gen), "gen.b1": ("b1", gen), "gen.w2": ("w2", gen), "gen.b2": ("b2", gen),
-    }
     for name, arr in arrays.items():
-        attr, obj = targets[name]
-        setattr(obj, attr, np.asarray(arr, dtype=np.float64))
+        part, field, _ = _PARAMS[name]
+        setattr(getattr(bundle, part), field, np.asarray(arr, dtype=np.float64))
 
 
 # --- graph-level forward passes -------------------------------------------------
@@ -215,17 +212,19 @@ def generator_field(norm_amp: Node, p: Mapping[str, Node]) -> Node:
     return ad.dense(g1, p["gen.w2"], p["gen.b2"])
 
 
-def recompose_rows(amp: Node, phase: FloatArray, window: int) -> Node:
+def recompose_rows(amp: Node, phase: FloatArray | ComplexArray, window: int) -> Node:
     """Differentiable wrapper over the spectral inverse kernel.
 
     Forward applies :func:`spinshield.spectral.inverse_phasor`, which equals
     :func:`spinshield.spectral.inverse_stack` for a canonical phase; with the
     phase held fixed the map from amplitude to signal is linear, and the
     backward pass applies its adjoint via an rFFT of the incoming gradient.
-    Both use the one phasor ``exp(i phase)``.
+    Both use the one phasor ``exp(i phase)``.  ``phase`` is the rows' phase,
+    or that phasor itself (a complex array), which a caller that recomposes
+    the same rows many times builds once.
     """
     grid = FrequencyGrid(window)
-    phasor = np.exp(1j * np.asarray(phase, dtype=np.float64))
+    phasor = phase if np.iscomplexobj(phase) else np.exp(1j * np.asarray(phase, dtype=np.float64))
     coef = np.full(grid.n_bins, 2.0 / window)
     coef[0] = 1.0 / window
     if grid.has_nyquist:
@@ -240,7 +239,7 @@ def recompose_rows(amp: Node, phase: FloatArray, window: int) -> Node:
 def lsa_perturb_graph(
     amplitude: FloatArray,
     norm_amplitude: FloatArray,
-    phase: FloatArray,
+    phase: FloatArray | ComplexArray,
     window: int,
     p: Mapping[str, Node],
     alpha: float,
@@ -250,6 +249,7 @@ def lsa_perturb_graph(
 
     ``norm_amplitude`` is the per-clip min-max normalized generator input; the
     caller computes it because normalization spans a whole clip, not a row.
+    ``phase`` may be given as unit phasors (see :func:`recompose_rows`).
     Returns the perturbed time-domain rows and the modulation mask, both
     differentiable with respect to the generator parameters.
     """
@@ -268,10 +268,12 @@ def lsa_perturb_graph(
 
 
 def lsa_views(
-    amplitude: FloatArray, phase: FloatArray, window: int, p: Mapping[str, Node], alpha: float, delta: float
+    amplitude: FloatArray, phase: FloatArray | ComplexArray, window: int, p: Mapping[str, Node], alpha: float,
+    delta: float,
 ) -> tuple[Node, Node]:
-    """Adversarial views of a stack of clip spectra ``(B, M, K)``: the
-    ``(B, M*T)`` signal node plus the ``(B*M, K)`` mask node."""
+    """Adversarial views of a stack of clip spectra ``(B, M, K)``, phases
+    or unit phasors (see :func:`recompose_rows`): the ``(B, M*T)`` signal
+    node plus the ``(B*M, K)`` mask node."""
     b, m, k = amplitude.shape
     rows = [a.reshape(b * m, k) for a in (amplitude, minmax_normalize(amplitude), phase)]
     signals, mask = lsa_perturb_graph(*rows, window, p, alpha, delta)
@@ -284,37 +286,6 @@ def lsa_views(
 def const_params(bundle: ModelBundle) -> dict[str, Node]:
     """Every parameter as a constant node, for graphs that train nothing."""
     return {name: ad.const(arr) for name, arr in named_arrays(bundle).items()}
-
-
-def encode(clip: PatchSignalClip, encoder: EncoderParams) -> FloatArray:
-    """Feature vector for one clip through the shared encoder."""
-    x = clip.signals.reshape(1, -1)
-    if x.shape[1] != encoder.w1.shape[0]:
-        raise ValueError(
-            f"clip flattens to width {x.shape[1]}, encoder expects {encoder.w1.shape[0]}"
-        )
-    p = {
-        "enc.w1": ad.const(encoder.w1), "enc.b1": ad.const(encoder.b1),
-        "enc.w2": ad.const(encoder.w2), "enc.b2": ad.const(encoder.b2),
-    }
-    return encoder_forward(standardize_rows(ad.const(x)), p).value[0]
-
-
-def classify(h: FloatArray, heads: HeadParams) -> FloatArray:
-    """Class distribution over {real, fake} for one feature vector."""
-    p = {"head.wg": ad.const(heads.wg), "head.bg": ad.const(heads.bg)}
-    logits = classifier_logits(ad.const(np.asarray(h).reshape(1, -1)), p)
-    return ad.softmax(logits).value[0]
-
-
-def discriminate_domain(h: FloatArray, heads: HeadParams, through_grl: bool = False) -> FloatArray:
-    """Domain distribution over {clean, env}; the GRL only matters inside graphs."""
-    p = {
-        "head.wq1": ad.const(heads.wq1), "head.bq1": ad.const(heads.bq1),
-        "head.wq2": ad.const(heads.wq2), "head.bq2": ad.const(heads.bq2),
-    }
-    logits = domain_logits(ad.const(np.asarray(h).reshape(1, -1)), p, through_grl=through_grl)
-    return ad.softmax(logits).value[0]
 
 
 def lsa_perturb(
@@ -379,46 +350,13 @@ def load_bundle(path: Path) -> ModelBundle:
         raise DataFormatError(f"{path}: unknown checkpoint format {doc.get('format')!r}")
     try:
         dims = doc["dims"]
-        params = {name: _decode_array(entry) for name, entry in doc["params"].items()}
-        bundle = ModelBundle(
-            encoder=EncoderParams(
-                w1=params["enc.w1"], b1=params["enc.b1"],
-                w2=params["enc.w2"], b2=params["enc.b2"],
-            ),
-            heads=HeadParams(
-                wg=params["head.wg"], bg=params["head.bg"],
-                wq1=params["head.wq1"], bq1=params["head.bq1"],
-                wq2=params["head.wq2"], bq2=params["head.bq2"],
-            ),
-            generator=GeneratorParams(
-                w1=params["gen.w1"], b1=params["gen.b1"],
-                w2=params["gen.w2"], b2=params["gen.b2"],
-                alpha=float(doc["alpha"]),
-            ),
-            input_width=int(dims["input_width"]),
-            n_bins=int(dims["n_bins"]),
-            delta=float(doc["delta"]),
-        )
+        params = {name: _decode_array(doc["params"][name]) for name in _PARAMS}
+        declared = {name: _shape(spec, dims) for name, (_, _, spec) in _PARAMS.items()}
+        bundle = _assemble(params, int(dims["input_width"]), int(dims["n_bins"]),
+                           float(doc["alpha"]), float(doc["delta"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: incomplete checkpoint: {exc}") from exc
-
-    expected = {
-        "enc.w1": (bundle.input_width, int(dims["hidden"])),
-        "enc.b1": (int(dims["hidden"]),),
-        "enc.w2": (int(dims["hidden"]), int(dims["feature_dim"])),
-        "enc.b2": (int(dims["feature_dim"]),),
-        "head.wg": (int(dims["feature_dim"]), 2),
-        "head.bg": (2,),
-        "head.wq1": (int(dims["feature_dim"]), int(dims["domain_hidden"])),
-        "head.bq1": (int(dims["domain_hidden"]),),
-        "head.wq2": (int(dims["domain_hidden"]), 2),
-        "head.bq2": (2,),
-        "gen.w1": (bundle.n_bins, int(dims["gen_hidden"])),
-        "gen.b1": (int(dims["gen_hidden"]),),
-        "gen.w2": (int(dims["gen_hidden"]), bundle.n_bins),
-        "gen.b2": (bundle.n_bins,),
-    }
-    for name, shape in expected.items():
+    for name, shape in declared.items():
         if params[name].shape != shape:
             raise DataFormatError(
                 f"{path}: dimension mismatch for {name}: "

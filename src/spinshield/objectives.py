@@ -7,6 +7,7 @@ is fine and are wrapped on entry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -77,11 +78,20 @@ def resolve_bandwidth(a: np.ndarray, b: np.ndarray, kernel: KernelSpec) -> float
     union = np.concatenate([a, b], axis=0)
     sq = np.sum(union * union, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * union @ union.T
-    iu = np.triu_indices(union.shape[0], k=1)
-    if iu[0].size == 0:
+    pairs = _upper_pairs(union.shape[0])
+    if pairs.size == 0:
         return 1.0
-    med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
+    med = float(np.median(np.sqrt(np.maximum(d2.ravel()[pairs], 0.0))))
     return med if med > 0.0 else 1.0
+
+
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> np.ndarray:
+    """Flat indices of the entries above the diagonal of an n x n matrix, in
+    row-major order; built once per size and read-only, as callers share it."""
+    pairs = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
+    pairs.flags.writeable = False
+    return pairs
 
 
 def mmd(

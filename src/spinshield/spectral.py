@@ -18,6 +18,7 @@ import numpy as np
 import numpy.typing as npt
 
 FloatArray = npt.NDArray[np.float64]
+ComplexArray = npt.NDArray[np.complex128]
 
 DEFAULT_FPS = 25.0
 
@@ -222,7 +223,7 @@ def forward_stack(signals: FloatArray) -> tuple[FloatArray, FloatArray]:
     return amplitude, _canonical_phase(amplitude, phase)
 
 
-def inverse_phasor(amplitude: FloatArray, phasor: npt.NDArray[np.complex128], window: int) -> FloatArray:
+def inverse_phasor(amplitude: FloatArray, phasor: ComplexArray, window: int) -> FloatArray:
     """Real signals ``(..., M, T)`` from amplitude and unit phasors ``(..., M, K)``
     by ``irfft``, which takes only the real parts of the DC and Nyquist bins."""
     return np.fft.irfft(amplitude * phasor, n=window, axis=-1)

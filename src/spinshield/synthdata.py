@@ -76,6 +76,8 @@ class DatasetSpec:
             raise ValueError("base bins must be interior bins")
         if self.noise_std < 0 or self.shortcut_amplitude < 0:
             raise ValueError("amplitudes and noise must be non-negative")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .attacks import DEFAULT_EPS0, DEFAULT_NOISE_SIGMA
 from .autodiff import Node
 from .errors import DataFormatError, NumericalAbort
 from .evaluation import compute_auc, score_clips
-from .spectral import FloatArray, forward_stack, inverse_stack
+from .spectral import ComplexArray, FloatArray, forward_stack, inverse_phasor
 from .synthdata import LabeledClip
 
 MODES = ("baseline", "spinshield", "naive_aug")
@@ -43,6 +43,12 @@ NAIVE_SIGMA = 0.5
 # tolerance of the best seen; under the minimax objective robustness keeps
 # improving after clean accuracy saturates, so ties go to the most-trained model
 VAL_SELECTION_TOLERANCE = 0.005
+
+# the parameters the adversary step reads: the encoder and the classifier
+_ADVERSARY_READS = ("enc.w1", "enc.b1", "enc.w2", "enc.b2", "head.wg", "head.bg")
+
+# clips standardized at a time when a run stacks its dataset
+_STANDARDIZE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,8 @@ class TrainConfig:
             raise ValueError("alternation ratio must be >= 1")
         if self.learning_rate <= 0 or self.generator_learning_rate <= 0 or self.alpha <= 0:
             raise ValueError("learning rates and alpha must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 def config_to_dict(config: TrainConfig) -> dict:
@@ -126,7 +134,9 @@ def load_config(path: Path) -> TrainConfig:
 
 
 class Adam:
-    """Adaptive moment optimizer over a named set of live parameter arrays."""
+    """Adaptive moment optimizer over a named set of parameter arrays, copied
+    into one flat buffer so that a step is one update over it.  The caller's
+    dict is repointed at views of the buffer: read the parameters through it."""
 
     def __init__(
         self,
@@ -135,22 +145,33 @@ class Adam:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ) -> None:
+        self.flat = np.concatenate([np.ravel(arr) for arr in arrays.values()], dtype=np.float64)
+        start = 0
+        for name, arr in arrays.items():
+            arrays[name] = self.flat[start : start + arr.size].reshape(arr.shape)
+            start += arr.size
         self.arrays = arrays
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(arr) for name, arr in arrays.items()}
-        self.v = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
-    def step(self, grads: dict[str, FloatArray]) -> None:
+    def flatten(self, grads: Mapping[str, FloatArray]) -> FloatArray:
+        """One gradient per parameter, laid out as the buffer."""
+        return np.concatenate([np.ravel(grads[name]) for name in self.arrays])
+
+    def step(self, grads: Mapping[str, FloatArray]) -> None:
+        g = self.flatten(grads)
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        for name, g in grads.items():
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            self.arrays[name] -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        self.flat -= self.lr * (self.m / bias1) / (np.sqrt(self.v / bias2) + self.eps)
 
 
 def _run_rng(seed: int, stream: int) -> np.random.Generator:
@@ -161,6 +182,8 @@ def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Deterministic 80/10/10 train/val/test split of clip indices."""
     if n < 10:
         raise ValueError("need at least 10 clips to split")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"split seed must lie in [0, 2**64), got {seed}")
     perm = _run_rng(seed, _STREAM_SPLIT).permutation(n)
     n_test = n // 10
     n_val = n // 10
@@ -170,31 +193,31 @@ def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return train, val, test
 
 
-def _stack_dataset(clips: list[LabeledClip]) -> tuple[FloatArray, FloatArray, FloatArray, np.ndarray, int, int, int]:
+def _stack_dataset(clips: list[LabeledClip]) -> tuple[FloatArray, FloatArray, ComplexArray, np.ndarray, int, int]:
+    """What a run reads of its clips, built once: the standardized clip rows
+    ``(N, M*T)``, the amplitudes and unit phasors ``(N, M, K)``, the labels,
+    M and T.  The rows are standardized in place, a chunk at a time, and the
+    phasors replace the phases, so no stack is held twice."""
     shapes = {lc.clip.signals.shape for lc in clips}
     if len(shapes) != 1:
         raise ValueError(f"clips have inconsistent shapes: {sorted(shapes)}")
     m, t_len = shapes.pop()
     signals = np.stack([lc.clip.signals for lc in clips])
     amps, phases = forward_stack(signals)
+    phasors = 1j * phases
+    del phases
+    np.exp(phasors, out=phasors)
+    rows = signals.reshape(len(clips), m * t_len)
+    for start in range(0, len(rows), _STANDARDIZE_CHUNK):
+        chunk = rows[start : start + _STANDARDIZE_CHUNK]
+        chunk[...] = ad.standardized(chunk, md.STANDARDIZE_EPS)[0]
     labels = np.array([lc.y for lc in clips], dtype=np.intp)
-    return signals, amps, phases, labels, m, t_len, m * t_len
+    return rows, amps, phasors, labels, m, t_len
 
 
-def _graph_nodes(
-    bundle: md.ModelBundle, trainable_groups: tuple[str, ...]
-) -> tuple[dict[str, Node], dict[str, Node]]:
-    """Bind every parameter to a graph node: the trainable groups' nodes are
-    leaves, aliased into the tracked map the optimizer reads, and the frozen
-    groups' nodes are constants."""
-    graph: dict[str, Node] = {}
-    tracked: dict[str, Node] = {}
-    for name, arr in md.named_arrays(bundle).items():
-        if name.split(".", 1)[0] in trainable_groups:
-            graph[name] = tracked[name] = Node(arr)
-        else:
-            graph[name] = ad.const(arr)
-    return graph, tracked
+def _leaves(arrays: Mapping[str, FloatArray]) -> dict[str, Node]:
+    """A trainable graph leaf over each of an optimizer group's live arrays."""
+    return {name: Node(arr) for name, arr in arrays.items()}
 
 
 def _check_finite(value: float, what: str, step: int) -> float:
@@ -203,39 +226,46 @@ def _check_finite(value: float, what: str, step: int) -> float:
     return float(value)
 
 
+def _first_non_finite(arrays: Mapping[str, FloatArray]) -> str:
+    return next(name for name, arr in arrays.items() if not np.isfinite(arr).all())
+
+
 def _adam_step(opt: Adam, tracked: dict[str, Node], step: int) -> None:
     """One optimizer step on the tracked parameters' gradients; a non-finite
-    gradient, or a parameter the step made non-finite, aborts the run."""
+    gradient, or a parameter the step made non-finite, aborts the run.  Each
+    check runs once over the whole group and names the parameter on failure."""
     grads = {name: node.grad for name, node in tracked.items()}
-    for name, grad in grads.items():
-        if not np.isfinite(grad).all():
-            raise NumericalAbort(f"gradient of {name} is non-finite at step {step}")
+    if not np.isfinite(opt.flatten(grads)).all():
+        raise NumericalAbort(f"gradient of {_first_non_finite(grads)} is non-finite at step {step}")
     opt.step(grads)
-    for name in grads:
-        if not np.isfinite(opt.arrays[name]).all():
-            raise NumericalAbort(f"parameter {name} is non-finite after the Adam step at step {step}")
+    if not np.isfinite(opt.flat).all():
+        raise NumericalAbort(
+            f"parameter {_first_non_finite(opt.arrays)} is non-finite after the Adam step at step {step}"
+        )
 
 
 def _detector_losses(
     graph: dict[str, Node],
-    x_clean: FloatArray,
-    x_env: FloatArray | None,
+    z_clean: FloatArray,
+    z_env: FloatArray | None,
     y: np.ndarray,
     weights: obj.LossWeights,
 ) -> tuple[Node, Node, Node, Node, Node]:
-    """The detector step's (L_det, L_sym, discriminator loss, L_blind, total);
-    ``x_env`` is None in baseline mode, where the invariance terms are 0.
+    """The detector step's (L_det, L_sym, discriminator loss, L_blind, total)
+    over standardized clip rows; ``z_env`` is None in baseline mode, where the
+    invariance terms are 0.  ``graph`` binds the ``enc.*`` and ``head.*``
+    parameters.
 
     The clean and env views run through the encoder and classifier as one
     stack, and each copy of the discriminator runs once over both views."""
-    x = x_clean if x_env is None else np.concatenate([x_clean, x_env])
-    h = md.encoder_forward(md.standardize_rows(ad.const(x)), graph)
+    z = z_clean if z_env is None else np.concatenate([z_clean, z_env])
+    h = md.encoder_forward(ad.const(z), graph)
     logits = md.classifier_logits(h, graph)
-    if x_env is None:
+    if z_env is None:
         l_det = obj.detector_loss(logits, None, y)
         l_sym = l_disc = l_blind = ad.const(0.0)
     else:
-        n = len(x_clean)
+        n = len(z_clean)
 
         def views(node: Node) -> tuple[Node, Node]:
             return ad.row_slice(node, 0, n), ad.row_slice(node, n, 2 * n)
@@ -265,15 +295,16 @@ def _adversary_losses(
     frozen: dict[str, Node],
     env_node: Node,
     mask_node: Node,
-    x_clean: FloatArray,
+    z_clean: FloatArray,
     y: np.ndarray,
     weights: obj.LossWeights,
 ) -> tuple[Node, Node, Node]:
-    """The adversary step's (mmd, mask_reg, L_gen) over its views, with the
-    detector's parameters held in ``frozen``."""
+    """The adversary step's (mmd, mask_reg, L_gen) over its views and the
+    standardized clean rows, with the encoder and classifier parameters
+    (``_ADVERSARY_READS``) held in ``frozen``."""
     h_env = md.encoder_forward(md.standardize_rows(env_node), frozen)
     logits_env = md.classifier_logits(h_env, frozen)
-    h_clean = md.encoder_forward(md.standardize_rows(ad.const(x_clean)), frozen)
+    h_clean = md.encoder_forward(ad.const(z_clean), frozen)
     d_mmd = obj.mmd(h_clean, h_env)
     l_gen = obj.generator_loss(logits_env, y, d_mmd, mask_node, weights)
     return d_mmd, obj.mask_regularizer(mask_node), l_gen
@@ -281,7 +312,7 @@ def _adversary_losses(
 
 def naive_env_views(
     amp: FloatArray,
-    phase: FloatArray,
+    phasor: ComplexArray,
     window: int,
     rng: np.random.Generator,
     sigma: float = DEFAULT_NOISE_SIGMA,
@@ -292,11 +323,14 @@ def naive_env_views(
     Sharing the draw over patches rescales whole spectral bands per clip, which
     is the strongest honest form of this augmentation; fully independent draws
     average out across patches and barely pressure patch-mean features.
+    ``phasor`` is ``exp(i phase)`` of a canonical phase (see
+    :func:`spectral.forward_stack`); the new amplitude is positive everywhere,
+    so this equals :func:`spectral.inverse_stack` of the phase.
     """
     b, m, k = amp.shape
     draws = rng.normal(0.0, sigma, size=(b, 1, k)) * np.ones((1, m, 1))
     new_amp = (amp + eps0) * np.exp(draws)
-    return inverse_stack(new_amp, phase, window).reshape(b, m * window)
+    return inverse_phasor(new_amp, phasor, window).reshape(b, m * window)
 
 
 @dataclass
@@ -330,25 +364,27 @@ def train(
     (:func:`objectives.encoder_blindness_loss`); the discriminator's own loss
     is checked for finiteness but not logged.
     """
-    signals, amps, phases, labels, m, t_len, width = _stack_dataset(dataset)
+    rows, amps, phasors, labels, m, t_len = _stack_dataset(dataset)
     n_bins = t_len // 2 + 1
     train_idx, val_idx, test_idx = split_indices(len(dataset), config.seed)
     if len(np.unique(labels[val_idx])) < 2 or len(np.unique(labels[train_idx])) < 2:
         raise ValueError("train/val splits must contain both classes")
 
     bundle = md.init_bundle(
-        input_width=width, n_bins=n_bins, alpha=config.alpha, seed=config.seed
+        input_width=m * t_len, n_bins=n_bins, alpha=config.alpha, seed=config.seed
     )
     arrays = md.named_arrays(bundle)
-    det_names = [n for n in arrays if n.startswith(("enc.", "head."))]
-    gen_names = [n for n in arrays if n.startswith("gen.")]
-    det_opt = Adam({n: arrays[n] for n in det_names}, config.learning_rate, config.adam_betas, config.adam_eps)
+    det_opt = Adam({n: a for n, a in arrays.items() if n.startswith(("enc.", "head."))},
+                   config.learning_rate, config.adam_betas, config.adam_eps)
     gen_opt = Adam(
-        {n: arrays[n] for n in gen_names},
+        {n: a for n, a in arrays.items() if n.startswith("gen.")},
         config.generator_learning_rate,
         config.adam_betas,
         config.adam_eps,
     )
+    # the bundle's parameters are views of the optimizers' buffers from here on
+    md.set_named_arrays(bundle, {**det_opt.arrays, **gen_opt.arrays})
+    arrays = md.named_arrays(bundle)
 
     batch_rng = _run_rng(config.seed, _STREAM_BATCH)
     naive_rng = _run_rng(config.seed, _STREAM_NAIVE)
@@ -367,29 +403,28 @@ def train(
         order = batch_rng.permutation(train_idx)
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            x_clean = signals[batch].reshape(len(batch), width)
+            z_clean = rows[batch]
             y = labels[batch]
-            a_batch = amps[batch]
-            p_batch = phases[batch]
 
             # --- detector step: adversary frozen ---------------------------------
             # the detector step leaves the generator unchanged, so one adversary
             # graph serves both steps: its value feeds the detector as a
             # constant, and the adversary step backpropagates through it
             if config.mode == "spinshield":
-                gen_graph, gen_tracked = _graph_nodes(bundle, ("gen",))
+                gen_tracked = _leaves(gen_opt.arrays)
                 env_node, mask_node = md.lsa_views(
-                    a_batch, p_batch, t_len, gen_graph, config.alpha, bundle.delta
+                    amps[batch], phasors[batch], t_len, gen_tracked, config.alpha, bundle.delta
                 )
-                x_env_arr = env_node.value
+                x_env = env_node.value
             elif config.mode == "naive_aug":
-                x_env_arr = naive_env_views(a_batch, p_batch, t_len, naive_rng, sigma=NAIVE_SIGMA)
+                x_env = naive_env_views(amps[batch], phasors[batch], t_len, naive_rng, sigma=NAIVE_SIGMA)
             else:
-                x_env_arr = None
+                x_env = None
+            z_env = None if x_env is None else ad.standardized(x_env, md.STANDARDIZE_EPS)[0]
 
-            graph, tracked = _graph_nodes(bundle, ("enc", "head"))
+            tracked = _leaves(det_opt.arrays)
             l_det, l_sym, l_disc, l_blind, total = _detector_losses(
-                graph, x_clean, x_env_arr, y, config.weights
+                tracked, z_clean, z_env, y, config.weights
             )
             checked = ((l_det, "L_det"), (l_sym, "L_sym"), (l_disc, "discriminator loss"),
                        (l_blind, "L_blind"), (total, "total"))
@@ -408,8 +443,9 @@ def train(
             # --- adversary step: detector frozen ----------------------------------
             batch_counter += 1
             if config.mode == "spinshield" and batch_counter % ratio == 0:
+                frozen = {name: ad.const(arrays[name]) for name in _ADVERSARY_READS}
                 d_mmd, reg, l_gen = _adversary_losses(
-                    md.const_params(bundle), env_node, mask_node, x_clean, y, config.weights
+                    frozen, env_node, mask_node, z_clean, y, config.weights
                 )
                 for node, what in ((d_mmd, "mmd"), (reg, "mask_reg"), (l_gen, "L_gen")):
                     _check_finite(node.value, what, step)

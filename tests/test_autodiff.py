@@ -219,14 +219,19 @@ class TestGradientWork:
         y = np.array([0, 1] * (b // 2))
         bundle = md.init_bundle(input_width=m * t, n_bins=t // 2 + 1, hidden=6, feature_dim=4,
                                 gen_hidden=5, domain_hidden=3, seed=4)
-        gen_graph, gen_tracked = training._graph_nodes(bundle, ("gen",))
-        env, mask = md.lsa_views(amps, phases, t, gen_graph, bundle.generator.alpha, bundle.delta)
+        arrays = md.named_arrays(bundle)
+        gen_tracked = training._leaves({n: a for n, a in arrays.items() if n.startswith("gen.")})
+        env, mask = md.lsa_views(amps, np.exp(1j * phases), t, gen_tracked,
+                                 bundle.generator.alpha, bundle.delta)
+        z = ad.standardized(x, md.STANDARDIZE_EPS)[0]
         if step == "detector":
-            graph, tracked = training._graph_nodes(bundle, ("enc", "head"))
-            loss = training._detector_losses(graph, x, env.value, y, LossWeights())[-1]
+            tracked = training._leaves({n: a for n, a in arrays.items() if n.startswith(("enc.", "head."))})
+            z_env = ad.standardized(env.value, md.STANDARDIZE_EPS)[0]
+            loss = training._detector_losses(tracked, z, z_env, y, LossWeights())[-1]
         else:
             tracked = gen_tracked
-            losses = training._adversary_losses(md.const_params(bundle), env, mask, x, y, LossWeights())
+            frozen = {n: ad.const(arrays[n]) for n in training._ADVERSARY_READS}
+            losses = training._adversary_losses(frozen, env, mask, z, y, LossWeights())
             loss = ad.neg(losses[-1])
         ad.backward(loss)
         return {name: node.grad for name, node in tracked.items()}

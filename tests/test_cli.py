@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinshield import cli
 from spinshield.errors import NumericalAbort
@@ -207,6 +213,79 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert "train config" in err and len(err.strip().splitlines()) == 1
+
+
+    @pytest.mark.parametrize("command", ["gen-data", "gen-data --spec", "train", "train --config",
+                                         "eval", "sweep", "adaptive", "features"])
+    def test_negative_seed_is_data_error(self, pipeline, tmp_path, capsys, command):
+        _, manifest, checkpoint = pipeline
+        spec, config, out = tmp_path / "spec.json", tmp_path / "config.json", tmp_path / "out"
+        spec.write_text(json.dumps({"n_clips": 20, "seed": -5}))
+        config.write_text(json.dumps({"epochs": 1, "seed": -5}))
+        data = ["--data", str(manifest), "--out", str(out)]
+        argv = {
+            "gen-data": ["gen-data", "--out", str(out), "--n-clips", "20", "--seed", "-1"],
+            "gen-data --spec": ["gen-data", "--out", str(out), "--spec", str(spec)],
+            "train": ["train", *data, "--epochs", "1", "--seed", "-3"],
+            "train --config": ["train", *data, "--config", str(config)],
+        }.get(command, [command, "--checkpoint", str(checkpoint), *data, "--split-seed", "-1"])
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "seed" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_seeds", ["0", "-2"])
+    def test_eval_without_seeds_is_data_error(self, pipeline, tmp_path, capsys, n_seeds):
+        _, manifest, checkpoint = pipeline
+        out = tmp_path / "r.json"
+        code = cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(manifest),
+                         "--out", str(out), "--n-seeds", n_seeds])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "n_seeds" in captured.err and len(captured.err.strip().splitlines()) == 1
+        assert "nan" not in captured.out and not out.exists()
+
+
+class TestIntegerInputs:
+    """Any small integer, negative or zero, in an integer flag ends in exit code
+    0-3 with no traceback, and a failure prints one line."""
+
+    @staticmethod
+    def _argv(command, ints, manifest, checkpoint, out):
+        model = ["--checkpoint", str(checkpoint), "--data", str(manifest), "--out", str(out),
+                 "--split-seed", str(ints["split_seed"])]
+        return {
+            "gen-data": ["gen-data", "--out", str(out), "--n-clips", str(ints["n_clips"]),
+                         "--seed", str(ints["seed"])],
+            "train": ["train", "--data", str(manifest), "--out", str(out), "--epochs", "1",
+                      "--seed", str(ints["seed"])],
+            "eval": ["eval", *model, "--kinds", "notch", "--n-seeds", str(ints["n_seeds"])],
+            "sweep": ["sweep", *model],
+            "adaptive": ["adaptive", *model, "--limit", str(ints["limit"]), "--steps", str(ints["steps"])],
+            "features": ["features", *model],
+        }[command]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        command=st.sampled_from(["gen-data", "train", "eval", "sweep", "adaptive", "features"]),
+        ints=st.fixed_dictionaries({
+            name: st.integers(-3, 12 if name == "n_clips" else 4)
+            for name in ("seed", "split_seed", "n_seeds", "limit", "steps", "n_clips")
+        }),
+    )
+    def test_exit_code_contract(self, pipeline, command, ints):
+        _, manifest, checkpoint = pipeline
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = self._argv(command, ints, manifest, checkpoint, Path(tmp) / "out")
+            # an exception escaping main would reach the user as a traceback
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
 
 
 class TestSplitLoading:

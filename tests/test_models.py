@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinshield import autodiff as ad
+from spinshield import evaluation
 from spinshield import models as md
 from spinshield.autodiff import Node
 from spinshield.errors import DataFormatError
@@ -16,6 +17,18 @@ def bundle():
     return md.init_bundle(input_width=3 * 16, n_bins=9, seed=123)
 
 
+def features(clip, bundle):
+    """One clip's features through the graph functions, parameters constant."""
+    x = ad.const(clip.signals.reshape(1, -1))
+    return md.encoder_forward(md.standardize_rows(x), md.const_params(bundle)).value[0]
+
+
+def head_probs(logits_fn, h, bundle, **kwargs):
+    """Class distribution of one feature vector under a head's graph function."""
+    logits = logits_fn(ad.const(np.asarray(h).reshape(1, -1)), md.const_params(bundle), **kwargs)
+    return ad.softmax(logits).value[0]
+
+
 class TestEncode:
     def test_degenerate_weights_ignore_input(self, rng, bundle):
         enc = bundle.encoder
@@ -23,20 +36,20 @@ class TestEncode:
         enc.w2[:] = 0.0
         enc.b1[:] = rng.normal(size=enc.b1.shape)
         enc.b2[:] = rng.normal(size=enc.b2.shape)
-        h1 = md.encode(random_clip(rng), enc)
-        h2 = md.encode(random_clip(rng), enc)
+        h1 = features(random_clip(rng), bundle)
+        h2 = features(random_clip(rng), bundle)
         np.testing.assert_array_equal(h1, h2)
         np.testing.assert_allclose(h1, enc.b2, atol=1e-12)
 
     def test_identical_clips_identical_features(self, rng, bundle):
         clip = random_clip(rng)
-        a = md.encode(clip, bundle.encoder)
-        b = md.encode(clip, bundle.encoder)
+        a = features(clip, bundle)
+        b = features(clip, bundle)
         np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch_rejected(self, rng, bundle):
         with pytest.raises(ValueError, match="width"):
-            md.encode(random_clip(rng, patches=5, frames=16), bundle.encoder)
+            evaluation.score_clips(bundle, [random_clip(rng, patches=5, frames=16)])
 
     def test_feature_norm_gradient_matches_finite_differences(self, rng, bundle):
         clip = random_clip(rng)
@@ -62,7 +75,7 @@ class TestEncode:
         clip = random_clip(rng)
         scaled = type(clip)(signals=3.0 * clip.signals + 7.0, fps=clip.fps)
         np.testing.assert_allclose(
-            md.encode(clip, bundle.encoder), md.encode(scaled, bundle.encoder), atol=1e-7
+            features(clip, bundle), features(scaled, bundle), atol=1e-7
         )
 
     def test_siamese_weight_sharing_is_structural(self, bundle):
@@ -75,7 +88,7 @@ class TestEncode:
 class TestClassify:
     def test_zero_logits_uniform(self, bundle):
         bundle.heads.wg[:] = 0.0
-        p = md.classify(np.ones(bundle.heads.wg.shape[0]), bundle.heads)
+        p = head_probs(md.classifier_logits, np.ones(bundle.heads.wg.shape[0]), bundle)
         np.testing.assert_array_equal(p, [0.5, 0.5])
 
     def test_saturation(self, rng):
@@ -85,7 +98,7 @@ class TestClassify:
 
     def test_matches_exp_normalize_oracle(self, rng, bundle):
         h = rng.normal(size=bundle.heads.wg.shape[0])
-        p = md.classify(h, bundle.heads)
+        p = head_probs(md.classifier_logits, h, bundle)
         logits = h @ bundle.heads.wg + bundle.heads.bg
         oracle = np.exp(logits) / np.exp(logits).sum()
         np.testing.assert_allclose(p, oracle, atol=1e-12)
@@ -96,8 +109,8 @@ class TestClassify:
 class TestDiscriminateDomain:
     def test_grl_does_not_change_forward(self, rng, bundle):
         h = rng.normal(size=bundle.heads.wq1.shape[0])
-        a = md.discriminate_domain(h, bundle.heads, through_grl=False)
-        b = md.discriminate_domain(h, bundle.heads, through_grl=True)
+        a = head_probs(md.domain_logits, h, bundle, through_grl=False)
+        b = head_probs(md.domain_logits, h, bundle, through_grl=True)
         np.testing.assert_array_equal(a, b)
 
     def test_encoder_side_gradient_flips_sign(self, rng, bundle):
@@ -247,6 +260,17 @@ class TestCheckpoints:
         doc["dims"]["hidden"] = 999
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match="dimension mismatch"):
+            md.load_bundle(path)
+
+    def test_missing_dim_rejected(self, tmp_path, bundle):
+        import json
+
+        path = tmp_path / "model.ckpt"
+        md.save_bundle(bundle, path)
+        doc = json.loads(path.read_text())
+        del doc["dims"]["hidden"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="incomplete checkpoint: 'hidden'"):
             md.load_bundle(path)
 
     def test_missing_file_rejected(self, tmp_path):

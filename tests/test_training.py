@@ -79,6 +79,28 @@ class TestAdam:
             opt.step({"x": 2.0 * arrays["x"]})
         np.testing.assert_allclose(arrays["x"], 0.0, atol=1e-4)
 
+    def test_flat_buffer_steps_like_one_update_per_array(self):
+        # the per-array update, written out, is the reference; the caller's
+        # dict reads the optimizer's buffer
+        rng = np.random.default_rng(3)
+        shapes = {"w": (4, 3), "b": (3,), "s": (1, 1)}
+        arrays = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+        ref = {n: a.copy() for n, a in arrays.items()}
+        opt = training.Adam(arrays, lr=0.05)
+        m = {n: np.zeros(shape) for n, shape in shapes.items()}
+        v = {n: np.zeros(shape) for n, shape in shapes.items()}
+        for t in range(1, 6):
+            grads = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+            opt.step(grads)
+            for n, g in grads.items():
+                m[n] = opt.beta1 * m[n] + (1.0 - opt.beta1) * g
+                v[n] = opt.beta2 * v[n] + (1.0 - opt.beta2) * g * g
+                ref[n] -= opt.lr * (m[n] / (1.0 - opt.beta1**t)) / (
+                    np.sqrt(v[n] / (1.0 - opt.beta2**t)) + opt.eps)
+            for n in shapes:
+                assert np.array_equal(arrays[n], ref[n]), n
+                assert arrays[n] is opt.arrays[n] and np.shares_memory(arrays[n], opt.flat)
+
     def test_spec_defaults(self):
         config = training.TrainConfig()
         assert config.learning_rate == 1e-3
@@ -160,49 +182,62 @@ class TestTraining:
 
 
 class TestAlternationIsolation:
-    def test_generator_nodes_are_unreached_constants(self, tiny_dataset, monkeypatch):
-        # after the first detector step's backward, no gen.* node of its
-        # graph requires a gradient, and none was given a gradient buffer
-        graphs = []
-        original = training._graph_nodes
+    def test_each_step_binds_only_what_it_reads(self, tiny_dataset, monkeypatch):
+        # the detector graph binds no gen.* parameter and every parameter it
+        # binds is reached; the adversary step binds the generator as leaves
+        # and the encoder and classifier as constants, nothing else
+        leaves, frozen = [], []
+        original_leaves = training._leaves
+        original_losses = training._adversary_losses
 
-        def recording(bundle, groups):
-            graph, tracked = original(bundle, groups)
-            graphs.append((groups, graph))
-            return graph, tracked
+        def recording_leaves(arrays):
+            nodes = original_leaves(arrays)
+            leaves.append(nodes)
+            return nodes
+
+        def recording_losses(params, *args):
+            frozen.append(params)
+            return original_losses(params, *args)
 
         class Stop(Exception):
             pass
 
         def stop(self, grads):
-            raise Stop
+            if any(name.startswith("gen.") for name in grads):
+                raise Stop
+            return original_step(self, grads)
 
-        monkeypatch.setattr(training, "_graph_nodes", recording)
+        original_step = training.Adam.step
+        monkeypatch.setattr(training, "_leaves", recording_leaves)
+        monkeypatch.setattr(training, "_adversary_losses", recording_losses)
         monkeypatch.setattr(training.Adam, "step", stop)
         with pytest.raises(Stop):
             training.train(tiny_config(mode="spinshield"), tiny_dataset)
-        [detector] = [graph for groups, graph in graphs if groups == ("enc", "head")]
+        generator, detector = leaves
+        assert sorted(generator) == ["gen.b1", "gen.b2", "gen.w1", "gen.w2"]
+        assert sorted(detector) == ["enc.b1", "enc.b2", "enc.w1", "enc.w2", "head.bg", "head.bq1",
+                                    "head.bq2", "head.wg", "head.wq1", "head.wq2"]
         for name, node in detector.items():
-            if name.startswith("gen."):
-                assert not node.requires_grad and node._grad is None, name
-            else:
-                assert node.requires_grad and node._grad is not None, name
+            assert node.requires_grad and node._grad is not None, name
+        [adversary] = frozen
+        assert sorted(adversary) == ["enc.b1", "enc.b2", "enc.w1", "enc.w2", "head.bg", "head.wg"]
+        assert not any(node.requires_grad for node in adversary.values())
 
     def test_non_finite_gradient_aborts(self, tiny_dataset, monkeypatch):
         tracked_maps = []
-        original_nodes = training._graph_nodes
+        original_leaves = training._leaves
         original_backward = ad.backward
 
-        def recording(bundle, groups):
-            graph, tracked = original_nodes(bundle, groups)
+        def recording(arrays):
+            tracked = original_leaves(arrays)
             tracked_maps.append(tracked)
-            return graph, tracked
+            return tracked
 
         def poisoned(loss):
             original_backward(loss)
             tracked_maps[-1]["enc.w2"].grad[0, 0] = np.nan
 
-        monkeypatch.setattr(training, "_graph_nodes", recording)
+        monkeypatch.setattr(training, "_leaves", recording)
         monkeypatch.setattr(training.ad, "backward", poisoned)
         with pytest.raises(NumericalAbort, match=r"gradient of enc\.w2 is non-finite at step 0"):
             training.train(tiny_config(mode="baseline"), tiny_dataset)
@@ -247,9 +282,14 @@ class TestAlternationIsolation:
         y = np.array([0, 1] * (b // 2))
         bundle = md.init_bundle(input_width=m * t, n_bins=t // 2 + 1, hidden=6, feature_dim=4,
                                 gen_hidden=5, domain_hidden=3, seed=4)
-        gen_graph, _ = training._graph_nodes(bundle, ("gen",))
+        arrays = md.named_arrays(bundle)
+        gen_graph = training._leaves({n: a for n, a in arrays.items() if n.startswith("gen.")})
         x_env = md.lsa_views(amps, phases, t, gen_graph, bundle.generator.alpha, bundle.delta)[0].value
         weights = LossWeights()
+
+        def stacked(graph):
+            z_clean, z_env = (ad.standardized(x, md.STANDARDIZE_EPS)[0] for x in (x_clean, x_env))
+            return training._detector_losses(graph, z_clean, z_env, y, weights)[-1]
 
         def per_view(graph):
             def encode(x):
@@ -282,9 +322,9 @@ class TestAlternationIsolation:
             return obj.total_loss(l_det, l_sym, ad.add(l_disc, l_blind), weights)
 
         grads = []
-        for build in (lambda g: training._detector_losses(g, x_clean, x_env, y, weights)[-1], per_view):
-            graph, tracked = training._graph_nodes(bundle, ("enc", "head"))
-            loss = build(graph)
+        for build in (stacked, per_view):
+            tracked = training._leaves({n: a for n, a in arrays.items() if n.startswith(("enc.", "head."))})
+            loss = build(tracked)
             ad.backward(loss)
             grads.append((float(loss.value), {n: node.grad for n, node in tracked.items()}))
         (value, stacked), (ref_value, reference) = grads
