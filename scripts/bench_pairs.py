@@ -2,14 +2,16 @@
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \
         --workload train --seeds 60 61 62 63 64 65 66 67 68 69 \
-        --trace-seed 7 --parent-label "abc1234 (the parent commit)" --out BENCH_7.json
+        --trace-seed 7 --out BENCH_7.json
 
-Each run is ``python3 perfbench/run.py --workload W --seed S --seconds N --trace T``
-in a fresh process, started from a fresh copy of its side's files, so that
-both sides run from the same kind of directory on the same disk.  Pair i runs
-the parent first when i is even and the change first when i is odd.  With
+Each run is ``python3 perfbench/run.py --workload W --seed S --seconds N
+--trace T``, with N the ``run_seconds`` of the change's ``BENCHMARK.json``, in
+a fresh process, started from a fresh copy of its side's files, so that both
+sides run from the same kind of directory on the same disk. Pair i runs the
+parent first when i is even and the change first when i is odd. With
 ``--trace-seed``, each workload also gets one traced run per side (parent
-first).  The output records every run with its seed, side and order, a
+first). The output names each side's commit (or its path, when the checkout is
+not a git repository) and records every run with its seed, side and order, a
 median/quartile summary of each end-to-end metric named in the change's
 ``BENCHMARK.json``, the BLAS thread settings and the numpy and BLAS versions.
 """
@@ -91,6 +93,12 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def _label(root: Path) -> str:
+    proc = subprocess.run(["git", "-C", str(root), "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True, check=False)
+    return proc.stdout.strip() if proc.returncode == 0 else str(root)
+
+
 def _cpu_model() -> str:
     try:
         for line in Path("/proc/cpuinfo").read_text(encoding="utf-8").splitlines():
@@ -120,21 +128,21 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
-    parser.add_argument("--seconds", type=float, default=32.0)
     parser.add_argument("--trace-seed", type=int, help="also one traced run per side and workload")
-    parser.add_argument("--parent-label", default="the parent commit")
     parser.add_argument("--scratch", type=Path, default=Path(tempfile.gettempdir()),
                         help="where the per-run copies are made")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = declared["run_seconds"]
 
     doc = {
         "what": "Alternating parent/change pairs of `python3 perfbench/run.py --workload W --seed S "
-                f"--seconds {args.seconds:g} --trace T`, each run in a fresh process from a copy of its "
+                f"--seconds {seconds:g} --trace T`, each run in a fresh process from a copy of its "
                 "side's files; pair i runs the parent first when i is even and the change first when i is odd.",
-        "parent": args.parent_label,
+        "parent": _label(roots["parent"]),
+        "change": _label(roots["change"]),
         "environment": _environment(),
         "workloads": {},
         "traced": [],
@@ -144,7 +152,7 @@ def main(argv: list[str]) -> int:
         for pair, seed in enumerate(args.seeds):
             sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for order, side in enumerate(sides):
-                run = _run(roots[side], workload, seed, args.seconds, 0, args.scratch)
+                run = _run(roots[side], workload, seed, seconds, 0, args.scratch)
                 runs.append({"pair": pair, "seed": seed, "side": side, "order": order, **run})
                 print(f"{workload} pair {pair} seed {seed} {side}: exit {run['exit_code']} "
                       f"{json.dumps(run['metrics'])}", file=sys.stderr, flush=True)
@@ -157,7 +165,7 @@ def main(argv: list[str]) -> int:
         }
         if args.trace_seed is not None:
             for order, side in enumerate(("parent", "change")):
-                run = _run(roots[side], workload, args.trace_seed, args.seconds, 1, args.scratch)
+                run = _run(roots[side], workload, args.trace_seed, seconds, 1, args.scratch)
                 doc["traced"].append({"workload": workload, "seed": args.trace_seed, "side": side,
                                       "order": order, "correct": run["correct"], "failed": run["failed"],
                                       "metrics": run["metrics"]})

@@ -136,7 +136,8 @@ def load_config(path: Path) -> TrainConfig:
 class Adam:
     """Adaptive moment optimizer over a named set of parameter arrays, copied
     into one flat buffer so that a step is one update over it.  The caller's
-    dict is repointed at views of the buffer: read the parameters through it."""
+    dict is repointed at views of the buffer: read the parameters through it,
+    since the arrays it held before are no longer trained."""
 
     def __init__(
         self,
@@ -158,12 +159,12 @@ class Adam:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
 
-    def flatten(self, grads: Mapping[str, FloatArray]) -> FloatArray:
-        """One gradient per parameter, laid out as the buffer."""
-        return np.concatenate([np.ravel(grads[name]) for name in self.arrays])
-
     def step(self, grads: Mapping[str, FloatArray]) -> None:
-        g = self.flatten(grads)
+        """One update from a gradient per parameter.  A non-finite gradient
+        raises FloatingPointError and changes nothing."""
+        g = np.concatenate([np.ravel(grads[name]) for name in self.arrays])
+        if not np.isfinite(g).all():
+            raise FloatingPointError("non-finite gradient")
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
@@ -235,9 +236,10 @@ def _adam_step(opt: Adam, tracked: dict[str, Node], step: int) -> None:
     gradient, or a parameter the step made non-finite, aborts the run.  Each
     check runs once over the whole group and names the parameter on failure."""
     grads = {name: node.grad for name, node in tracked.items()}
-    if not np.isfinite(opt.flatten(grads)).all():
-        raise NumericalAbort(f"gradient of {_first_non_finite(grads)} is non-finite at step {step}")
-    opt.step(grads)
+    try:
+        opt.step(grads)
+    except FloatingPointError:
+        raise NumericalAbort(f"gradient of {_first_non_finite(grads)} is non-finite at step {step}") from None
     if not np.isfinite(opt.flat).all():
         raise NumericalAbort(
             f"parameter {_first_non_finite(opt.arrays)} is non-finite after the Adam step at step {step}"
@@ -385,6 +387,7 @@ def train(
     # the bundle's parameters are views of the optimizers' buffers from here on
     md.set_named_arrays(bundle, {**det_opt.arrays, **gen_opt.arrays})
     arrays = md.named_arrays(bundle)
+    assert all(arrays[n] is a for opt in (det_opt, gen_opt) for n, a in opt.arrays.items())
 
     batch_rng = _run_rng(config.seed, _STREAM_BATCH)
     naive_rng = _run_rng(config.seed, _STREAM_NAIVE)

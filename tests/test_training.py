@@ -101,6 +101,17 @@ class TestAdam:
                 assert np.array_equal(arrays[n], ref[n]), n
                 assert arrays[n] is opt.arrays[n] and np.shares_memory(arrays[n], opt.flat)
 
+    def test_non_finite_gradient_changes_nothing(self):
+        arrays = {"w": np.ones((2, 2)), "b": np.zeros(2)}
+        opt = training.Adam(arrays, lr=0.1)
+        opt.step({"w": np.ones((2, 2)), "b": np.ones(2)})
+        before = (opt.flat.copy(), opt.m.copy(), opt.v.copy(), opt.t)
+        with pytest.raises(FloatingPointError):
+            opt.step({"w": np.ones((2, 2)), "b": np.array([1.0, np.inf])})
+        after = (opt.flat, opt.m, opt.v, opt.t)
+        for a, b in zip(before, after):
+            assert np.array_equal(a, b)
+
     def test_spec_defaults(self):
         config = training.TrainConfig()
         assert config.learning_rate == 1e-3
