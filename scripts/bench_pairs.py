@@ -14,12 +14,20 @@ first). The output names each side's commit (or its path, when the checkout is
 not a git repository) and records every run with its seed, side and order, a
 median/quartile summary of each end-to-end metric named in the change's
 ``BENCHMARK.json``, the BLAS thread settings and the numpy and BLAS versions.
+
+Each metric's summary also states two verdicts.  ``worse_shift`` is the
+change's median relative to the parent's, signed so that a positive value is
+a move in the metric's worse direction; ``within_bound`` says whether it is at
+most the metric's ``bound``.  ``gain`` says whether the change is better in at
+least 9 of every 10 pairs and its median is better than the parent's by more
+than the parent's interquartile range.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import shutil
@@ -83,12 +91,21 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
         if len(both) < 2:
             continue
         better = sum(1 for a, b in both if (b < a if lower else b > a))
+        parent, change = _spread([a for a, _ in both]), _spread([b for _, b in both])
+        worse_by = change["median"] - parent["median"] if lower else parent["median"] - change["median"]
+        if parent["median"]:
+            shift = worse_by / abs(parent["median"])
+        else:  # any move away from a zero median is an unbounded relative shift
+            shift = math.copysign(math.inf, worse_by) if worse_by else 0.0
         out[name] = {
-            "parent": _spread([a for a, _ in both]),
-            "change": _spread([b for _, b in both]),
+            "parent": parent,
+            "change": change,
             "change_better_in": better,
             "ties": sum(1 for a, b in both if a == b),
             "pairs": len(both),
+            "worse_shift": shift,
+            "within_bound": shift <= metric["bound"],
+            "gain": 10 * better >= 9 * len(both) and -worse_by > parent["q3"] - parent["q1"],
         }
     return out
 

@@ -109,6 +109,8 @@ class EvalReport:
 
     @staticmethod
     def from_dict(data: dict) -> "EvalReport":
+        if not isinstance(data, dict):
+            raise DataFormatError("report must be a JSON object")
         if data.get("format") != REPORT_FORMAT:
             raise DataFormatError(f"unknown report format {data.get('format')!r}")
         try:

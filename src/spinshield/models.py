@@ -346,6 +346,8 @@ def load_bundle(path: Path) -> ModelBundle:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"bad checkpoint JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: checkpoint must be a JSON object")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(f"{path}: unknown checkpoint format {doc.get('format')!r}")
     try:

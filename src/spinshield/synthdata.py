@@ -17,6 +17,12 @@ bin (pure amplitude, fragile) and the cross-patch coherence of the flip
 reads only amplitudes collapses when the shortcut bin is suppressed; one that
 reads the coherent structure does not.  That contrast is what the training
 harness measures.
+
+Each clip draws from its own counter-based Philox stream, keyed by the spec
+seed and the clip index, so its numbers do not depend on how clips are
+grouped.  Generation draws every clip's numbers in a fixed order, then runs
+the arithmetic over chunks of clips as (c, M, T) stacks, element for element
+as it would run on one clip: the signals are the same bits at any chunk size.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ import numpy as np
 
 from . import clipio
 from .errors import DataFormatError
-from .parallel import parallel_map
 from .spectral import DEFAULT_FPS, FloatArray, PatchSignalClip
 
 PHASE_SLOPE_RANGE = 0.15  # radians per patch-grid step
@@ -40,6 +45,10 @@ PHASE_SLOPE_RANGE = 0.15  # radians per patch-grid step
 # the shortcut bin, so the absolute level there is uninformative and only the
 # planted excess separates the classes
 TEXTURE_AMPLITUDE = (0.20, 0.45)
+
+# clips per generation chunk: bounds the (c, M, T) temporaries whatever
+# n_clips is; even, so that every chunk starts on a fake
+_GENERATE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -101,85 +110,70 @@ def _clip_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _flip_profiles(
-    spec: DatasetSpec, label: int, t0: int, rng: np.random.Generator
-) -> FloatArray:
-    """Per-patch multipliers carrying the coherence cue.
-
-    Fakes invert the leading component from the shared frame t0 onward.  Reals
-    invert one side (early or late, alternating) of per-patch flip frames that
-    stratify the same range, which matches the per-patch amplitude-spectrum
-    marginals while the patch-mean profile cancels.
-    """
-    m, t_len = spec.patches, spec.frames
-    t = np.arange(t_len)
-    factor = 1.0 - 2.0 * spec.phase_cue_strength
-    if label == 1:
-        return np.where(t[None, :] >= t0, factor, 1.0) * np.ones((m, 1))
+def _generate_chunk(spec: DatasetSpec, start: int, stop: int) -> list[LabeledClip]:
+    """Clips start..stop-1; start is even, so fakes sit at the chunk's even offsets."""
+    m, t_len, c = spec.patches, spec.frames, stop - start
     lo, hi = t_len // 4, 3 * t_len // 4
+    texture = range(max(1, spec.shortcut_bin - 1), min(t_len // 2 - 1, spec.shortcut_bin + 1) + 1)
+    # one run of uniform draws per clip, in stream order: (psi, slope_r, slope_c)
+    # per base component, (c_k, rho per patch) per texture bin, (chi, chi_r, chi_c)
+    turn, slope = (0.0, 2.0 * np.pi), (-PHASE_SLOPE_RANGE, PHASE_SLOPE_RANGE)
+    ranges = np.array([turn, slope, slope] * len(spec.base_bins)
+                      + [TEXTURE_AMPLITUDE, *[turn] * m] * len(texture) + [turn, slope, slope])
+    base_level, draws, noise = np.empty((c, m)), np.empty((c, len(ranges))), np.empty((c, m, t_len))
+    t0, order = np.empty(c, dtype=np.int64), np.tile(np.arange(m), (c, 1))  # order: a real's patch shuffle
+    for j, index in enumerate(range(start, stop)):
+        rng = _clip_rng(spec.seed, index)
+        base_level[j] = rng.uniform(spec.base_level_range[0], spec.base_level_range[1], size=m)
+        # all stochastic choices are drawn regardless of label so that with both
+        # cues switched off the two populations are literally identical
+        t0[j] = rng.integers(lo, hi + 1)
+        if index % 2 == 1 and spec.phase_cue_strength != 0.0:
+            order[j] = rng.permutation(m)
+        draws[j] = rng.random(len(ranges))
+        noise[j] = rng.normal(0.0, spec.noise_std, size=(m, t_len))
+    # Generator.uniform's own formula, so the scaled run equals scalar draws bit for bit
+    u = ranges[:, 0] + (ranges[:, 1] - ranges[:, 0]) * draws
+    k = 3 * len(spec.base_bins)
+    component = u[:, :k].reshape(c, -1, 3)
+    tex = u[:, k:-3].reshape(c, len(texture), 1 + m)
+    chi = u[:, -3:]
+    _, cols = _patch_grid_shape(m)
+    pr, pc, t = np.arange(m) // cols, np.arange(m) % cols, np.arange(t_len)
+
+    def wave(bin_k: int, phases: FloatArray) -> FloatArray:
+        return np.sin(2.0 * np.pi * bin_k * t / t_len + phases[:, :, None])
+
+    def plane(p: FloatArray) -> FloatArray:
+        return p[:, 0:1] + p[:, 1:2] * pr + p[:, 2:3] * pc
+
+    # the coherence cue: fakes invert the leading component from the shared
+    # frame t0 onward; reals invert one side (early or late, alternating) of
+    # per-patch flip frames that stratify the same range, which matches the
+    # per-patch amplitude-spectrum marginals while the patch-mean profile cancels
     strat_t0 = lo + (np.arange(m) * (hi - lo + 1)) // m
-    late_side = np.arange(m) % 2 == 0
-    order = rng.permutation(m)
-    t0_m = strat_t0[order]
-    late_m = late_side[order]
-    late_mask = t[None, :] >= t0_m[:, None]
-    segment = np.where(late_m[:, None], late_mask, ~late_mask)
-    return np.where(segment, factor, 1.0)
+    flip_t0, late = strat_t0[order], (np.arange(m) % 2 == 0)[order]
+    flip_t0[::2], late[::2] = t0[::2, None], True
+    flip = np.where((t >= flip_t0[:, :, None]) == late[:, :, None], 1.0 - 2.0 * spec.phase_cue_strength, 1.0)
 
-
-def generate_clip(spec: DatasetSpec, index: int) -> LabeledClip:
-    """One clip; fake labels land on even indices so any prefix stays balanced."""
-    label = 1 if index % 2 == 0 else 0
-    rng = _clip_rng(spec.seed, index)
-    m, t_len = spec.patches, spec.frames
-    rows, cols = _patch_grid_shape(m)
-    pr = np.arange(m) // cols
-    pc = np.arange(m) % cols
-    t = np.arange(t_len)
-
-    base_level = rng.uniform(spec.base_level_range[0], spec.base_level_range[1], size=m)
-    signals = np.tile(base_level[:, None], (1, t_len))
-
-    # all stochastic choices are drawn regardless of label so that with both
-    # cues switched off the two populations are literally identical
-    t0 = int(rng.integers(t_len // 4, 3 * t_len // 4 + 1))
-    flip = _flip_profiles(spec, label, t0, rng) if spec.phase_cue_strength != 0.0 else None
-
+    signals = np.repeat(base_level[:, :, None], t_len, axis=2)
     for i, (amp, bin_k) in enumerate(zip(spec.base_amplitudes, spec.base_bins)):
-        psi = rng.uniform(0.0, 2.0 * np.pi)
-        slope_r = rng.uniform(-PHASE_SLOPE_RANGE, PHASE_SLOPE_RANGE)
-        slope_c = rng.uniform(-PHASE_SLOPE_RANGE, PHASE_SLOPE_RANGE)
-        phases = psi + slope_r * pr + slope_c * pc
-        wave = np.sin(2.0 * np.pi * bin_k * t[None, :] / t_len + phases[:, None])
-        if i == 0 and flip is not None:
-            wave = wave * flip
-        signals += amp * wave
-
+        w = wave(bin_k, plane(component[:, i]))
+        signals += amp * (w * flip if i == 0 else w)
     # texture around the shortcut bin, identical in distribution for both classes
-    nyquist = t_len // 2
-    lo_amp, hi_amp = TEXTURE_AMPLITUDE
-    for bin_k in range(max(1, spec.shortcut_bin - 1), min(nyquist - 1, spec.shortcut_bin + 1) + 1):
-        c_k = rng.uniform(lo_amp, hi_amp)
-        rho = rng.uniform(0.0, 2.0 * np.pi, size=m)
-        signals += c_k * np.sin(2.0 * np.pi * bin_k * t[None, :] / t_len + rho[:, None])
-
-    chi = rng.uniform(0.0, 2.0 * np.pi)
-    chi_r = rng.uniform(-PHASE_SLOPE_RANGE, PHASE_SLOPE_RANGE)
-    chi_c = rng.uniform(-PHASE_SLOPE_RANGE, PHASE_SLOPE_RANGE)
-    if label == 1:
-        shortcut_phase = chi + chi_r * pr + chi_c * pc
-        signals += spec.shortcut_amplitude * np.sin(
-            2.0 * np.pi * spec.shortcut_bin * t[None, :] / t_len + shortcut_phase[:, None]
-        )
-
-    signals += rng.normal(0.0, spec.noise_std, size=(m, t_len))
-    clip = PatchSignalClip(signals=signals, fps=DEFAULT_FPS)
-    return LabeledClip(clip=clip, y=label, provenance={"index": index, "t0": t0})
+    for b, bin_k in enumerate(texture):
+        signals += tex[:, b, 0, None, None] * wave(bin_k, tex[:, b, 1:])
+    signals[::2] += spec.shortcut_amplitude * wave(spec.shortcut_bin, plane(chi[::2]))
+    signals += noise
+    return [LabeledClip(clip=PatchSignalClip(signals=signals[j], fps=DEFAULT_FPS), y=1 - index % 2,
+                        provenance={"index": index, "t0": t0_j})
+            for j, (index, t0_j) in enumerate(zip(range(start, stop), t0.tolist()))]
 
 
 def generate_dataset(spec: DatasetSpec) -> list[LabeledClip]:
-    """Balanced dataset, deterministic in the spec seed, ceil(n/2) fakes."""
-    return parallel_map(lambda i: generate_clip(spec, i), range(spec.n_clips))
+    """Balanced dataset, deterministic in the spec seed, ceil(n/2) fakes on even indices."""
+    starts = range(0, spec.n_clips, _GENERATE_CHUNK)
+    return [lc for a in starts for lc in _generate_chunk(spec, a, min(a + _GENERATE_CHUNK, spec.n_clips))]
 
 
 def phase_cue_statistic(clip: PatchSignalClip, component_bin: int = 1) -> float:

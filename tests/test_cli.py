@@ -214,6 +214,17 @@ class TestMalformedInputs:
         assert code == 2
         assert "train config" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("doc", [[1, 2], "x"])
+    def test_non_object_checkpoint_is_data_error(self, pipeline, tmp_path, capsys, doc):
+        _, manifest, _ = pipeline
+        checkpoint, out = tmp_path / "m.ckpt", tmp_path / "r.json"
+        checkpoint.write_text(json.dumps(doc))
+        code = cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(manifest), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "must be a JSON object" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("command", ["gen-data", "gen-data --spec", "train", "train --config",
                                          "eval", "sweep", "adaptive", "features"])

@@ -117,6 +117,13 @@ class TestEvaluateUnderAttacks:
         with pytest.raises(DataFormatError, match="format"):
             evaluation.EvalReport.load(path)
 
+    @pytest.mark.parametrize("doc", [[1, 2], "x"])
+    def test_non_object_report_rejected(self, tmp_path, doc):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="must be a JSON object"):
+            evaluation.EvalReport.load(path)
+
     def test_inference_is_single_stream(self, small_world, monkeypatch):
         bundle, dataset = small_world
         calls = {"n": 0}
@@ -233,6 +240,13 @@ class TestAdaptiveAttack:
         out = evaluation.adaptive_attack_suite(bundle, dataset[:10], steps=3)
         assert 0.0 <= out["auc"] <= 1.0
         assert len(out["scores"]) == 10
+
+    def test_thread_count_does_not_change_result(self, small_world, monkeypatch):
+        bundle, dataset = small_world
+        serial = evaluation.adaptive_attack_suite(bundle, dataset[:8], steps=3)
+        monkeypatch.setenv("SPINSHIELD_THREADS", "4")
+        threaded = evaluation.adaptive_attack_suite(bundle, dataset[:8], steps=3)
+        assert threaded == serial
 
 
 class TestDumpFeatures:

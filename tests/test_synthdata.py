@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -194,8 +197,6 @@ class TestDatasetFiles:
             sd.load_clips(tmp_path / "nowhere" / "manifest.json")
 
     def test_bad_label_rejected(self, tmp_path):
-        import json
-
         spec = sd.DatasetSpec(n_clips=2, seed=6)
         clips = sd.generate_dataset(spec)
         manifest = sd.save_dataset(clips, spec, tmp_path / "ds")
@@ -205,10 +206,44 @@ class TestDatasetFiles:
         with pytest.raises((DataFormatError, ValueError)):
             sd.load_clips(manifest)
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        spec = sd.DatasetSpec(n_clips=16, seed=13)
-        serial = sd.generate_dataset(spec)
-        monkeypatch.setenv("SPINSHIELD_THREADS", "4")
-        threaded = sd.generate_dataset(spec)
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.clip.signals, b.clip.signals)
+
+class TestGoldenDataset:
+    """Generation is bit-for-bit stable across commits, not only within one.
+
+    Each digest is the sha256 of a dataset's signal bytes (little-endian
+    float64, clip by clip), then the JSON of its labels, then the JSON of its
+    provenance.  The specs cover the default clip; a spec that draws no
+    permutation; odd T, a non-square patch grid and clipped texture bins; and
+    a clip count that is odd and ends in a partial generation chunk.  A
+    rewrite of the generator that claims to be bit for bit must leave them
+    unchanged.  The digests hold for one numpy build (numpy 2.4.6 on x86-64).
+    """
+
+    SPECS = {
+        "default": sd.DatasetSpec(seed=0, n_clips=600),
+        "no_phase_cue": sd.DatasetSpec(seed=1, n_clips=300, phase_cue_strength=0.0),
+        "odd_frames": sd.DatasetSpec(seed=2, n_clips=300, frames=15, patches=6, shortcut_bin=6,
+                                     phase_cue_strength=3.0),
+        "ragged_chunk": sd.DatasetSpec(seed=3, n_clips=601),
+    }
+    DIGESTS = {
+        "default": "f64f47452b9422904b547c9ac7673e1407a3273dea8363081456d55c78248be1",
+        "no_phase_cue": "45d30dc2d1daa416935c8d08c60ccee159fb1191fa316436bc74bc51cefd3717",
+        "odd_frames": "a55d1899599feaf5c54647b11759ed89db9c7f1639dc736363270bfea8b9d044",
+        "ragged_chunk": "d69adf8ec722fb79c6ef429da2a73088af60d70379f8ea21b22db5c42572cb4c",
+    }
+
+    def test_ragged_spec_ends_in_a_partial_chunk(self):
+        n = self.SPECS["ragged_chunk"].n_clips
+        assert n % 2 == 1 and n % sd._GENERATE_CHUNK != 0 and n > sd._GENERATE_CHUNK
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_signals_labels_and_provenance_are_pinned(self, name):
+        clips = sd.generate_dataset(self.SPECS[name])
+        digest = hashlib.sha256()
+        for lc in clips:
+            digest.update(np.ascontiguousarray(lc.clip.signals, dtype="<f8").tobytes())
+        digest.update(json.dumps([lc.y for lc in clips]).encode())
+        digest.update(json.dumps([lc.provenance for lc in clips]).encode())
+        assert digest.hexdigest() == self.DIGESTS[name]
+        assert all(type(v) is int for lc in clips for v in (lc.y, *lc.provenance.values()))
