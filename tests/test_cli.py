@@ -225,7 +225,6 @@ class TestMalformedInputs:
         assert "must be a JSON object" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
-
     @pytest.mark.parametrize("command", ["gen-data", "gen-data --spec", "train", "train --config",
                                          "eval", "sweep", "adaptive", "features"])
     def test_negative_seed_is_data_error(self, pipeline, tmp_path, capsys, command):
