@@ -1,0 +1,65 @@
+"""Digests of the acceptance core's training, for full-size bit-for-bit checks.
+
+    python3 scripts/train_digest.py --seeds 0 7
+
+For each seed this trains the acceptance core at full size (the default
+4000-clip dataset; baseline 10 epochs, naive_aug 12, spinshield 25, as in
+``tests/test_acceptance.py``), then runs the notch sweep of the baseline and
+spinshield detectors over the test split.  It prints one line per seed with
+three sha256 digests: of the parameters (little-endian float64, each mode's
+arrays in ``named_arrays`` order), of the log rows (JSON) and of the sweep
+rows (JSON).  A change that claims to keep training bit for bit must print
+the same lines as its parent.  The program is imported from the ``src``
+directory beside this script, so a copy of the script in another checkout
+digests that checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from spinshield import evaluation as ev  # noqa: E402
+from spinshield import models as md  # noqa: E402
+from spinshield import synthdata as sd  # noqa: E402
+from spinshield import training as tr  # noqa: E402
+
+EPOCHS = {"baseline": 10, "naive_aug": 12, "spinshield": 25}
+
+
+def seed_digests(seed: int) -> dict[str, str]:
+    spec = sd.DatasetSpec(seed=seed)
+    dataset = sd.generate_dataset(spec)
+    _, _, test_idx = tr.split_indices(spec.n_clips, seed)
+    test = [dataset[i] for i in test_idx]
+    digests = {name: hashlib.sha256() for name in ("params", "log", "sweeps")}
+    bundles = {}
+    for mode, epochs in EPOCHS.items():
+        result = tr.train(tr.TrainConfig(mode=mode, epochs=epochs, seed=seed), dataset)
+        bundles[mode] = result.bundle
+        for arr in md.named_arrays(result.bundle).values():
+            digests["params"].update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        digests["log"].update(json.dumps(result.log_rows).encode())
+    for mode in ("baseline", "spinshield"):
+        digests["sweeps"].update(json.dumps(ev.notch_sweep(bundles[mode], test)).encode())
+    return {name: digest.hexdigest() for name, digest in digests.items()}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = parser.parse_args()
+    for seed in args.seeds:
+        digests = seed_digests(seed)
+        print(f"seed {seed} " + " ".join(f"{name} {hexdigest}" for name, hexdigest in digests.items()), flush=True)
+
+
+if __name__ == "__main__":
+    main()

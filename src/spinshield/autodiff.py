@@ -14,6 +14,12 @@ contribution is stored as it is and later ones are added out of place, so the
 engine never writes into an array another node may hold.  Leaves accumulate
 across repeated backward calls, so callers reset them with :func:`zero_grad`
 when reusing nodes.
+
+Graphs are built by inference (scoring through constant nodes), by the
+white-box attack, which backpropagates to its modulation field, and by the
+graph forms of the objectives.  Training builds none: its step kernels call
+the plain-array products that the ops here share (:func:`standardize_vjp`,
+:func:`softmax_vjp`, :func:`cross_entropy_parts`, :func:`cross_entropy_vjp`).
 """
 
 from __future__ import annotations
@@ -221,14 +227,16 @@ def standardize_rows(x: Node, eps: float) -> Node:
         raise ValueError("standardize_rows expects a 2-d matrix")
     val, inv_std = standardized(x.value, eps)
     out = Node(val, (x,))
-
-    def _backward(g: FloatArray) -> None:
-        # gradient at the centered rows, then projected onto zero-mean rows
-        g_centered = inv_std * (g - val * (g * val).mean(axis=1, keepdims=True))
-        _accumulate(x, g_centered - g_centered.mean(axis=1, keepdims=True))
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(x, standardize_vjp(val, inv_std, g))
     return out
+
+
+def standardize_vjp(val: FloatArray, inv_std: FloatArray, g: FloatArray) -> FloatArray:
+    """The vector-Jacobian product of :func:`standardized` at the rows it
+    returned, ``val`` and ``inv_std``, for the output gradient ``g``."""
+    # gradient at the centered rows, then projected onto zero-mean rows
+    g_centered = inv_std * (g - val * (g * val).mean(axis=1, keepdims=True))
+    return g_centered - g_centered.mean(axis=1, keepdims=True)
 
 
 def row_slice(a: Node, start: int, stop: int) -> Node:
@@ -319,13 +327,13 @@ def softmax(a: Node) -> Node:
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
     out = Node(p, (a,))
-
-    def _backward(g: FloatArray) -> None:
-        dot = np.sum(g * p, axis=1, keepdims=True)
-        _accumulate(a, p * (g - dot))
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(a, softmax_vjp(p, g))
     return out
+
+
+def softmax_vjp(p: FloatArray, g: FloatArray) -> FloatArray:
+    """The vector-Jacobian product of the row softmax ``p`` for its gradient ``g``."""
+    return p * (g - np.sum(g * p, axis=1, keepdims=True))
 
 
 def sum_all(a: Node) -> Node:
@@ -414,19 +422,28 @@ def cross_entropy_with_logits(logits: Node, labels: npt.ArrayLike) -> Node:
         raise ValueError(f"cross_entropy_with_logits: shapes {z.shape} and {y.shape}")
     if np.any(y < 0) or np.any(y >= z.shape[1]):
         raise ValueError("labels out of range")
-    shifted = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    losses = lse - shifted[np.arange(z.shape[0]), y]
+    losses, p = cross_entropy_parts(z, y)
     out = Node(losses, (logits,))
-
-    def _backward(g: FloatArray) -> None:
-        e = np.exp(shifted)
-        p = e / e.sum(axis=1, keepdims=True)
-        p[np.arange(z.shape[0]), y] -= 1.0
-        _accumulate(logits, p * g[:, None])
-
-    out._backward = _backward
+    out._backward = lambda g: _accumulate(logits, cross_entropy_vjp(p, y, g[:, None]))
     return out
+
+
+def cross_entropy_parts(z: FloatArray, labels: np.ndarray) -> tuple[FloatArray, FloatArray]:
+    """Per-row cross entropy of the logits ``z`` against integer labels, in
+    fused log-sum-exp form, and the row softmax of ``z``."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    losses = np.log(e.sum(axis=1)) - shifted[np.arange(z.shape[0]), labels]
+    return losses, e / e.sum(axis=1, keepdims=True)
+
+
+def cross_entropy_vjp(p: FloatArray, labels: np.ndarray, g: "FloatArray | float") -> FloatArray:
+    """The gradient at the logits of :func:`cross_entropy_parts` with softmax
+    ``p``, for a loss gradient ``g`` per row (a ``(B, 1)`` column) or one
+    scalar for every row."""
+    d = p.copy()
+    d[np.arange(p.shape[0]), labels] -= 1.0
+    return d * g
 
 
 def grl(a: Node) -> Node:

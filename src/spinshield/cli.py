@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import attacks as atk
 from . import clipio, evaluation, synthdata, training
 from . import models as md
@@ -221,7 +223,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help exits through here with code 0
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # a non-finite value ends the command as a numerical abort, with no
+        # floating-point warnings on stderr before the one-line message
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,11 @@
 """Toy Siamese encoder, classifier and domain heads, and the spectral adversary.
 
-Every forward pass is expressed through the autodiff graph so that training and
-inference share one code path; the plain-array wrapper :func:`lsa_perturb` just
-binds constants and reads values back out.
+The forward passes here build autodiff graphs.  Inference (scoring, the
+white-box attack, feature dumps), the plain-array wrapper :func:`lsa_perturb`
+and the tests use them.  Training runs the same layers in plain arrays in the
+step kernels of :mod:`spinshield.training`, which share this module's
+closed-form pieces: :func:`lsa_modulate` and its vector-Jacobian product, and
+:func:`recompose_adjoint`.
 """
 
 from __future__ import annotations
@@ -216,24 +219,48 @@ def recompose_rows(amp: Node, phase: FloatArray | ComplexArray, window: int) -> 
     """Differentiable wrapper over the spectral inverse kernel.
 
     Forward applies :func:`spinshield.spectral.inverse_phasor`, which equals
-    :func:`spinshield.spectral.inverse_stack` for a canonical phase; with the
-    phase held fixed the map from amplitude to signal is linear, and the
-    backward pass applies its adjoint via an rFFT of the incoming gradient.
-    Both use the one phasor ``exp(i phase)``.  ``phase`` is the rows' phase,
-    or that phasor itself (a complex array), which a caller that recomposes
-    the same rows many times builds once.
+    :func:`spinshield.spectral.inverse_stack` for a canonical phase; backward
+    applies :func:`recompose_adjoint`.  Both use the one phasor
+    ``exp(i phase)``.  ``phase`` is the rows' phase, or that phasor itself (a
+    complex array), which a caller that recomposes the same rows many times
+    builds once.
     """
-    grid = FrequencyGrid(window)
     phasor = phase if np.iscomplexobj(phase) else np.exp(1j * np.asarray(phase, dtype=np.float64))
+    return ad.custom(
+        inverse_phasor(amp.value, phasor, window), (amp,), lambda g: (recompose_adjoint(g, phasor, window),)
+    )
+
+
+def recompose_adjoint(g: FloatArray, phasor: ComplexArray, window: int) -> FloatArray:
+    """The vector-Jacobian product at the amplitude rows of
+    :func:`recompose_rows`: with the phase held fixed the map from amplitude
+    to signal is linear, and this is its adjoint, via an rFFT of the signal
+    rows' gradient ``g``."""
+    grid = FrequencyGrid(window)
     coef = np.full(grid.n_bins, 2.0 / window)
     coef[0] = 1.0 / window
     if grid.has_nyquist:
         coef[-1] = 1.0 / window
+    return coef[None, :] * np.real(phasor * np.conj(np.fft.rfft(g, axis=1)))
 
-    def _vjp(g: FloatArray) -> tuple[FloatArray]:
-        return (coef[None, :] * np.real(phasor * np.conj(np.fft.rfft(g, axis=1))),)
 
-    return ad.custom(inverse_phasor(amp.value, phasor, window), (amp,), _vjp)
+def lsa_modulate(
+    amplitude: FloatArray, field: FloatArray, alpha: float, delta: float
+) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
+    """The adversary's new amplitude from its raw field, ``amplitude *
+    exp(alpha tanh(field))``, so that ``|log m| <= alpha``.  Returns
+    ``tanh(field)``, the new amplitude, the mask's denominator
+    ``amplitude + delta`` and the modulation mask."""
+    squashed = np.tanh(field)
+    new_amp = amplitude * np.exp(squashed * alpha)
+    denom = amplitude + delta
+    return squashed, new_amp, denom, new_amp / denom
+
+
+def lsa_modulate_vjp(g: FloatArray, squashed: FloatArray, new_amp: FloatArray, alpha: float) -> FloatArray:
+    """The gradient at the raw field of :func:`lsa_modulate`'s new amplitude,
+    for that amplitude's gradient ``g``."""
+    return g * new_amp * alpha * (1.0 - squashed * squashed)
 
 
 def lsa_perturb_graph(
@@ -255,14 +282,11 @@ def lsa_perturb_graph(
     """
     amplitude = np.asarray(amplitude, dtype=np.float64)
     field = generator_field(ad.const(norm_amplitude), p)
-    # new amplitude = amplitude * exp(alpha tanh(field)), so |log m| <= alpha
-    squashed = np.tanh(field.value)
-    new_amp_value = amplitude * np.exp(squashed * alpha)
+    squashed, new_amp_value, denom, mask_value = lsa_modulate(amplitude, field.value, alpha, delta)
     new_amp = ad.custom(
-        new_amp_value, (field,), lambda g: (g * new_amp_value * alpha * (1.0 - squashed * squashed),)
+        new_amp_value, (field,), lambda g: (lsa_modulate_vjp(g, squashed, new_amp_value, alpha),)
     )
-    denom = amplitude + delta
-    mask = ad.custom(new_amp.value / denom, (new_amp,), lambda g: (g / denom,))
+    mask = ad.custom(mask_value, (new_amp,), lambda g: (g / denom,))
     signals = recompose_rows(new_amp, phase, window)
     return signals, mask
 

@@ -1,8 +1,10 @@
 """Losses: cross entropy, MMD, mask regularizer, minimax objectives, invariance terms.
 
-All functions build autodiff graphs so they can sit on either side of the
-alternating optimization; plain arrays are accepted anywhere a constant input
-is fine and are wrapped on entry.
+The loss functions build autodiff graphs; plain arrays are accepted anywhere
+a constant input is fine and are wrapped on entry.  The ``*_with_vjp``
+functions are the closed forms of the MMD, the symmetric KL and the paired
+displacement over plain arrays, shared by their graph ops and the training
+step kernels.
 """
 
 from __future__ import annotations
@@ -104,17 +106,26 @@ def mmd(
     The estimator is mean k(a,a') + mean k(b,b') - 2 mean k(a,b), which is
     non-negative and exactly zero for identical sets.  The cross term is
     computed in both orders and summed so the value is bitwise symmetric in
-    its arguments.  One node, with the closed-form vector-Jacobian product.
+    its arguments.  One node, with the closed-form vector-Jacobian product
+    of :func:`mmd_with_vjp`.
     """
     a = _as_matrix(features_a)
     b = _as_matrix(features_b)
-    if a.value.shape[0] == 0 or b.value.shape[0] == 0:
+    value, vjp = mmd_with_vjp(a.value, b.value, kernel)
+    return ad.custom(value, (a, b), vjp)
+
+
+def mmd_with_vjp(
+    av: FloatArray, bv: FloatArray, kernel: KernelSpec = KernelSpec()
+) -> tuple[float, Callable[[float], tuple[FloatArray, FloatArray]]]:
+    """:func:`mmd` over two feature matrices as plain arrays: its value, and
+    the map from the value's gradient to the gradients at ``av`` and ``bv``."""
+    if av.shape[0] == 0 or bv.shape[0] == 0:
         raise ValueError("mmd requires non-empty feature sets")
-    if a.value.shape[1] != b.value.shape[1]:
+    if av.shape[1] != bv.shape[1]:
         raise ValueError("feature dimensions differ")
-    sigma = resolve_bandwidth(a.value, b.value, kernel)
+    sigma = resolve_bandwidth(av, bv, kernel)
     inv_two_sq = 1.0 / (2.0 * sigma * sigma)
-    av, bv = a.value, b.value
     na, nb = av.shape[0], bv.shape[0]
     sq_a, sq_b = np.sum(av * av, axis=1), np.sum(bv * bv, axis=1)
 
@@ -128,7 +139,7 @@ def mmd(
         (k_ab.sum() + k_ba.sum()) * (1.0 / (na * nb))
     )
 
-    def _vjp(g: FloatArray) -> tuple[FloatArray, FloatArray]:
+    def vjp(g: float) -> tuple[FloatArray, FloatArray]:
         # d k(u_i, u_j) / d u_i = -2 inv_two_sq k(u_i, u_j) (u_i - u_j) over the
         # union u = [a; b], with each block's coefficient in one weight matrix
         cross = (k_ab + k_ba.T) * (-1.0 / (na * nb))
@@ -140,7 +151,7 @@ def mmd(
         grad = (union * weights.sum(axis=1)[:, None] - weights @ union) * (-2.0 * inv_two_sq * g)
         return grad[:na], grad[na:]
 
-    return ad.custom(value, (a, b), _vjp)
+    return value, vjp
 
 
 def _mask_node(mask: "Node | ModulationMask") -> Node:
@@ -261,20 +272,29 @@ def paired_displacement(h_clean: Node, h_env: Node) -> Node:
     views, it sees env views that have merely traded places with other clips'
     clean views.
     """
-    if h_clean.value.shape != h_env.value.shape:
+    value, vjp = paired_displacement_with_vjp(h_clean.value, h_env.value)
+    return ad.custom(value, (h_clean, h_env), vjp)
+
+
+def paired_displacement_with_vjp(
+    h_clean: FloatArray, h_env: FloatArray
+) -> tuple[float, Callable[[float], tuple[FloatArray, FloatArray]]]:
+    """:func:`paired_displacement` over plain arrays: its value, and the map
+    from the value's gradient to the gradients at both views."""
+    if h_clean.shape != h_env.shape:
         raise ValueError("paired views must have the same shape")
-    diff = h_clean.value - h_env.value
+    diff = h_clean - h_env
     # the batch mean enters as a constant: the rows of (h - mean) sum to zero,
     # so the spread's gradient is the same as with the mean differentiated
-    centered = h_clean.value - h_clean.value.mean(axis=0, keepdims=True)
+    centered = h_clean - h_clean.mean(axis=0, keepdims=True)
     shift = np.mean(diff * diff)
     spread = np.mean(centered * centered)
 
-    def _vjp(g: FloatArray) -> tuple[FloatArray, FloatArray]:
+    def vjp(g: float) -> tuple[FloatArray, FloatArray]:
         g_diff = diff * (2.0 * g / (diff.size * spread))
         return g_diff - centered * (2.0 * g * shift / (diff.size * spread * spread)), -g_diff
 
-    return ad.custom(shift / spread, (h_clean, h_env), _vjp)
+    return shift / spread, vjp
 
 
 def encoder_blindness_loss(
@@ -307,21 +327,31 @@ def symmetric_kl(
     """
     p = _as_matrix(p_clean)
     q = _as_matrix(p_env)
-    if p.value.shape != q.value.shape:
+    value, vjp = symmetric_kl_with_vjp(p.value, q.value, floor)
+    return ad.custom(value, (p, q), vjp)
+
+
+def symmetric_kl_with_vjp(
+    p: FloatArray, q: FloatArray, floor: float = PROB_FLOOR
+) -> tuple[float, Callable[[float], tuple[FloatArray, FloatArray]]]:
+    """:func:`symmetric_kl` over two matrices of distributions as plain
+    arrays: its value, and the map from the value's gradient to the gradients
+    at ``p`` and ``q``."""
+    if p.shape != q.shape:
         raise ValueError("distribution shapes differ")
-    pf = np.maximum(p.value, floor)
-    qf = np.maximum(q.value, floor)
+    pf = np.maximum(p, floor)
+    qf = np.maximum(q, floor)
     diff = pf - qf
     log_ratio = np.log(pf) - np.log(qf)
-    half_mean = 0.5 / p.value.shape[0]
+    half_mean = 0.5 / p.shape[0]
 
-    def _vjp(g: FloatArray) -> tuple[FloatArray, FloatArray]:
+    def vjp(g: float) -> tuple[FloatArray, FloatArray]:
         c = g * half_mean
         # the floor passes a gradient only where it does not clamp
-        return ((log_ratio + diff / pf) * (p.value > floor) * c,
-                (-log_ratio - diff / qf) * (q.value > floor) * c)
+        return ((log_ratio + diff / pf) * (p > floor) * c,
+                (-log_ratio - diff / qf) * (q > floor) * c)
 
-    return ad.custom(np.sum(diff * log_ratio) * half_mean, (p, q), _vjp)
+    return np.sum(diff * log_ratio) * half_mean, vjp
 
 
 def total_loss(l_det: Node, l_sym: Node, l_blind: Node, weights: LossWeights) -> Node:

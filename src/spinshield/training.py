@@ -5,6 +5,10 @@ the adversary frozen; every R-th batch the adversary takes a step maximizing
 its own objective with the detector frozen.  All randomness flows from the
 config seed through counter-based streams, so identical configs reproduce
 identical parameters bit for bit.
+
+Each step is a closed-form kernel that forwards and backwards the step's
+operations by hand in plain arrays, so no autodiff graph is built per batch.
+The kernels give bit for bit the gradients of the engine over the same graph.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -20,10 +24,9 @@ from . import autodiff as ad
 from . import models as md
 from . import objectives as obj
 from .attacks import DEFAULT_EPS0, DEFAULT_NOISE_SIGMA
-from .autodiff import Node
 from .errors import DataFormatError, NumericalAbort
 from .evaluation import compute_auc, score_clips
-from .spectral import ComplexArray, FloatArray, forward_stack, inverse_phasor
+from .spectral import ComplexArray, FloatArray, forward_stack, inverse_phasor, minmax_normalize
 from .synthdata import LabeledClip
 
 MODES = ("baseline", "spinshield", "naive_aug")
@@ -74,6 +77,10 @@ class TrainConfig:
             raise ValueError("alternation ratio must be >= 1")
         if self.learning_rate <= 0 or self.generator_learning_rate <= 0 or self.alpha <= 0:
             raise ValueError("learning rates and alpha must be positive")
+        if len(self.adam_betas) != 2 or not all(0.0 <= beta < 1.0 for beta in self.adam_betas):
+            raise ValueError(f"adam_betas must be two values in [0, 1), got {list(self.adam_betas)}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -216,11 +223,6 @@ def _stack_dataset(clips: list[LabeledClip]) -> tuple[FloatArray, FloatArray, Co
     return rows, amps, phasors, labels, m, t_len
 
 
-def _leaves(arrays: Mapping[str, FloatArray]) -> dict[str, Node]:
-    """A trainable graph leaf over each of an optimizer group's live arrays."""
-    return {name: Node(arr) for name, arr in arrays.items()}
-
-
 def _check_finite(value: float, what: str, step: int) -> float:
     if not np.isfinite(value):
         raise NumericalAbort(f"{what} is non-finite ({value}) at step {step}")
@@ -231,11 +233,10 @@ def _first_non_finite(arrays: Mapping[str, FloatArray]) -> str:
     return next(name for name, arr in arrays.items() if not np.isfinite(arr).all())
 
 
-def _adam_step(opt: Adam, tracked: dict[str, Node], step: int) -> None:
-    """One optimizer step on the tracked parameters' gradients; a non-finite
-    gradient, or a parameter the step made non-finite, aborts the run.  Each
-    check runs once over the whole group and names the parameter on failure."""
-    grads = {name: node.grad for name, node in tracked.items()}
+def _adam_step(opt: Adam, grads: dict[str, FloatArray], step: int) -> None:
+    """One optimizer step on a gradient per parameter; a non-finite gradient,
+    or a parameter the step made non-finite, aborts the run.  Each check runs
+    once over the whole group and names the parameter on failure."""
     try:
         opt.step(grads)
     except FloatingPointError:
@@ -246,70 +247,179 @@ def _adam_step(opt: Adam, tracked: dict[str, Node], step: int) -> None:
         )
 
 
-def _detector_losses(
-    graph: dict[str, Node],
+# The two step kernels below forward and backward each operation by hand, in
+# plain arrays.  They are the gradients the autodiff engine computes over the
+# same graph, bit for bit: every product is taken on the same operands, and a
+# value with several consumers sums their contributions in the order the
+# engine's reverse topological walk does.  The engine hands a row slice's
+# gradient back zero-padded to the full stack, so a stack gradient assembled
+# from per-view parts is ``np.concatenate(parts) + 0.0`` (which turns -0.0
+# into 0.0, as the padded sum does).
+
+
+def _tanh_backward(g: FloatArray, out: FloatArray) -> FloatArray:
+    """The gradient at the input of ``tanh`` from the one at its output ``out``."""
+    return g * (1.0 - out * out)
+
+
+def _param_grads(x: FloatArray, g: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """The gradients at the weight and bias of ``x @ w + b``."""
+    return x.T @ g, g.sum(axis=0)
+
+
+def _encoder_blindness(
+    h: FloatArray, q1: FloatArray, logits: FloatArray, disc: Mapping[str, FloatArray], g: float
+) -> tuple[float, FloatArray]:
+    """The encoder side of L_blind (:func:`objectives.encoder_blindness_loss`)
+    over the stacked clean and env features ``h``, given the discriminator's
+    forward pass over them (hidden layer ``q1``, ``logits``) with its
+    parameters ``disc`` held constant: the value, and its gradient at ``h``
+    for the value's gradient ``g``."""
+    n = len(h) // 2
+    paired, paired_vjp = obj.paired_displacement_with_vjp(h[:n], h[n:])
+    view_weights = np.full(2 * n, 1.0 / n)
+    zeros, ones = np.zeros(2 * n, dtype=np.intp), np.ones(2 * n, dtype=np.intp)
+    ce0, p0 = ad.cross_entropy_parts(logits, zeros)
+    ce1, p1 = ad.cross_entropy_parts(logits, ones)
+    confusion = np.sum((ce0 + ce1) * view_weights) * 0.5
+    # the confusion term's two cross entropies pass their gradients separately
+    g_rows = ((g * 0.5) * view_weights)[:, None]
+    g_logits = ad.cross_entropy_vjp(p0, zeros, g_rows) + ad.cross_entropy_vjp(p1, ones, g_rows)
+    g_h = _tanh_backward(g_logits @ disc["head.wq2"].T, q1) @ disc["head.wq1"].T
+    g_clean, g_env = paired_vjp(g)
+    # the paired and confusion parts sum per view before the stack is formed
+    return paired + confusion, np.concatenate([g_clean + g_h[:n], g_env + g_h[n:]]) + 0.0
+
+
+def _detector_step(
+    arrays: Mapping[str, FloatArray],
     z_clean: FloatArray,
     z_env: FloatArray | None,
     y: np.ndarray,
     weights: obj.LossWeights,
-) -> tuple[Node, Node, Node, Node, Node]:
+) -> tuple[tuple[float, float, float, float, float], dict[str, FloatArray]]:
     """The detector step's (L_det, L_sym, discriminator loss, L_blind, total)
-    over standardized clip rows; ``z_env`` is None in baseline mode, where the
-    invariance terms are 0.  ``graph`` binds the ``enc.*`` and ``head.*``
-    parameters.
+    over standardized clip rows, and the total's gradient at each of the
+    ``enc.*`` and ``head.*`` parameters in ``arrays``.  ``z_env`` is None in
+    baseline mode, where the invariance terms (and the discriminator's
+    gradients) are 0.
 
     The clean and env views run through the encoder and classifier as one
-    stack, and each copy of the discriminator runs once over both views."""
+    stack, and the discriminator runs once over both.  It learns on detached
+    features, while the encoder learns against a constant copy of it
+    (:func:`_encoder_blindness`)."""
+    a = arrays
+    n = len(z_clean)
     z = z_clean if z_env is None else np.concatenate([z_clean, z_env])
-    h = md.encoder_forward(ad.const(z), graph)
-    logits = md.classifier_logits(h, graph)
+    labels = y if z_env is None else np.concatenate([y, y])
+    h1 = np.tanh(z @ a["enc.w1"] + a["enc.b1"])
+    h = h1 @ a["enc.w2"] + a["enc.b2"]
+    logits = h @ a["head.wg"] + a["head.bg"]
+    ce, p = ad.cross_entropy_parts(logits, labels)
+    g_logits = ad.cross_entropy_vjp(p, labels, 1.0 / n)
     if z_env is None:
-        l_det = obj.detector_loss(logits, None, y)
-        l_sym = l_disc = l_blind = ad.const(0.0)
+        l_det = ce.mean()
+        l_sym = l_disc = l_blind = 0.0
+        g_h = g_logits @ a["head.wg"].T
+        grads = {name: np.zeros_like(a[name]) for name in ("head.wq1", "head.bq1", "head.wq2", "head.bq2")}
     else:
-        n = len(z_clean)
+        grads = {}
+        l_det = np.mean(ce[:n] + ce[n:])
+        l_sym, sym_vjp = obj.symmetric_kl_with_vjp(p[:n], p[n:])
+        g_softmax = np.concatenate(sym_vjp(weights.lambda_sym)) + 0.0
+        g_logits = (g_logits + 0.0) + ad.softmax_vjp(p, g_softmax)
+        # the discriminator, on features it does not pass a gradient to
+        q1 = np.tanh(h @ a["head.wq1"] + a["head.bq1"])
+        d_logits = q1 @ a["head.wq2"] + a["head.bq2"]
+        view_labels = np.repeat(np.array([0, 1], dtype=np.intp), n)
+        view_weights = np.full(2 * n, 1.0 / n)
+        d_ce, d_p = ad.cross_entropy_parts(d_logits, view_labels)
+        l_disc = np.sum(d_ce * view_weights)
+        g_d = ad.cross_entropy_vjp(d_p, view_labels, (weights.lambda_blind * view_weights)[:, None])
+        grads["head.wq2"], grads["head.bq2"] = _param_grads(q1, g_d)
+        g_q1 = _tanh_backward(g_d @ a["head.wq2"].T, q1)
+        grads["head.wq1"], grads["head.bq1"] = _param_grads(h, g_q1)
+        l_blind, g_blind = _encoder_blindness(h, q1, d_logits, a, weights.lambda_blind)
+        g_h = g_logits @ a["head.wg"].T + g_blind
+    total = l_det + (l_sym * weights.lambda_sym + (l_disc + l_blind) * weights.lambda_blind)
+    grads["enc.w2"], grads["enc.b2"] = _param_grads(h1, g_h)
+    grads["enc.w1"], grads["enc.b1"] = _param_grads(z, _tanh_backward(g_h @ a["enc.w2"].T, h1))
+    grads["head.wg"], grads["head.bg"] = _param_grads(h, g_logits)
+    return (l_det, l_sym, l_disc, l_blind, total), {name: grads[name] for name in a}
 
-        def views(node: Node) -> tuple[Node, Node]:
-            return ad.row_slice(node, 0, n), ad.row_slice(node, n, 2 * n)
 
-        h_clean, h_env = views(h)
-        l_det = obj.detector_loss(*views(logits), y)
-        l_sym = obj.symmetric_kl(*views(ad.softmax(logits)))
-        # the discriminator learns on detached features; the encoder
-        # learns against a constant copy of the discriminator
-        l_disc = obj.blindness_loss(
-            ad.const(h_clean.value), ad.const(h_env.value),
-            lambda z: md.domain_logits(z, graph, through_grl=False),
-            through_grl=False,
-        )
-        frozen = {
-            name: ad.const(node.value) for name, node in graph.items()
-            if name.startswith(("head.wq", "head.bq"))
-        }
-        l_blind = obj.encoder_blindness_loss(
-            h_clean, h_env, lambda z: md.domain_logits(z, frozen, through_grl=False)
-        )
-    total = obj.total_loss(l_det, l_sym, ad.add(l_disc, l_blind), weights)
-    return l_det, l_sym, l_disc, l_blind, total
+class _LsaViews(NamedTuple):
+    """The adversary's forward pass over a batch, rows ``(B*M, K)`` of clip
+    patches: what the detector step reads (``z_env``) and what the adversary
+    step's backward pass reads."""
+
+    norm: FloatArray  # min-max normalized amplitude, the generator's input
+    hidden: FloatArray  # the generator's tanh hidden layer
+    squashed: FloatArray  # tanh of the raw field
+    new_amp: FloatArray
+    denom: FloatArray
+    mask: FloatArray
+    phasor: ComplexArray
+    z_env: FloatArray  # the standardized env views, (B, M*T)
+    inv_std: FloatArray
 
 
-def _adversary_losses(
-    frozen: dict[str, Node],
-    env_node: Node,
-    mask_node: Node,
+def _lsa_views(
+    gen: Mapping[str, FloatArray], amp: FloatArray, phasor: ComplexArray, window: int, alpha: float,
+    delta: float,
+) -> _LsaViews:
+    """:func:`models.lsa_views` over a stack of clip spectra ``(B, M, K)``
+    and unit phasors, in plain arrays, with its intermediates."""
+    b, m, k = amp.shape
+    norm = minmax_normalize(amp).reshape(b * m, k)
+    hidden = np.tanh(norm @ gen["gen.w1"] + gen["gen.b1"])
+    field = hidden @ gen["gen.w2"] + gen["gen.b2"]
+    squashed, new_amp, denom, mask = md.lsa_modulate(amp.reshape(b * m, k), field, alpha, delta)
+    phasor = phasor.reshape(b * m, k)
+    signals = inverse_phasor(new_amp, phasor, window)
+    z_env, inv_std = ad.standardized(signals.reshape(b, m * window), md.STANDARDIZE_EPS)
+    return _LsaViews(norm, hidden, squashed, new_amp, denom, mask, phasor, z_env, inv_std)
+
+
+def _adversary_step(
+    frozen: Mapping[str, FloatArray],
+    gen: Mapping[str, FloatArray],
+    views: _LsaViews,
     z_clean: FloatArray,
     y: np.ndarray,
     weights: obj.LossWeights,
-) -> tuple[Node, Node, Node]:
+    alpha: float,
+) -> tuple[tuple[float, float, float], dict[str, FloatArray]]:
     """The adversary step's (mmd, mask_reg, L_gen) over its views and the
-    standardized clean rows, with the encoder and classifier parameters
-    (``_ADVERSARY_READS``) held in ``frozen``."""
-    h_env = md.encoder_forward(md.standardize_rows(env_node), frozen)
-    logits_env = md.classifier_logits(h_env, frozen)
-    h_clean = md.encoder_forward(ad.const(z_clean), frozen)
-    d_mmd = obj.mmd(h_clean, h_env)
-    l_gen = obj.generator_loss(logits_env, y, d_mmd, mask_node, weights)
-    return d_mmd, obj.mask_regularizer(mask_node), l_gen
+    standardized clean rows, and the gradient of ``-L_gen`` at each generator
+    parameter in ``gen``.  The encoder and classifier parameters
+    (``_ADVERSARY_READS``) are held in ``frozen``."""
+    f = frozen
+    h1_env = np.tanh(views.z_env @ f["enc.w1"] + f["enc.b1"])
+    h_env = h1_env @ f["enc.w2"] + f["enc.b2"]
+    logits = h_env @ f["head.wg"] + f["head.bg"]
+    h_clean = np.tanh(z_clean @ f["enc.w1"] + f["enc.b1"]) @ f["enc.w2"] + f["enc.b2"]
+    d_mmd, mmd_vjp = obj.mmd_with_vjp(h_clean, h_env)
+    ce, p = ad.cross_entropy_parts(logits, y)
+    dev = views.mask - 1.0
+    reg = (dev * dev).sum() * (1.0 / dev.size)
+    l_gen = (ce.mean() + d_mmd * weights.gamma) - reg * weights.lambda_mask
+
+    # backward from -L_gen
+    g_logits = ad.cross_entropy_vjp(p, y, -1.0 / len(y))
+    g_h = g_logits @ f["head.wg"].T + mmd_vjp(-weights.gamma)[1]
+    g_z = _tanh_backward(g_h @ f["enc.w2"].T, h1_env) @ f["enc.w1"].T
+    g_signals = ad.standardize_vjp(views.z_env, views.inv_std, g_z).reshape(len(views.new_amp), -1)
+    g_dev = (weights.lambda_mask * (1.0 / dev.size)) * dev  # from each factor of dev * dev
+    g_new_amp = (g_dev + g_dev) / views.denom + md.recompose_adjoint(
+        g_signals, views.phasor, g_signals.shape[1]
+    )
+    g_field = md.lsa_modulate_vjp(g_new_amp, views.squashed, views.new_amp, alpha)
+    g_hidden = _tanh_backward(g_field @ gen["gen.w2"].T, views.hidden)
+    grads = {}
+    grads["gen.w2"], grads["gen.b2"] = _param_grads(views.hidden, g_field)
+    grads["gen.w1"], grads["gen.b1"] = _param_grads(views.norm, g_hidden)
+    return (d_mmd, reg, l_gen), {name: grads[name] for name in gen}
 
 
 def naive_env_views(
@@ -410,56 +520,47 @@ def train(
             y = labels[batch]
 
             # --- detector step: adversary frozen ---------------------------------
-            # the detector step leaves the generator unchanged, so one adversary
-            # graph serves both steps: its value feeds the detector as a
-            # constant, and the adversary step backpropagates through it
+            # the detector step leaves the generator unchanged, so one
+            # adversary forward pass serves both steps: its views feed the
+            # detector, and the adversary step backpropagates through it
             if config.mode == "spinshield":
-                gen_tracked = _leaves(gen_opt.arrays)
-                env_node, mask_node = md.lsa_views(
-                    amps[batch], phasors[batch], t_len, gen_tracked, config.alpha, bundle.delta
-                )
-                x_env = env_node.value
+                views = _lsa_views(gen_opt.arrays, amps[batch], phasors[batch], t_len, config.alpha, bundle.delta)
+                z_env = views.z_env
             elif config.mode == "naive_aug":
                 x_env = naive_env_views(amps[batch], phasors[batch], t_len, naive_rng, sigma=NAIVE_SIGMA)
+                z_env = ad.standardized(x_env, md.STANDARDIZE_EPS)[0]
             else:
-                x_env = None
-            z_env = None if x_env is None else ad.standardized(x_env, md.STANDARDIZE_EPS)[0]
+                z_env = None
 
-            tracked = _leaves(det_opt.arrays)
-            l_det, l_sym, l_disc, l_blind, total = _detector_losses(
-                tracked, z_clean, z_env, y, config.weights
-            )
-            checked = ((l_det, "L_det"), (l_sym, "L_sym"), (l_disc, "discriminator loss"),
-                       (l_blind, "L_blind"), (total, "total"))
-            for node, what in checked:
-                _check_finite(node.value, what, step)
-            ad.backward(total)
-            _adam_step(det_opt, tracked, step)
+            losses, grads = _detector_step(det_opt.arrays, z_clean, z_env, y, config.weights)
+            for value, what in zip(losses, ("L_det", "L_sym", "discriminator loss", "L_blind", "total")):
+                _check_finite(value, what, step)
+            _adam_step(det_opt, grads, step)
+            l_det, l_sym, _, l_blind, total = losses
             log_rows.append({
                 "step": step, "phase": "theta",
-                "L_det": float(l_det.value), "L_sym": float(l_sym.value),
-                "L_blind": float(l_blind.value), "L_gen": None, "mmd": None,
-                "mask_reg": None, "total": float(total.value),
+                "L_det": float(l_det), "L_sym": float(l_sym),
+                "L_blind": float(l_blind), "L_gen": None, "mmd": None,
+                "mask_reg": None, "total": float(total),
             })
             step += 1
 
             # --- adversary step: detector frozen ----------------------------------
             batch_counter += 1
             if config.mode == "spinshield" and batch_counter % ratio == 0:
-                frozen = {name: ad.const(arrays[name]) for name in _ADVERSARY_READS}
-                d_mmd, reg, l_gen = _adversary_losses(
-                    frozen, env_node, mask_node, z_clean, y, config.weights
+                frozen = {name: arrays[name] for name in _ADVERSARY_READS}
+                losses, grads = _adversary_step(
+                    frozen, gen_opt.arrays, views, z_clean, y, config.weights, config.alpha
                 )
-                for node, what in ((d_mmd, "mmd"), (reg, "mask_reg"), (l_gen, "L_gen")):
-                    _check_finite(node.value, what, step)
-                loss = ad.neg(l_gen)  # ascend by minimizing the negation
-                ad.backward(loss)
-                _adam_step(gen_opt, gen_tracked, step)
+                for value, what in zip(losses, ("mmd", "mask_reg", "L_gen")):
+                    _check_finite(value, what, step)
+                _adam_step(gen_opt, grads, step)  # ascends L_gen: the gradients are of -L_gen
+                d_mmd, reg, l_gen = losses
                 log_rows.append({
                     "step": step, "phase": "phi",
                     "L_det": None, "L_sym": None, "L_blind": None,
-                    "L_gen": float(l_gen.value), "mmd": float(d_mmd.value),
-                    "mask_reg": float(reg.value), "total": float(loss.value),
+                    "L_gen": float(l_gen), "mmd": float(d_mmd),
+                    "mask_reg": float(reg), "total": float(-l_gen),
                 })
                 step += 1
 

@@ -8,6 +8,8 @@ from spinshield.autodiff import Node
 from spinshield.objectives import LossWeights
 from spinshield.spectral import forward_stack
 
+import graph_reference
+
 
 def finite_diff(fn, arrays, which, h=1e-5):
     """Central finite differences of a scalar function w.r.t. arrays[which]."""
@@ -210,37 +212,41 @@ class TestGradientWork:
     """Constants, pruned visits and lazy buffers change no gradient."""
 
     @staticmethod
-    def _step_gradients(step):
+    def _step_gradients(step, kernel):
+        # the training step's gradients from its closed-form kernel, or from
+        # the reference graph
         rng = np.random.default_rng(17)
         b, m, t = 6, 2, 8
         signals = rng.normal(size=(b, m, t))
         amps, phases = forward_stack(signals)
+        phasors = np.exp(1j * phases)
         x = signals.reshape(b, m * t)
         y = np.array([0, 1] * (b // 2))
         bundle = md.init_bundle(input_width=m * t, n_bins=t // 2 + 1, hidden=6, feature_dim=4,
                                 gen_hidden=5, domain_hidden=3, seed=4)
         arrays = md.named_arrays(bundle)
-        gen_tracked = training._leaves({n: a for n, a in arrays.items() if n.startswith("gen.")})
-        env, mask = md.lsa_views(amps, np.exp(1j * phases), t, gen_tracked,
-                                 bundle.generator.alpha, bundle.delta)
+        gen = {n: a for n, a in arrays.items() if n.startswith("gen.")}
+        alpha, delta = bundle.generator.alpha, bundle.delta
         z = ad.standardized(x, md.STANDARDIZE_EPS)[0]
         if step == "detector":
-            tracked = training._leaves({n: a for n, a in arrays.items() if n.startswith(("enc.", "head."))})
+            detector = {n: a for n, a in arrays.items() if n.startswith(("enc.", "head."))}
+            env = md.lsa_views(amps, phasors, t, graph_reference.leaves(gen), alpha, delta)[0]
             z_env = ad.standardized(env.value, md.STANDARDIZE_EPS)[0]
-            loss = training._detector_losses(tracked, z, z_env, y, LossWeights())[-1]
-        else:
-            tracked = gen_tracked
-            frozen = {n: ad.const(arrays[n]) for n in training._ADVERSARY_READS}
-            losses = training._adversary_losses(frozen, env, mask, z, y, LossWeights())
-            loss = ad.neg(losses[-1])
-        ad.backward(loss)
-        return {name: node.grad for name, node in tracked.items()}
+            run = training._detector_step if kernel else graph_reference.detector_step
+            return run(detector, z, z_env, y, LossWeights())[1]
+        frozen = {n: arrays[n] for n in training._ADVERSARY_READS}
+        if kernel:
+            views = training._lsa_views(gen, amps, phasors, t, alpha, delta)
+            return training._adversary_step(frozen, gen, views, z, y, LossWeights(), alpha)[1]
+        return graph_reference.adversary_step(frozen, gen, amps, phasors, t, z, y, LossWeights(), alpha, delta)[1]
 
     @pytest.mark.parametrize("step", ["detector", "adversary"])
     def test_training_graphs_match_every_leaf_trainable(self, step, monkeypatch):
-        pruned = self._step_gradients(step)
+        # the kernels compute only the gradients a step reads; the graph with
+        # every leaf trainable computes them all
+        pruned = self._step_gradients(step, kernel=True)
         monkeypatch.setattr(ad, "const", Node)
-        full = self._step_gradients(step)
+        full = self._step_gradients(step, kernel=False)
         assert sorted(pruned) == sorted(full)
         for name, grad in pruned.items():
             assert np.any(grad != 0.0), name

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,38 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert "train config" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("config", [
+        {"adam_betas": [1.0, 0.999]}, {"adam_betas": [0.9, 1.0]}, {"adam_betas": [0.9, 1.5]},
+        {"adam_betas": [-0.5, 0.999]}, {"adam_betas": [0.9, 0.99, 0.999]}, {"adam_eps": -1},
+        {"adam_eps": 0},
+    ])
+    def test_bad_adam_settings_are_data_errors(self, pipeline, tmp_path, capsys, config):
+        _, manifest, _ = pipeline
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"epochs": 1, **config}))
+        code = cli.main(["train", "--config", str(path), "--data", str(manifest),
+                         "--out", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "adam_" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("config", [{"learning_rate": 1e300}, {"alpha": 1e300}])
+    def test_numerical_abort_prints_one_line(self, pipeline, tmp_path, capsys, config):
+        # numpy's floating-point warnings would reach stderr before the message
+        _, manifest, _ = pipeline
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"epochs": 1, **config}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["train", "--config", str(path), "--data", str(manifest),
+                             "--out", str(tmp_path / "m.ckpt")])
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert code == 3
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical abort:"), err
 
     @pytest.mark.parametrize("doc", [[1, 2], "x"])
     def test_non_object_checkpoint_is_data_error(self, pipeline, tmp_path, capsys, doc):

@@ -14,6 +14,8 @@ from spinshield.errors import DataFormatError, NumericalAbort
 from spinshield.objectives import LossWeights
 from spinshield.spectral import forward_stack
 
+import graph_reference
+
 
 @pytest.fixture(scope="module")
 def tiny_dataset():
@@ -160,12 +162,13 @@ class TestTraining:
         assert phi_2 == phi_1 // 2
 
     def test_divergence_guard(self, tiny_dataset, monkeypatch):
-        from spinshield.autodiff import Node
+        original = training._detector_step
 
-        def poisoned(clean_logits, env_logits, labels):
-            return Node(np.nan)
+        def poisoned(*args):
+            losses, grads = original(*args)
+            return (np.nan, *losses[1:]), grads
 
-        monkeypatch.setattr(training.obj, "detector_loss", poisoned)
+        monkeypatch.setattr(training, "_detector_step", poisoned)
         with pytest.raises(NumericalAbort, match="step"):
             training.train(tiny_config(mode="baseline"), tiny_dataset)
 
@@ -194,62 +197,48 @@ class TestTraining:
 
 class TestAlternationIsolation:
     def test_each_step_binds_only_what_it_reads(self, tiny_dataset, monkeypatch):
-        # the detector graph binds no gen.* parameter and every parameter it
-        # binds is reached; the adversary step binds the generator as leaves
-        # and the encoder and classifier as constants, nothing else
-        leaves, frozen = [], []
-        original_leaves = training._leaves
-        original_losses = training._adversary_losses
-
-        def recording_leaves(arrays):
-            nodes = original_leaves(arrays)
-            leaves.append(nodes)
-            return nodes
-
-        def recording_losses(params, *args):
-            frozen.append(params)
-            return original_losses(params, *args)
+        # the detector step reads no gen.* parameter and every parameter it
+        # reads gets a gradient; the adversary step trains the generator and
+        # reads the encoder and classifier without a gradient, nothing else
+        detector, adversary = [], []
+        original_detector = training._detector_step
+        original_adversary = training._adversary_step
 
         class Stop(Exception):
             pass
 
-        def stop(self, grads):
-            if any(name.startswith("gen.") for name in grads):
-                raise Stop
-            return original_step(self, grads)
+        def recording_detector(arrays, *args):
+            losses, grads = original_detector(arrays, *args)
+            detector.append((sorted(arrays), grads))
+            return losses, grads
 
-        original_step = training.Adam.step
-        monkeypatch.setattr(training, "_leaves", recording_leaves)
-        monkeypatch.setattr(training, "_adversary_losses", recording_losses)
-        monkeypatch.setattr(training.Adam, "step", stop)
+        def recording_adversary(frozen, gen, *args):
+            adversary.append((sorted(frozen), sorted(gen), original_adversary(frozen, gen, *args)[1]))
+            raise Stop
+
+        monkeypatch.setattr(training, "_detector_step", recording_detector)
+        monkeypatch.setattr(training, "_adversary_step", recording_adversary)
         with pytest.raises(Stop):
             training.train(tiny_config(mode="spinshield"), tiny_dataset)
-        generator, detector = leaves
-        assert sorted(generator) == ["gen.b1", "gen.b2", "gen.w1", "gen.w2"]
-        assert sorted(detector) == ["enc.b1", "enc.b2", "enc.w1", "enc.w2", "head.bg", "head.bq1",
-                                    "head.bq2", "head.wg", "head.wq1", "head.wq2"]
-        for name, node in detector.items():
-            assert node.requires_grad and node._grad is not None, name
-        [adversary] = frozen
-        assert sorted(adversary) == ["enc.b1", "enc.b2", "enc.w1", "enc.w2", "head.bg", "head.wg"]
-        assert not any(node.requires_grad for node in adversary.values())
+        [(read, grads)] = detector
+        assert read == ["enc.b1", "enc.b2", "enc.w1", "enc.w2", "head.bg", "head.bq1",
+                        "head.bq2", "head.wg", "head.wq1", "head.wq2"]
+        assert sorted(grads) == read
+        for name, grad in grads.items():
+            assert np.any(grad != 0.0), name
+        [(frozen, generator, gen_grads)] = adversary
+        assert frozen == ["enc.b1", "enc.b2", "enc.w1", "enc.w2", "head.bg", "head.wg"]
+        assert generator == sorted(gen_grads) == ["gen.b1", "gen.b2", "gen.w1", "gen.w2"]
 
     def test_non_finite_gradient_aborts(self, tiny_dataset, monkeypatch):
-        tracked_maps = []
-        original_leaves = training._leaves
-        original_backward = ad.backward
+        original = training._detector_step
 
-        def recording(arrays):
-            tracked = original_leaves(arrays)
-            tracked_maps.append(tracked)
-            return tracked
+        def poisoned(*args):
+            losses, grads = original(*args)
+            grads["enc.w2"][0, 0] = np.nan
+            return losses, grads
 
-        def poisoned(loss):
-            original_backward(loss)
-            tracked_maps[-1]["enc.w2"].grad[0, 0] = np.nan
-
-        monkeypatch.setattr(training, "_leaves", recording)
-        monkeypatch.setattr(training.ad, "backward", poisoned)
+        monkeypatch.setattr(training, "_detector_step", poisoned)
         with pytest.raises(NumericalAbort, match=r"gradient of enc\.w2 is non-finite at step 0"):
             training.train(tiny_config(mode="baseline"), tiny_dataset)
 
@@ -294,13 +283,10 @@ class TestAlternationIsolation:
         bundle = md.init_bundle(input_width=m * t, n_bins=t // 2 + 1, hidden=6, feature_dim=4,
                                 gen_hidden=5, domain_hidden=3, seed=4)
         arrays = md.named_arrays(bundle)
-        gen_graph = training._leaves({n: a for n, a in arrays.items() if n.startswith("gen.")})
+        gen_graph = graph_reference.leaves({n: a for n, a in arrays.items() if n.startswith("gen.")})
         x_env = md.lsa_views(amps, phases, t, gen_graph, bundle.generator.alpha, bundle.delta)[0].value
         weights = LossWeights()
-
-        def stacked(graph):
-            z_clean, z_env = (ad.standardized(x, md.STANDARDIZE_EPS)[0] for x in (x_clean, x_env))
-            return training._detector_losses(graph, z_clean, z_env, y, weights)[-1]
+        detector = {n: a for n, a in arrays.items() if n.startswith(("enc.", "head."))}
 
         def per_view(graph):
             def encode(x):
@@ -332,19 +318,96 @@ class TestAlternationIsolation:
             l_blind = ad.add(obj.paired_displacement(h_clean, h_env), confusion)
             return obj.total_loss(l_det, l_sym, ad.add(l_disc, l_blind), weights)
 
-        grads = []
-        for build in (stacked, per_view):
-            tracked = training._leaves({n: a for n, a in arrays.items() if n.startswith(("enc.", "head."))})
-            loss = build(tracked)
-            ad.backward(loss)
-            grads.append((float(loss.value), {n: node.grad for n, node in tracked.items()}))
-        (value, stacked), (ref_value, reference) = grads
+        z_clean, z_env = (ad.standardized(x, md.STANDARDIZE_EPS)[0] for x in (x_clean, x_env))
+        losses, stacked = training._detector_step(detector, z_clean, z_env, y, weights)
+        value = losses[-1]
+        tracked = graph_reference.leaves(detector)
+        loss = per_view(tracked)
+        ad.backward(loss)
+        ref_value, reference = float(loss.value), {n: node.grad for n, node in tracked.items()}
         assert value == pytest.approx(ref_value, rel=1e-12)
         assert sorted(stacked) == sorted(reference)
         for name, grad in stacked.items():
             scale = float(np.max(np.abs(reference[name])))
             assert scale > 0.0, name
             assert float(np.max(np.abs(grad - reference[name]))) <= 1e-12 * scale, name
+
+
+class TestStepKernels:
+    """The closed-form step kernels give every loss and gradient of the
+    reference graph bit for bit, at every step of real training runs."""
+
+    @staticmethod
+    def _assert_equal(got, want):
+        losses, grads = got
+        ref_losses, ref_grads = want
+        assert len(losses) == len(ref_losses)
+        for value, ref in zip(losses, ref_losses):
+            assert np.array_equal(value, ref), (value, ref)
+        assert list(grads) == list(ref_grads)
+        for name, grad in grads.items():
+            assert grad.shape == ref_grads[name].shape, name
+            assert np.array_equal(grad, ref_grads[name]), name
+
+    def _run(self, monkeypatch, config, dataset):
+        seen = {"detector": [], "adversary": 0, "views": 0}
+        last_views = {}
+        detector_step, adversary_step, lsa_views = (
+            training._detector_step, training._adversary_step, training._lsa_views)
+
+        def check_views(gen, amp, phasor, window, alpha, delta):
+            views = lsa_views(gen, amp, phasor, window, alpha, delta)
+            last_views.update(gen=gen, amp=amp, phasor=phasor, window=window, alpha=alpha, delta=delta)
+            env, mask = md.lsa_views(amp, phasor, window, graph_reference.leaves(gen), alpha, delta)
+            assert np.array_equal(views.z_env, ad.standardized(env.value, md.STANDARDIZE_EPS)[0])
+            assert np.array_equal(views.mask, mask.value)
+            seen["views"] += 1
+            return views
+
+        def check_detector(arrays, z_clean, z_env, y, weights):
+            got = detector_step(arrays, z_clean, z_env, y, weights)
+            self._assert_equal(got, graph_reference.detector_step(arrays, z_clean, z_env, y, weights))
+            seen["detector"].append(len(y))
+            return got
+
+        def check_adversary(frozen, gen, views, z_clean, y, weights, alpha):
+            got = adversary_step(frozen, gen, views, z_clean, y, weights, alpha)
+            v = last_views
+            ref = graph_reference.adversary_step(frozen, gen, v["amp"], v["phasor"], v["window"],
+                                                 z_clean, y, weights, v["alpha"], v["delta"])
+            self._assert_equal(got, ref)
+            seen["adversary"] += 1
+            return got
+
+        monkeypatch.setattr(training, "_lsa_views", check_views)
+        monkeypatch.setattr(training, "_detector_step", check_detector)
+        monkeypatch.setattr(training, "_adversary_step", check_adversary)
+        training.train(config, dataset)
+        return seen
+
+    @pytest.mark.parametrize("mode", training.MODES)
+    def test_every_mode_with_a_partial_last_batch(self, tiny_dataset, monkeypatch, mode):
+        # 96 training clips in batches of 40: the last batch of each epoch has 16
+        seen = self._run(monkeypatch, tiny_config(mode=mode, epochs=1, batch_size=40), tiny_dataset)
+        assert seen["detector"] == [40, 40, 16]
+        assert seen["adversary"] == seen["views"] == (3 if mode == "spinshield" else 0)
+
+    def test_odd_frames_have_no_nyquist_bin(self, monkeypatch):
+        dataset = sd.generate_dataset(sd.DatasetSpec(n_clips=120, frames=15, patches=6, shortcut_bin=6,
+                                                     phase_cue_strength=3.0, seed=31))
+        seen = self._run(monkeypatch, tiny_config(mode="spinshield", epochs=1), dataset)
+        assert seen["adversary"] == 3
+
+    def test_two_detector_steps_per_adversary_step(self, tiny_dataset, monkeypatch):
+        config = tiny_config(mode="spinshield", epochs=2, batch_size=16, detector_steps_per_generator_step=2)
+        seen = self._run(monkeypatch, config, tiny_dataset)
+        assert len(seen["detector"]) == seen["views"] == 12 and seen["adversary"] == 6
+
+    @pytest.mark.parametrize("ablation", ["lambda_sym", "lambda_blind"])
+    def test_ablations(self, tiny_dataset, monkeypatch, ablation):
+        config = tiny_config(mode="spinshield", epochs=1, weights=LossWeights(**{ablation: 0.0}))
+        seen = self._run(monkeypatch, config, tiny_dataset)
+        assert seen["adversary"] == 3
 
 
 class TestDomainConfusion:
@@ -441,12 +504,12 @@ class TestDomainConfusion:
             captured.update({n: g.copy() for n, g in grads.items()})
             raise Stop
 
-        original = obj.encoder_blindness_loss
+        original = training._encoder_blindness
         with monkeypatch.context() as patch:
             patch.setattr(training.Adam, "step", capture)
             patch.setattr(
-                training.obj, "encoder_blindness_loss",
-                lambda c, e, d: ad.scale(original(c, e, d), encoder_scale),
+                training, "_encoder_blindness",
+                lambda *args: tuple(part * encoder_scale for part in original(*args)),
             )
             with pytest.raises(Stop):
                 training.train(tiny_config(mode="spinshield", weights=weights), dataset)
