@@ -267,6 +267,12 @@ def _param_grads(x: FloatArray, g: FloatArray) -> tuple[FloatArray, FloatArray]:
     return x.T @ g, g.sum(axis=0)
 
 
+def _encode(z: FloatArray, p: Mapping[str, FloatArray]) -> tuple[FloatArray, FloatArray]:
+    """The encoder's tanh hidden layer and features for standardized rows ``z``."""
+    hidden = np.tanh(z @ p["enc.w1"] + p["enc.b1"])
+    return hidden, hidden @ p["enc.w2"] + p["enc.b2"]
+
+
 def _encoder_blindness(
     h: FloatArray, q1: FloatArray, logits: FloatArray, disc: Mapping[str, FloatArray], g: float
 ) -> tuple[float, FloatArray]:
@@ -312,8 +318,7 @@ def _detector_step(
     n = len(z_clean)
     z = z_clean if z_env is None else np.concatenate([z_clean, z_env])
     labels = y if z_env is None else np.concatenate([y, y])
-    h1 = np.tanh(z @ a["enc.w1"] + a["enc.b1"])
-    h = h1 @ a["enc.w2"] + a["enc.b2"]
+    h1, h = _encode(z, a)
     logits = h @ a["head.wg"] + a["head.bg"]
     ce, p = ad.cross_entropy_parts(logits, labels)
     g_logits = ad.cross_entropy_vjp(p, labels, 1.0 / n)
@@ -395,10 +400,9 @@ def _adversary_step(
     parameter in ``gen``.  The encoder and classifier parameters
     (``_ADVERSARY_READS``) are held in ``frozen``."""
     f = frozen
-    h1_env = np.tanh(views.z_env @ f["enc.w1"] + f["enc.b1"])
-    h_env = h1_env @ f["enc.w2"] + f["enc.b2"]
+    h1_env, h_env = _encode(views.z_env, f)
     logits = h_env @ f["head.wg"] + f["head.bg"]
-    h_clean = np.tanh(z_clean @ f["enc.w1"] + f["enc.b1"]) @ f["enc.w2"] + f["enc.b2"]
+    h_clean = _encode(z_clean, f)[1]
     d_mmd, mmd_vjp = obj.mmd_with_vjp(h_clean, h_env)
     ce, p = ad.cross_entropy_parts(logits, y)
     dev = views.mask - 1.0
