@@ -6,12 +6,15 @@ For each seed this trains the acceptance core at full size (the default
 4000-clip dataset; baseline 10 epochs, naive_aug 12, spinshield 25, as in
 ``tests/test_acceptance.py``), then runs the notch sweep of the baseline and
 spinshield detectors over the test split.  It prints one line per seed with
-three sha256 digests: of the parameters (little-endian float64, each mode's
-arrays in ``named_arrays`` order), of the log rows (JSON) and of the sweep
-rows (JSON).  A change that claims to keep training bit for bit must print
-the same lines as its parent.  The program is imported from the ``src``
-directory beside this script, so a copy of the script in another checkout
-digests that checkout.
+four sha256 digests: of the parameters (little-endian float64, each mode's
+arrays in ``named_arrays`` order), of the log rows (JSON), of the sweep rows
+(JSON), and of the baseline and spinshield detectors' other inference outputs
+over the test split: the attack-suite report and its replay (JSON), the
+white-box attack on the first ``ADAPTIVE_LIMIT`` test clips (JSON) and the
+feature dump (the CSV's bytes).  A change that claims to keep training or
+inference bit for bit must print the same lines as its parent.  The program
+is imported from the ``src`` directory beside this script, so a copy of the
+script in another checkout digests that checkout.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,7 @@ from spinshield import synthdata as sd  # noqa: E402
 from spinshield import training as tr  # noqa: E402
 
 EPOCHS = {"baseline": 10, "naive_aug": 12, "spinshield": 25}
+ADAPTIVE_LIMIT = 40
 
 
 def seed_digests(seed: int) -> dict[str, str]:
@@ -39,7 +44,7 @@ def seed_digests(seed: int) -> dict[str, str]:
     dataset = sd.generate_dataset(spec)
     _, _, test_idx = tr.split_indices(spec.n_clips, seed)
     test = [dataset[i] for i in test_idx]
-    digests = {name: hashlib.sha256() for name in ("params", "log", "sweeps")}
+    digests = {name: hashlib.sha256() for name in ("params", "log", "sweeps", "inference")}
     bundles = {}
     for mode, epochs in EPOCHS.items():
         result = tr.train(tr.TrainConfig(mode=mode, epochs=epochs, seed=seed), dataset)
@@ -49,6 +54,15 @@ def seed_digests(seed: int) -> dict[str, str]:
         digests["log"].update(json.dumps(result.log_rows).encode())
     for mode in ("baseline", "spinshield"):
         digests["sweeps"].update(json.dumps(ev.notch_sweep(bundles[mode], test)).encode())
+    for mode in ("baseline", "spinshield"):
+        report = ev.evaluate_under_attacks(bundles[mode], test)
+        for doc in (report.to_dict(), ev.replay_report(report, bundles[mode], test).to_dict(),
+                    ev.adaptive_attack_suite(bundles[mode], test[:ADAPTIVE_LIMIT])):
+            digests["inference"].update(json.dumps(doc).encode())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "features.csv"
+            ev.dump_features(bundles[mode], test, path)
+            digests["inference"].update(path.read_bytes())
     return {name: digest.hexdigest() for name, digest in digests.items()}
 
 

@@ -15,11 +15,11 @@ engine never writes into an array another node may hold.  Leaves accumulate
 across repeated backward calls, so callers reset them with :func:`zero_grad`
 when reusing nodes.
 
-Graphs are built by inference (scoring through constant nodes), by the
-white-box attack, which backpropagates to its modulation field, and by the
-graph forms of the objectives.  Training builds none: its step kernels call
-the plain-array products that the ops here share (:func:`standardize_vjp`,
-:func:`softmax_vjp`, :func:`cross_entropy_parts`, :func:`cross_entropy_vjp`).
+The program builds no graph: its closed-form kernels call the plain-array
+products that the ops here share (:func:`standardized`, :func:`standardize_vjp`,
+:func:`softmax_rows`, :func:`softmax_vjp`, :func:`cross_entropy_parts`,
+:func:`cross_entropy_vjp`).  Graphs are the tests' reference for those kernels
+bit for bit, and carry the gradient checks against finite differences.
 """
 
 from __future__ import annotations
@@ -323,12 +323,16 @@ def softmax(a: Node) -> Node:
     """Row-wise softmax of a 2-d logits matrix."""
     if a.value.ndim != 2:
         raise ValueError("softmax expects a 2-d logits matrix")
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = softmax_rows(a.value)
     out = Node(p, (a,))
     out._backward = lambda g: _accumulate(a, softmax_vjp(p, g))
     return out
+
+
+def softmax_rows(z: FloatArray) -> FloatArray:
+    """The row-wise softmax of a 2-d logits matrix."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def softmax_vjp(p: FloatArray, g: FloatArray) -> FloatArray:

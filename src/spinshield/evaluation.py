@@ -2,8 +2,9 @@
 adaptive attack, feature dumps, and the serializable evaluation report.
 
 Inference is single-stream: every score comes from the clean-view path
-(standardize, encode, classify); the adversary and env views never run here
-except inside the adaptive attack's own perturbation search.
+(standardize, encode, classify) of the model's plain forward, and the
+adversary runs only for the env features of :func:`dump_features`.  The
+white-box attack backpropagates by hand, so no autodiff graph is built here.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import numpy as np
 from . import attacks as atk
 from . import autodiff as ad
 from . import models as md
-from .autodiff import Node
 from .errors import DataFormatError, NumericalAbort
 from .parallel import parallel_map
-from .spectral import FloatArray, FrequencyGrid, PatchSignalClip, forward_stack, inverse_stack
+from .spectral import (ComplexArray, FloatArray, FrequencyGrid, PatchSignalClip, forward_stack, inverse_phasor,
+                       inverse_stack)
 from .synthdata import LabeledClip
 
 DEFAULT_ADAPTIVE_BUDGET = math.log(2.0)
@@ -51,10 +52,9 @@ def compute_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def _clean_path(bundle: md.ModelBundle, x: FloatArray) -> tuple[FloatArray, FloatArray]:
     """Features and fake-probabilities for a stack of flat clips."""
-    p = md.const_params(bundle)
-    h = md.encoder_forward(md.standardize_rows(ad.const(x)), p)
-    probs = ad.softmax(md.classifier_logits(h, p))
-    return h.value, probs.value
+    p = md.named_arrays(bundle)
+    h = md.encode(ad.standardized(np.asarray(x, dtype=np.float64), md.STANDARDIZE_EPS)[0], p)[1]
+    return h, ad.softmax_rows(md.classify(h, p))
 
 
 def score_clips(bundle: md.ModelBundle, clips: list[PatchSignalClip] | FloatArray) -> np.ndarray:
@@ -275,6 +275,30 @@ def write_sweep_csv(rows: list[dict], path: Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _attack_objective(
+    p: dict, amp: FloatArray, phasor: ComplexArray, window: int, y: int, u: FloatArray, want_grad: bool
+) -> tuple[float, FloatArray | None]:
+    """The cross entropy of label ``y`` for the clip with amplitude ``amp *
+    exp(u)`` and unit phasors ``phasor``, and (if ``want_grad``) its gradient
+    at the log-amplitude field ``u``."""
+    scale = np.exp(u)
+    signals = inverse_phasor(amp * scale, phasor, window)
+    z, inv_std = ad.standardized(signals.reshape(1, -1), md.STANDARDIZE_EPS)
+    hidden, h = md.encode(z, p)
+    labels = np.array([y])
+    ce, probs = ad.cross_entropy_parts(md.classify(h, p), labels)
+    value = ce.mean()
+    if not np.isfinite(value):
+        raise NumericalAbort("adaptive attack objective became non-finite")
+    if not want_grad:
+        return float(value), None
+    g_h = ad.cross_entropy_vjp(probs, labels, 1.0) @ p["head.wg"].T
+    grad = (md.amplitude_vjp(g_h, p, hidden, z, inv_std, phasor) * amp) * scale
+    if not np.all(np.isfinite(grad)):
+        raise NumericalAbort("adaptive attack gradient became non-finite")
+    return float(value), grad
+
+
 def adaptive_attack(
     bundle: md.ModelBundle,
     labeled: LabeledClip,
@@ -293,35 +317,19 @@ def adaptive_attack(
     amp, phase = forward_stack(clip.signals)
     phasor = np.exp(1j * phase)
     window = clip.frame_count
-    params = md.const_params(bundle)
+    p = md.named_arrays(bundle)
     step_size = 2.5 * budget / steps
-
-    def objective(u: FloatArray, want_grad: bool) -> tuple[float, FloatArray | None]:
-        u_node = Node(u)
-        new_amp = ad.mul(ad.const(amp), ad.exp(u_node))
-        x = ad.reshape(md.recompose_rows(new_amp, phasor, window), (1, amp.shape[0] * window))
-        h = md.encoder_forward(md.standardize_rows(x), params)
-        logits = md.classifier_logits(h, params)
-        ce = ad.mean_all(ad.cross_entropy_with_logits(logits, np.array([y])))
-        if not np.isfinite(ce.value):
-            raise NumericalAbort("adaptive attack objective became non-finite")
-        if not want_grad:
-            return float(ce.value), None
-        ad.backward(ce)
-        if not np.all(np.isfinite(u_node.grad)):
-            raise NumericalAbort("adaptive attack gradient became non-finite")
-        return float(ce.value), u_node.grad
 
     u = np.zeros_like(amp)
     best_u = u
     best_obj = -np.inf
     for _ in range(steps):
-        value, grad = objective(u, want_grad=True)
+        value, grad = _attack_objective(p, amp, phasor, window, y, u, want_grad=True)
         if value > best_obj:
             best_obj = value
             best_u = u
         u = np.clip(u + step_size * np.sign(grad), -budget, budget)
-    value, _ = objective(u, want_grad=False)
+    value, _ = _attack_objective(p, amp, phasor, window, y, u, want_grad=False)
     if value > best_obj:
         best_u = u
 
@@ -357,9 +365,9 @@ def dump_features(bundle: md.ModelBundle, labeled: list[LabeledClip], path: Path
     signals = _signal_stack([lc.clip for _, lc in pairs])
     h_clean, _ = _clean_path(bundle, signals.reshape(len(signals), -1))
     amplitude, phase = forward_stack(signals)
-    env, _ = md.lsa_views(amplitude, phase, signals.shape[-1], md.const_params(bundle),
-                          bundle.generator.alpha, bundle.delta)
-    h_env, _ = _clean_path(bundle, env.value)
+    p = md.named_arrays(bundle)
+    views = md.lsa_forward(p, amplitude, np.exp(1j * phase), signals.shape[-1], bundle.generator.alpha, bundle.delta)
+    h_env = md.encode(views.z_env, p)[1]
 
     dim = h_clean.shape[1]
     header = "clip,view,y," + ",".join(f"h{j}" for j in range(dim))

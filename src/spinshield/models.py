@@ -1,11 +1,10 @@
 """Toy Siamese encoder, classifier and domain heads, and the spectral adversary.
 
-The forward passes here build autodiff graphs.  Inference (scoring, the
-white-box attack, feature dumps), the plain-array wrapper :func:`lsa_perturb`
-and the tests use them.  Training runs the same layers in plain arrays in the
-step kernels of :mod:`spinshield.training`, which share this module's
-closed-form pieces: :func:`lsa_modulate` and its vector-Jacobian product, and
-:func:`recompose_adjoint`.
+The model has one forward, in plain arrays (:func:`encode`, :func:`classify`,
+:func:`lsa_forward`), with the backward pieces below the classifier: training,
+scoring, feature dumps and the white-box attack all run it.  The graph forms
+of the same layers give the same values bit for bit; the tests use them as
+the reference and for gradient checks.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -185,50 +184,23 @@ def set_named_arrays(bundle: ModelBundle, arrays: Mapping[str, FloatArray]) -> N
         setattr(getattr(bundle, part), field, np.asarray(arr, dtype=np.float64))
 
 
-# --- graph-level forward passes -------------------------------------------------
+# --- the plain-array forward ----------------------------------------------------
 
 
-def standardize_rows(x: Node, eps: float = STANDARDIZE_EPS) -> Node:
-    """Zero-mean, unit-variance per row (per clip), with an epsilon variance guard."""
-    return ad.standardize_rows(x, eps)
+def encode(z: FloatArray, p: Mapping[str, FloatArray]) -> tuple[FloatArray, FloatArray]:
+    """The encoder's tanh hidden layer and features for standardized clip rows ``z``."""
+    hidden = np.tanh(z @ p["enc.w1"] + p["enc.b1"])
+    return hidden, hidden @ p["enc.w2"] + p["enc.b2"]
 
 
-def encoder_forward(x: Node, p: Mapping[str, Node]) -> Node:
-    """Standardized flat clips (B x M*T) to features (B x D)."""
-    h1 = ad.dense(x, p["enc.w1"], p["enc.b1"], "tanh")
-    return ad.dense(h1, p["enc.w2"], p["enc.b2"])
+def classify(h: FloatArray, p: Mapping[str, FloatArray]) -> FloatArray:
+    """The real/fake logits of features ``h``."""
+    return h @ p["head.wg"] + p["head.bg"]
 
 
-def classifier_logits(h: Node, p: Mapping[str, Node]) -> Node:
-    return ad.dense(h, p["head.wg"], p["head.bg"])
-
-
-def domain_logits(h: Node, p: Mapping[str, Node], through_grl: bool = True) -> Node:
-    z = ad.grl(h) if through_grl else h
-    q1 = ad.dense(z, p["head.wq1"], p["head.bq1"], "tanh")
-    return ad.dense(q1, p["head.wq2"], p["head.bq2"])
-
-
-def generator_field(norm_amp: Node, p: Mapping[str, Node]) -> Node:
-    """Raw modulation field over bins; rows are individual patches."""
-    g1 = ad.dense(norm_amp, p["gen.w1"], p["gen.b1"], "tanh")
-    return ad.dense(g1, p["gen.w2"], p["gen.b2"])
-
-
-def recompose_rows(amp: Node, phase: FloatArray | ComplexArray, window: int) -> Node:
-    """Differentiable wrapper over the spectral inverse kernel.
-
-    Forward applies :func:`spinshield.spectral.inverse_phasor`, which equals
-    :func:`spinshield.spectral.inverse_stack` for a canonical phase; backward
-    applies :func:`recompose_adjoint`.  Both use the one phasor
-    ``exp(i phase)``.  ``phase`` is the rows' phase, or that phasor itself (a
-    complex array), which a caller that recomposes the same rows many times
-    builds once.
-    """
-    phasor = phase if np.iscomplexobj(phase) else np.exp(1j * np.asarray(phase, dtype=np.float64))
-    return ad.custom(
-        inverse_phasor(amp.value, phasor, window), (amp,), lambda g: (recompose_adjoint(g, phasor, window),)
-    )
+def tanh_backward(g: FloatArray, out: FloatArray) -> FloatArray:
+    """The gradient at the input of ``tanh`` from the one at its output ``out``."""
+    return g * (1.0 - out * out)
 
 
 def recompose_adjoint(g: FloatArray, phasor: ComplexArray, window: int) -> FloatArray:
@@ -263,53 +235,44 @@ def lsa_modulate_vjp(g: FloatArray, squashed: FloatArray, new_amp: FloatArray, a
     return g * new_amp * alpha * (1.0 - squashed * squashed)
 
 
-def lsa_perturb_graph(
-    amplitude: FloatArray,
-    norm_amplitude: FloatArray,
-    phase: FloatArray | ComplexArray,
-    window: int,
-    p: Mapping[str, Node],
-    alpha: float,
-    delta: float = DEFAULT_DELTA,
-) -> tuple[Node, Node]:
-    """Adversarial views for a stack of patch spectra (rows = clip-patches).
+class LsaViews(NamedTuple):
+    """The adversary's forward pass over rows ``(B*M, K)`` of clip patches:
+    the env views and what a backward pass through them reads."""
 
-    ``norm_amplitude`` is the per-clip min-max normalized generator input; the
-    caller computes it because normalization spans a whole clip, not a row.
-    ``phase`` may be given as unit phasors (see :func:`recompose_rows`).
-    Returns the perturbed time-domain rows and the modulation mask, both
-    differentiable with respect to the generator parameters.
-    """
-    amplitude = np.asarray(amplitude, dtype=np.float64)
-    field = generator_field(ad.const(norm_amplitude), p)
-    squashed, new_amp_value, denom, mask_value = lsa_modulate(amplitude, field.value, alpha, delta)
-    new_amp = ad.custom(
-        new_amp_value, (field,), lambda g: (lsa_modulate_vjp(g, squashed, new_amp_value, alpha),)
-    )
-    mask = ad.custom(mask_value, (new_amp,), lambda g: (g / denom,))
-    signals = recompose_rows(new_amp, phase, window)
-    return signals, mask
+    norm: FloatArray  # min-max normalized amplitude, the generator's input
+    hidden: FloatArray  # the generator's tanh hidden layer
+    squashed: FloatArray  # tanh of the raw field
+    new_amp: FloatArray
+    denom: FloatArray
+    mask: FloatArray  # the modulation mask, (B*M, K)
+    phasor: ComplexArray
+    z_env: FloatArray  # the standardized env views, (B, M*T)
+    inv_std: FloatArray
 
 
-def lsa_views(
-    amplitude: FloatArray, phase: FloatArray | ComplexArray, window: int, p: Mapping[str, Node], alpha: float,
-    delta: float,
-) -> tuple[Node, Node]:
-    """Adversarial views of a stack of clip spectra ``(B, M, K)``, phases
-    or unit phasors (see :func:`recompose_rows`): the ``(B, M*T)`` signal
-    node plus the ``(B*M, K)`` mask node."""
-    b, m, k = amplitude.shape
-    rows = [a.reshape(b * m, k) for a in (amplitude, minmax_normalize(amplitude), phase)]
-    signals, mask = lsa_perturb_graph(*rows, window, p, alpha, delta)
-    return ad.reshape(signals, (b, m * window)), mask
+def lsa_forward(gen: Mapping[str, FloatArray], amp: FloatArray, phasor: ComplexArray, window: int, alpha: float,
+                delta: float) -> LsaViews:
+    """The adversary's views of clip spectra ``(B, M, K)`` with their unit
+    phasors ``exp(i phase)``, and the intermediates of the pass."""
+    b, m, k = amp.shape
+    norm = minmax_normalize(amp).reshape(b * m, k)
+    hidden = np.tanh(norm @ gen["gen.w1"] + gen["gen.b1"])
+    field = hidden @ gen["gen.w2"] + gen["gen.b2"]
+    squashed, new_amp, denom, mask = lsa_modulate(amp.reshape(b * m, k), field, alpha, delta)
+    phasor = phasor.reshape(b * m, k)
+    signals = inverse_phasor(new_amp, phasor, window)
+    z_env, inv_std = ad.standardized(signals.reshape(b, m * window), STANDARDIZE_EPS)
+    return LsaViews(norm, hidden, squashed, new_amp, denom, mask, phasor, z_env, inv_std)
 
 
-# --- plain-array wrappers --------------------------------------------------------
-
-
-def const_params(bundle: ModelBundle) -> dict[str, Node]:
-    """Every parameter as a constant node, for graphs that train nothing."""
-    return {name: ad.const(arr) for name, arr in named_arrays(bundle).items()}
+def amplitude_vjp(g_h: FloatArray, p: Mapping[str, FloatArray], hidden: FloatArray, z: FloatArray,
+                  inv_std: FloatArray, phasor: ComplexArray) -> FloatArray:
+    """The gradient at amplitude rows ``(B*M, K)`` that were recomposed with
+    ``phasor``, standardized into ``z`` and encoded into ``hidden`` and
+    features, from the features' gradient ``g_h``."""
+    g_z = tanh_backward(g_h @ p["enc.w2"].T, hidden) @ p["enc.w1"].T
+    g_signals = ad.standardize_vjp(z, inv_std, g_z).reshape(len(phasor), -1)
+    return recompose_adjoint(g_signals, phasor, g_signals.shape[1])
 
 
 def lsa_perturb(
@@ -319,11 +282,76 @@ def lsa_perturb(
     fps: float | None = None,
 ) -> tuple[PatchSignalClip, ModulationMask]:
     """Perturb one clip's amplitude spectrum with the learned adversary."""
-    p = {f"gen.{name}": ad.const(getattr(generator, name)) for name in ("w1", "b1", "w2", "b2")}
+    gen = {f"gen.{name}": getattr(generator, name) for name in ("w1", "b1", "w2", "b2")}
+    phasor = np.exp(1j * spectrum.phase)
     window = spectrum.grid.window
-    signals, mask = lsa_views(spectrum.amplitude[None], spectrum.phase[None], window, p, generator.alpha, delta)
-    clip = PatchSignalClip(signals=signals.value.reshape(-1, window), fps=DEFAULT_FPS if fps is None else fps)
-    return clip, ModulationMask(values=mask.value[None, :, :], delta=delta)
+    views = lsa_forward(gen, spectrum.amplitude[None], phasor[None], window, generator.alpha, delta)
+    signals = inverse_phasor(views.new_amp, views.phasor, window)
+    clip = PatchSignalClip(signals=signals, fps=DEFAULT_FPS if fps is None else fps)
+    return clip, ModulationMask(values=views.mask[None], delta=delta)
+
+
+# --- graph-level forward passes -------------------------------------------------
+
+
+def standardize_rows(x: Node, eps: float = STANDARDIZE_EPS) -> Node:
+    """Zero-mean, unit-variance per row (per clip), with an epsilon variance guard."""
+    return ad.standardize_rows(x, eps)
+
+
+def encoder_forward(x: Node, p: Mapping[str, Node]) -> Node:
+    """Standardized flat clips (B x M*T) to features (B x D)."""
+    h1 = ad.dense(x, p["enc.w1"], p["enc.b1"], "tanh")
+    return ad.dense(h1, p["enc.w2"], p["enc.b2"])
+
+
+def classifier_logits(h: Node, p: Mapping[str, Node]) -> Node:
+    return ad.dense(h, p["head.wg"], p["head.bg"])
+
+
+def domain_logits(h: Node, p: Mapping[str, Node], through_grl: bool = True) -> Node:
+    z = ad.grl(h) if through_grl else h
+    q1 = ad.dense(z, p["head.wq1"], p["head.bq1"], "tanh")
+    return ad.dense(q1, p["head.wq2"], p["head.bq2"])
+
+
+def generator_field(norm_amp: Node, p: Mapping[str, Node]) -> Node:
+    """Raw modulation field over bins; rows are individual patches."""
+    g1 = ad.dense(norm_amp, p["gen.w1"], p["gen.b1"], "tanh")
+    return ad.dense(g1, p["gen.w2"], p["gen.b2"])
+
+
+def recompose_rows(amp: Node, phase: FloatArray | ComplexArray, window: int) -> Node:
+    """:func:`spinshield.spectral.inverse_phasor` as a graph node, with the
+    backward :func:`recompose_adjoint`; ``phase`` is the rows' phase or its
+    unit phasor ``exp(i phase)``."""
+    phasor = phase if np.iscomplexobj(phase) else np.exp(1j * np.asarray(phase, dtype=np.float64))
+    return ad.custom(
+        inverse_phasor(amp.value, phasor, window), (amp,), lambda g: (recompose_adjoint(g, phasor, window),)
+    )
+
+
+def lsa_perturb_graph(
+    amplitude: FloatArray,
+    norm_amplitude: FloatArray,
+    phase: FloatArray | ComplexArray,
+    window: int,
+    p: Mapping[str, Node],
+    alpha: float,
+    delta: float = DEFAULT_DELTA,
+) -> tuple[Node, Node]:
+    """The graph form of the adversary over patch rows: the perturbed signal
+    rows and the modulation mask, differentiable in the generator parameters.
+    ``norm_amplitude`` is the per-clip min-max normalized generator input."""
+    amplitude = np.asarray(amplitude, dtype=np.float64)
+    field = generator_field(ad.const(norm_amplitude), p)
+    squashed, new_amp_value, denom, mask_value = lsa_modulate(amplitude, field.value, alpha, delta)
+    new_amp = ad.custom(
+        new_amp_value, (field,), lambda g: (lsa_modulate_vjp(g, squashed, new_amp_value, alpha),)
+    )
+    mask = ad.custom(mask_value, (new_amp,), lambda g: (g / denom,))
+    signals = recompose_rows(new_amp, phase, window)
+    return signals, mask
 
 
 # --- checkpoints -----------------------------------------------------------------

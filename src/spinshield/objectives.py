@@ -32,8 +32,9 @@ class LossWeights:
 
     def __post_init__(self) -> None:
         for name in ("gamma", "lambda_mask", "lambda_sym", "lambda_blind"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -289,6 +290,9 @@ def paired_displacement_with_vjp(
     centered = h_clean - h_clean.mean(axis=0, keepdims=True)
     shift = np.mean(diff * diff)
     spread = np.mean(centered * centered)
+    if spread == 0.0:
+        # one clip (or clean features all alike): the ratio is undefined
+        return 0.0, lambda g: (np.zeros_like(h_clean), np.zeros_like(h_env))
 
     def vjp(g: float) -> tuple[FloatArray, FloatArray]:
         g_diff = diff * (2.0 * g / (diff.size * spread))

@@ -7,8 +7,9 @@ config seed through counter-based streams, so identical configs reproduce
 identical parameters bit for bit.
 
 Each step is a closed-form kernel that forwards and backwards the step's
-operations by hand in plain arrays, so no autodiff graph is built per batch.
-The kernels give bit for bit the gradients of the engine over the same graph.
+operations by hand in plain arrays, on the model's one plain forward (the one
+scoring and the white-box attack run), so no autodiff graph is built.  The
+kernels give bit for bit the gradients of the engine over the same graph.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from . import objectives as obj
 from .attacks import DEFAULT_EPS0, DEFAULT_NOISE_SIGMA
 from .errors import DataFormatError, NumericalAbort
 from .evaluation import compute_auc, score_clips
-from .spectral import ComplexArray, FloatArray, forward_stack, inverse_phasor, minmax_normalize
+from .spectral import ComplexArray, FloatArray, forward_stack, inverse_phasor
 from .synthdata import LabeledClip
 
 MODES = ("baseline", "spinshield", "naive_aug")
@@ -75,12 +76,12 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if self.detector_steps_per_generator_step < 1:
             raise ValueError("alternation ratio must be >= 1")
-        if self.learning_rate <= 0 or self.generator_learning_rate <= 0 or self.alpha <= 0:
-            raise ValueError("learning rates and alpha must be positive")
+        for name in ("learning_rate", "generator_learning_rate", "alpha", "adam_eps"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if len(self.adam_betas) != 2 or not all(0.0 <= beta < 1.0 for beta in self.adam_betas):
             raise ValueError(f"adam_betas must be two values in [0, 1), got {list(self.adam_betas)}")
-        if not self.adam_eps > 0:
-            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -257,20 +258,9 @@ def _adam_step(opt: Adam, grads: dict[str, FloatArray], step: int) -> None:
 # into 0.0, as the padded sum does).
 
 
-def _tanh_backward(g: FloatArray, out: FloatArray) -> FloatArray:
-    """The gradient at the input of ``tanh`` from the one at its output ``out``."""
-    return g * (1.0 - out * out)
-
-
 def _param_grads(x: FloatArray, g: FloatArray) -> tuple[FloatArray, FloatArray]:
     """The gradients at the weight and bias of ``x @ w + b``."""
     return x.T @ g, g.sum(axis=0)
-
-
-def _encode(z: FloatArray, p: Mapping[str, FloatArray]) -> tuple[FloatArray, FloatArray]:
-    """The encoder's tanh hidden layer and features for standardized rows ``z``."""
-    hidden = np.tanh(z @ p["enc.w1"] + p["enc.b1"])
-    return hidden, hidden @ p["enc.w2"] + p["enc.b2"]
 
 
 def _encoder_blindness(
@@ -291,7 +281,7 @@ def _encoder_blindness(
     # the confusion term's two cross entropies pass their gradients separately
     g_rows = ((g * 0.5) * view_weights)[:, None]
     g_logits = ad.cross_entropy_vjp(p0, zeros, g_rows) + ad.cross_entropy_vjp(p1, ones, g_rows)
-    g_h = _tanh_backward(g_logits @ disc["head.wq2"].T, q1) @ disc["head.wq1"].T
+    g_h = md.tanh_backward(g_logits @ disc["head.wq2"].T, q1) @ disc["head.wq1"].T
     g_clean, g_env = paired_vjp(g)
     # the paired and confusion parts sum per view before the stack is formed
     return paired + confusion, np.concatenate([g_clean + g_h[:n], g_env + g_h[n:]]) + 0.0
@@ -318,8 +308,8 @@ def _detector_step(
     n = len(z_clean)
     z = z_clean if z_env is None else np.concatenate([z_clean, z_env])
     labels = y if z_env is None else np.concatenate([y, y])
-    h1, h = _encode(z, a)
-    logits = h @ a["head.wg"] + a["head.bg"]
+    h1, h = md.encode(z, a)
+    logits = md.classify(h, a)
     ce, p = ad.cross_entropy_parts(logits, labels)
     g_logits = ad.cross_entropy_vjp(p, labels, 1.0 / n)
     if z_env is None:
@@ -342,54 +332,21 @@ def _detector_step(
         l_disc = np.sum(d_ce * view_weights)
         g_d = ad.cross_entropy_vjp(d_p, view_labels, (weights.lambda_blind * view_weights)[:, None])
         grads["head.wq2"], grads["head.bq2"] = _param_grads(q1, g_d)
-        g_q1 = _tanh_backward(g_d @ a["head.wq2"].T, q1)
+        g_q1 = md.tanh_backward(g_d @ a["head.wq2"].T, q1)
         grads["head.wq1"], grads["head.bq1"] = _param_grads(h, g_q1)
         l_blind, g_blind = _encoder_blindness(h, q1, d_logits, a, weights.lambda_blind)
         g_h = g_logits @ a["head.wg"].T + g_blind
     total = l_det + (l_sym * weights.lambda_sym + (l_disc + l_blind) * weights.lambda_blind)
     grads["enc.w2"], grads["enc.b2"] = _param_grads(h1, g_h)
-    grads["enc.w1"], grads["enc.b1"] = _param_grads(z, _tanh_backward(g_h @ a["enc.w2"].T, h1))
+    grads["enc.w1"], grads["enc.b1"] = _param_grads(z, md.tanh_backward(g_h @ a["enc.w2"].T, h1))
     grads["head.wg"], grads["head.bg"] = _param_grads(h, g_logits)
     return (l_det, l_sym, l_disc, l_blind, total), {name: grads[name] for name in a}
-
-
-class _LsaViews(NamedTuple):
-    """The adversary's forward pass over a batch, rows ``(B*M, K)`` of clip
-    patches: what the detector step reads (``z_env``) and what the adversary
-    step's backward pass reads."""
-
-    norm: FloatArray  # min-max normalized amplitude, the generator's input
-    hidden: FloatArray  # the generator's tanh hidden layer
-    squashed: FloatArray  # tanh of the raw field
-    new_amp: FloatArray
-    denom: FloatArray
-    mask: FloatArray
-    phasor: ComplexArray
-    z_env: FloatArray  # the standardized env views, (B, M*T)
-    inv_std: FloatArray
-
-
-def _lsa_views(
-    gen: Mapping[str, FloatArray], amp: FloatArray, phasor: ComplexArray, window: int, alpha: float,
-    delta: float,
-) -> _LsaViews:
-    """:func:`models.lsa_views` over a stack of clip spectra ``(B, M, K)``
-    and unit phasors, in plain arrays, with its intermediates."""
-    b, m, k = amp.shape
-    norm = minmax_normalize(amp).reshape(b * m, k)
-    hidden = np.tanh(norm @ gen["gen.w1"] + gen["gen.b1"])
-    field = hidden @ gen["gen.w2"] + gen["gen.b2"]
-    squashed, new_amp, denom, mask = md.lsa_modulate(amp.reshape(b * m, k), field, alpha, delta)
-    phasor = phasor.reshape(b * m, k)
-    signals = inverse_phasor(new_amp, phasor, window)
-    z_env, inv_std = ad.standardized(signals.reshape(b, m * window), md.STANDARDIZE_EPS)
-    return _LsaViews(norm, hidden, squashed, new_amp, denom, mask, phasor, z_env, inv_std)
 
 
 def _adversary_step(
     frozen: Mapping[str, FloatArray],
     gen: Mapping[str, FloatArray],
-    views: _LsaViews,
+    views: md.LsaViews,
     z_clean: FloatArray,
     y: np.ndarray,
     weights: obj.LossWeights,
@@ -400,9 +357,9 @@ def _adversary_step(
     parameter in ``gen``.  The encoder and classifier parameters
     (``_ADVERSARY_READS``) are held in ``frozen``."""
     f = frozen
-    h1_env, h_env = _encode(views.z_env, f)
-    logits = h_env @ f["head.wg"] + f["head.bg"]
-    h_clean = _encode(z_clean, f)[1]
+    h1_env, h_env = md.encode(views.z_env, f)
+    logits = md.classify(h_env, f)
+    h_clean = md.encode(z_clean, f)[1]
     d_mmd, mmd_vjp = obj.mmd_with_vjp(h_clean, h_env)
     ce, p = ad.cross_entropy_parts(logits, y)
     dev = views.mask - 1.0
@@ -412,14 +369,12 @@ def _adversary_step(
     # backward from -L_gen
     g_logits = ad.cross_entropy_vjp(p, y, -1.0 / len(y))
     g_h = g_logits @ f["head.wg"].T + mmd_vjp(-weights.gamma)[1]
-    g_z = _tanh_backward(g_h @ f["enc.w2"].T, h1_env) @ f["enc.w1"].T
-    g_signals = ad.standardize_vjp(views.z_env, views.inv_std, g_z).reshape(len(views.new_amp), -1)
     g_dev = (weights.lambda_mask * (1.0 / dev.size)) * dev  # from each factor of dev * dev
-    g_new_amp = (g_dev + g_dev) / views.denom + md.recompose_adjoint(
-        g_signals, views.phasor, g_signals.shape[1]
+    g_new_amp = (g_dev + g_dev) / views.denom + md.amplitude_vjp(
+        g_h, f, h1_env, views.z_env, views.inv_std, views.phasor
     )
     g_field = md.lsa_modulate_vjp(g_new_amp, views.squashed, views.new_amp, alpha)
-    g_hidden = _tanh_backward(g_field @ gen["gen.w2"].T, views.hidden)
+    g_hidden = md.tanh_backward(g_field @ gen["gen.w2"].T, views.hidden)
     grads = {}
     grads["gen.w2"], grads["gen.b2"] = _param_grads(views.hidden, g_field)
     grads["gen.w1"], grads["gen.b1"] = _param_grads(views.norm, g_hidden)
@@ -528,7 +483,7 @@ def train(
             # adversary forward pass serves both steps: its views feed the
             # detector, and the adversary step backpropagates through it
             if config.mode == "spinshield":
-                views = _lsa_views(gen_opt.arrays, amps[batch], phasors[batch], t_len, config.alpha, bundle.delta)
+                views = md.lsa_forward(gen_opt.arrays, amps[batch], phasors[batch], t_len, config.alpha, bundle.delta)
                 z_env = views.z_env
             elif config.mode == "naive_aug":
                 x_env = naive_env_views(amps[batch], phasors[batch], t_len, naive_rng, sigma=NAIVE_SIGMA)

@@ -1,8 +1,10 @@
-"""The training steps built as autodiff graphs: the reference that the
-closed-form step kernels in ``spinshield.training`` must match bit for bit.
+"""The program's closed-form kernels built as autodiff graphs: the reference
+that the training step kernels in ``spinshield.training``, the inference
+forward and the white-box attack's objective in ``spinshield.evaluation``
+must match bit for bit.
 
-The graph is the minimax objective as it reads, op by op through the engine;
-the kernels forward and backward the same ops by hand.
+Each graph is the computation as it reads, op by op through the engine; the
+kernels forward and backward the same ops by hand.
 """
 
 from __future__ import annotations
@@ -15,11 +17,60 @@ from spinshield import autodiff as ad
 from spinshield import models as md
 from spinshield import objectives as obj
 from spinshield.autodiff import FloatArray, Node
+from spinshield.spectral import ComplexArray, minmax_normalize
 
 
 def leaves(arrays: Mapping[str, FloatArray]) -> dict[str, Node]:
     """A trainable graph leaf over each of an optimizer group's live arrays."""
     return {name: Node(arr) for name, arr in arrays.items()}
+
+
+def lsa_views(
+    amplitude: FloatArray, phase: FloatArray | ComplexArray, window: int, p: Mapping[str, Node], alpha: float,
+    delta: float,
+) -> tuple[Node, Node]:
+    """The graph form of :func:`spinshield.models.lsa_forward` over clip
+    spectra ``(B, M, K)`` and their phases or unit phasors: the ``(B, M*T)``
+    signal node plus the ``(B*M, K)`` mask node."""
+    b, m, k = amplitude.shape
+    rows = [a.reshape(b * m, k) for a in (amplitude, minmax_normalize(amplitude), phase)]
+    signals, mask = md.lsa_perturb_graph(*rows, window, p, alpha, delta)
+    return ad.reshape(signals, (b, m * window)), mask
+
+
+def consts(bundle: md.ModelBundle) -> dict[str, Node]:
+    """Every parameter of a bundle as a constant node, for graphs that train nothing."""
+    return {name: ad.const(arr) for name, arr in md.named_arrays(bundle).items()}
+
+
+def clean_path(bundle: md.ModelBundle, x: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """Features and class probabilities for a stack of flat clips, through
+    constant nodes."""
+    p = consts(bundle)
+    h = md.encoder_forward(md.standardize_rows(ad.const(x)), p)
+    return h.value, ad.softmax(md.classifier_logits(h, p)).value
+
+
+def env_views(bundle: md.ModelBundle, amplitude: FloatArray, phase: FloatArray, window: int) -> tuple[Node, Node]:
+    """The adversary's ``(B, M*T)`` signal node and ``(B*M, K)`` mask node
+    for a stack of clip spectra, through constant nodes."""
+    return lsa_views(amplitude, phase, window, consts(bundle), bundle.generator.alpha, bundle.delta)
+
+
+def attack_objective(
+    bundle: md.ModelBundle, amp: FloatArray, phasor: np.ndarray, window: int, y: int, u: FloatArray
+) -> tuple[float, FloatArray]:
+    """The white-box attack's objective at the log-amplitude field ``u`` and
+    its gradient there: the true-label cross entropy of the clip with
+    amplitude ``amp * exp(u)``, backpropagated through the engine."""
+    params = consts(bundle)
+    u_node = Node(u)
+    new_amp = ad.mul(ad.const(amp), ad.exp(u_node))
+    x = ad.reshape(md.recompose_rows(new_amp, phasor, window), (1, amp.shape[0] * window))
+    h = md.encoder_forward(md.standardize_rows(x), params)
+    ce = ad.mean_all(ad.cross_entropy_with_logits(md.classifier_logits(h, params), np.array([y])))
+    ad.backward(ce)
+    return float(ce.value), u_node.grad
 
 
 def detector_losses(
@@ -119,7 +170,7 @@ def adversary_step(
     its three losses and the gradient of ``-L_gen`` at each generator
     parameter."""
     tracked = leaves(gen)
-    env, mask = md.lsa_views(amp, phasor, window, tracked, alpha, delta)
+    env, mask = lsa_views(amp, phasor, window, tracked, alpha, delta)
     consts = {name: ad.const(arr) for name, arr in frozen.items()}
     losses = adversary_losses(consts, env, mask, z_clean, y, weights)
     ad.backward(ad.neg(losses[-1]))

@@ -230,13 +230,13 @@ class TestGradientWork:
         z = ad.standardized(x, md.STANDARDIZE_EPS)[0]
         if step == "detector":
             detector = {n: a for n, a in arrays.items() if n.startswith(("enc.", "head."))}
-            env = md.lsa_views(amps, phasors, t, graph_reference.leaves(gen), alpha, delta)[0]
+            env = graph_reference.lsa_views(amps, phasors, t, graph_reference.leaves(gen), alpha, delta)[0]
             z_env = ad.standardized(env.value, md.STANDARDIZE_EPS)[0]
             run = training._detector_step if kernel else graph_reference.detector_step
             return run(detector, z, z_env, y, LossWeights())[1]
         frozen = {n: arrays[n] for n in training._ADVERSARY_READS}
         if kernel:
-            views = training._lsa_views(gen, amps, phasors, t, alpha, delta)
+            views = md.lsa_forward(gen, amps, phasors, t, alpha, delta)
             return training._adversary_step(frozen, gen, views, z, y, LossWeights(), alpha)[1]
         return graph_reference.adversary_step(frozen, gen, amps, phasors, t, z, y, LossWeights(), alpha, delta)[1]
 

@@ -174,6 +174,17 @@ class TestPipeline:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("mode", ["naive_aug", "spinshield"])
+    def test_one_clip_last_batch_trains(self, tmp_path, capsys, mode):
+        # 97 training clips in batches of 32 leave a last batch of one clip
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--out", str(data), "--n-clips", "121", "--seed", "31",
+                         "--format", "binary"]) == 0
+        code = cli.main(["train", "--data", str(data / "manifest.json"), "--out", str(tmp_path / "m.ckpt"),
+                         "--mode", mode, "--epochs", "1"])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "m.ckpt").exists()
+
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("spec", [None, [1, 2], "spec"])
@@ -229,6 +240,23 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert "adam_" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"learning_rate": float("nan")}, {"generator_learning_rate": float("inf")}, {"alpha": float("inf")},
+        {"adam_eps": float("inf")}, {"weights": {"gamma": float("nan")}},
+        {"weights": {"lambda_blind": float("inf")}},
+    ])
+    def test_non_finite_settings_are_data_errors(self, pipeline, tmp_path, capsys, config):
+        # JSON's NaN and Infinity load as floats; they must fail at config load
+        _, manifest, _ = pipeline
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"epochs": 1, **config}))
+        code = cli.main(["train", "--config", str(path), "--data", str(manifest),
+                         "--out", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "finite" in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "m.ckpt").exists()
 
     @pytest.mark.parametrize("config", [{"learning_rate": 1e300}, {"alpha": 1e300}])

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinshield import autodiff as ad
 from spinshield import evaluation
 from spinshield import models as md
 from spinshield import synthdata as sd
 from spinshield.attacks import AttackSpec, NotchParams, apply_attack, spec_from_dict
 from spinshield.errors import DataFormatError
+from spinshield.spectral import dft_onesided, forward_stack
+
+import graph_reference
 
 
 def pair_counting_auc(scores, labels):
@@ -124,20 +128,39 @@ class TestEvaluateUnderAttacks:
         with pytest.raises(DataFormatError, match="must be a JSON object"):
             evaluation.EvalReport.load(path)
 
-    def test_inference_is_single_stream(self, small_world, monkeypatch):
+    def test_inference_is_single_stream(self, small_world, monkeypatch, tmp_path):
         bundle, dataset = small_world
         calls = {"n": 0}
-        original = md.lsa_perturb_graph
+        original = md.lsa_forward
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(md, "lsa_perturb_graph", counting)
-        evaluation.evaluate_under_attacks(bundle, dataset, kinds=("notch",), n_seeds=1)
+        monkeypatch.setattr(md, "lsa_forward", counting)
+        report = evaluation.evaluate_under_attacks(bundle, dataset, kinds=("notch",), n_seeds=1)
+        evaluation.replay_report(report, bundle, dataset)
         evaluation.notch_sweep(bundle, dataset)
+        evaluation.adaptive_attack_suite(bundle, dataset[:4], steps=3)
         assert calls["n"] == 0
+        # the adversary runs where it should: once per feature dump
+        evaluation.dump_features(bundle, dataset, tmp_path / "f.csv")
+        assert calls["n"] == 1
 
+    def test_inference_builds_no_graph(self, small_world, monkeypatch, tmp_path):
+        bundle, dataset = small_world
+
+        def refuse(node, *args, **kwargs):
+            raise AssertionError("inference built an autodiff node")
+
+        monkeypatch.setattr(ad.Node, "__init__", refuse)
+        evaluation.score_clips(bundle, [lc.clip for lc in dataset])
+        report = evaluation.evaluate_under_attacks(bundle, dataset, n_seeds=1)
+        evaluation.replay_report(report, bundle, dataset)
+        evaluation.notch_sweep(bundle, dataset)
+        evaluation.adaptive_attack_suite(bundle, dataset[:4], steps=3)
+        evaluation.dump_features(bundle, dataset, tmp_path / "f.csv")
+        md.lsa_perturb(dft_onesided(dataset[0].clip), bundle.generator, bundle.delta)
 
     def test_suite_scores_are_those_of_per_clip_attacks(self, small_world):
         bundle, dataset = small_world
@@ -159,6 +182,55 @@ class TestEvaluateUnderAttacks:
         ):
             with pytest.raises(ValueError, match="at least one clip"):
                 run()
+
+
+class TestGraphReference:
+    """Inference runs the plain forward, and gives bit for bit what the graph
+    forms of the model give through constant nodes."""
+
+    def test_scores_equal_the_graph_forward(self, small_world):
+        bundle, dataset = small_world
+        signals = np.stack([lc.clip.signals for lc in dataset])
+        _, probs = graph_reference.clean_path(bundle, signals.reshape(len(signals), -1))
+        assert np.array_equal(evaluation.score_clips(bundle, signals), probs[:, 1])
+        assert np.array_equal(evaluation.score_clips(bundle, [lc.clip for lc in dataset]), probs[:, 1])
+
+    def test_feature_rows_equal_the_graph_forward(self, small_world, tmp_path):
+        bundle, dataset = small_world
+        path = tmp_path / "f.csv"
+        evaluation.dump_features(bundle, dataset, path)
+        rows = np.array([[float(v) for v in line.split(",")[3:]] for line in path.read_text().splitlines()[1:]])
+        ordered = sorted(dataset, key=lambda lc: lc.provenance["index"])
+        signals = np.stack([lc.clip.signals for lc in ordered])
+        h_clean, _ = graph_reference.clean_path(bundle, signals.reshape(len(signals), -1))
+        amplitude, phase = forward_stack(signals)
+        env, _ = graph_reference.env_views(bundle, amplitude, phase, signals.shape[-1])
+        h_env, _ = graph_reference.clean_path(bundle, env.value)
+        assert np.array_equal(rows, np.concatenate([h_clean, h_env]))
+
+    def test_attack_objective_equals_the_graph_at_every_step(self, small_world, monkeypatch):
+        # a budget small enough that the clipping binds within the run
+        bundle, dataset = small_world
+        budget, steps = 0.02, 6
+        objective = evaluation._attack_objective
+        seen = {"calls": 0, "labels": set(), "clipped": False}
+
+        def checked(p, amp, phasor, window, y, u, want_grad):
+            value, grad = objective(p, amp, phasor, window, y, u, want_grad)
+            ref_value, ref_grad = graph_reference.attack_objective(bundle, amp, phasor, window, y, u)
+            assert np.array_equal(value, ref_value)
+            assert np.array_equal(grad, ref_grad) if want_grad else grad is None
+            seen["calls"] += 1
+            seen["labels"].add(y)
+            seen["clipped"] |= bool(np.any(np.abs(u) == budget))
+            return value, grad
+
+        monkeypatch.setattr(evaluation, "_attack_objective", checked)
+        clips = [lc for y in (0, 1) for lc in [lc for lc in dataset if lc.y == y][:3]]
+        for lc in clips:
+            evaluation.adaptive_attack(bundle, lc, steps=steps, budget=budget)
+        assert seen["calls"] == len(clips) * (steps + 1)
+        assert seen["labels"] == {0, 1} and seen["clipped"]
 
 
 class TestNotchSweep:

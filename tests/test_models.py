@@ -8,6 +8,7 @@ from spinshield.autodiff import Node
 from spinshield.errors import DataFormatError
 from spinshield.spectral import dft_onesided, minmax_normalize_amplitude
 
+import graph_reference
 from conftest import random_clip
 from test_autodiff import finite_diff
 
@@ -18,14 +19,14 @@ def bundle():
 
 
 def features(clip, bundle):
-    """One clip's features through the graph functions, parameters constant."""
-    x = ad.const(clip.signals.reshape(1, -1))
-    return md.encoder_forward(md.standardize_rows(x), md.const_params(bundle)).value[0]
+    """One clip's features through the model's plain forward."""
+    z = ad.standardized(clip.signals.reshape(1, -1), md.STANDARDIZE_EPS)[0]
+    return md.encode(z, md.named_arrays(bundle))[1][0]
 
 
 def head_probs(logits_fn, h, bundle, **kwargs):
     """Class distribution of one feature vector under a head's graph function."""
-    logits = logits_fn(ad.const(np.asarray(h).reshape(1, -1)), md.const_params(bundle), **kwargs)
+    logits = logits_fn(ad.const(np.asarray(h).reshape(1, -1)), graph_reference.consts(bundle), **kwargs)
     return ad.softmax(logits).value[0]
 
 
@@ -183,6 +184,14 @@ class TestLsaPerturb:
         live = spectrum.amplitude > 1e-8
         diff = np.angle(np.exp(1j * (after.phase - spectrum.phase)))
         assert np.max(np.abs(diff[live])) < 1e-6
+
+    def test_equals_the_graph_forward(self, rng, bundle):
+        clip = random_clip(rng)
+        spectrum = dft_onesided(clip)
+        pert, mask = md.lsa_perturb(spectrum, bundle.generator, bundle.delta)
+        env, mask_node = graph_reference.env_views(bundle, spectrum.amplitude[None], spectrum.phase[None], 16)
+        assert np.array_equal(pert.signals, env.value.reshape(-1, 16))
+        assert np.array_equal(mask.values, mask_node.value[None])
 
     def test_output_real_and_finite(self, rng, bundle):
         clip = random_clip(rng)

@@ -298,6 +298,16 @@ class TestEncoderBlindness:
             arrays,
         )
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_paired_displacement_is_zero_without_spread(self, rng, rows):
+        # one clip, or clean features all alike: no spread to measure against
+        clean = np.repeat([[1.0, -2.0, 0.5, 3.0]], rows, axis=0)
+        env = rng.normal(size=(rows, 4))
+        value, vjp = obj.paired_displacement_with_vjp(clean, env)
+        assert value == 0.0
+        for grad, like in zip(vjp(1.0), (clean, env)):
+            assert np.array_equal(grad, np.zeros_like(like))
+
     def test_paired_displacement_needs_paired_rows(self, rng):
         with pytest.raises(ValueError):
             obj.paired_displacement(Node(rng.normal(size=(4, 3))), Node(rng.normal(size=(5, 3))))
