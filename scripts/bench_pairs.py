@@ -13,7 +13,9 @@ parent first when i is even and the change first when i is odd. With
 first). The output names each side's commit (or its path, when the checkout is
 not a git repository) and records every run with its seed, side and order, a
 median/quartile summary of each end-to-end metric named in the change's
-``BENCHMARK.json``, the BLAS thread settings and the numpy and BLAS versions.
+``BENCHMARK.json``, the BLAS thread settings, the numpy and BLAS versions, and
+the mount and filesystem type of ``--scratch``, where the runs create their
+files.
 
 Each metric's summary also states two verdicts.  ``worse_shift`` is the
 change's median relative to the parent's, signed so that a positive value is
@@ -126,7 +128,25 @@ def _cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
-def _environment() -> dict:
+def _filesystem(path: Path) -> dict:
+    """The mount that holds ``path`` (the last-mounted of the longest mount
+    points above it in /proc/mounts) and its filesystem type."""
+    path, found = path.resolve(), {"mount": None, "type": "unknown"}
+    try:
+        mounts = Path("/proc/mounts").read_text(encoding="utf-8").splitlines()
+    except OSError:
+        return found
+    for line in mounts:
+        fields = line.split()
+        if len(fields) < 3:
+            continue
+        mount = Path(fields[1].replace("\\040", " "))  # /proc/mounts escapes a space as \040
+        if (mount == path or mount in path.parents) and len(str(mount)) >= len(str(found["mount"] or "")):
+            found = {"mount": str(mount), "type": fields[2]}
+    return found
+
+
+def _environment(scratch: Path) -> dict:
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "cpus": os.cpu_count(),
@@ -136,6 +156,8 @@ def _environment() -> dict:
         "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
         "blas_threads": "OPENBLAS_NUM_THREADS=1 and OMP_NUM_THREADS=1, set by perfbench/run.py before numpy is imported",
         "caller_env": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        # the runs create their files here, and the cost of creating a file belongs to the host
+        "scratch": {"path": str(scratch.resolve()), **_filesystem(scratch)},
     }
 
 
@@ -160,7 +182,7 @@ def main(argv: list[str]) -> int:
                 "side's files; pair i runs the parent first when i is even and the change first when i is odd.",
         "parent": _label(roots["parent"]),
         "change": _label(roots["change"]),
-        "environment": _environment(),
+        "environment": _environment(args.scratch),
         "workloads": {},
         "traced": [],
     }

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DataFormatError
-from .spectral import FloatArray, FrequencyGrid, PatchSignalClip, forward_stack, inverse_stack
+from .spectral import FloatArray, FrequencyGrid, PatchSignalClip, forward_stack, inverse_stack, keyed_rng
 
 KIND_IDENTITY = "identity"
 KIND_NOTCH = "notch"
@@ -96,11 +96,6 @@ class AttackSpec:
     seed: int = 0
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # counter-based generator: identical streams for identical keys
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
 def sample_attack(
     kind: str,
     grid: FrequencyGrid,
@@ -117,7 +112,7 @@ def sample_attack(
     target clip's patch count up front.
     """
     n_bins = grid.n_bins
-    rng = _rng(seed)
+    rng = keyed_rng(seed, 0)
 
     if kind == KIND_IDENTITY:
         return AttackSpec(kind=kind, params=None, seed=seed)

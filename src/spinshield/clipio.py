@@ -2,23 +2,33 @@
 
 Two interchangeable encodings:
 
-* CSV with header ``m,t,value`` plus a sidecar JSON (``<path>.json``) carrying
-  ``{"M": ..., "T": ..., "fps": ...}``; values are written with ``repr`` so the
-  text round trip is bit-exact;
+* CSV with header ``m,t,value`` and one ``m,t,value`` line per entry in
+  row-major order; values are written with ``repr`` so the text round trip is
+  bit-exact.  A standalone CSV clip (``spinshield attack --format csv``)
+  carries a sidecar JSON (``<path>.json``) with ``{"M": ..., "T": ..., "fps":
+  ...}``.  A dataset's CSV clips have none: a version-2 manifest's spec states
+  their M and T, and they have ``DEFAULT_FPS``;
 * a packed little-endian binary format: magic ``SPSC``, u32 M, u32 T, then
   M*T float64 values row-major.  The binary format does not store fps.
+
+``read_clip`` and ``write_clip`` read and write every clip file the package
+touches.  The CSV reader parses text in the writer's layout in one pass; any
+other text goes through the line-by-line validator, which accepts reordered,
+padded or blank lines and words every error.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError
-from .spectral import DEFAULT_FPS, PatchSignalClip
+from .spectral import DEFAULT_FPS, FloatArray, PatchSignalClip
 
 MAGIC = b"SPSC"
 
@@ -29,29 +39,42 @@ def sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
-def write_clip_csv(clip: PatchSignalClip, path: Path) -> None:
-    path = Path(path)
-    lines = ["m,t,value"]
-    for m in range(clip.patch_count):
-        for t in range(clip.frame_count):
-            lines.append(f"{m},{t},{float(clip.signals[m, t])!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    meta = {"M": clip.patch_count, "T": clip.frame_count, "fps": clip.fps}
-    sidecar_path(path).write_text(json.dumps(meta), encoding="utf-8")
+@functools.lru_cache(maxsize=8)
+def _prefixes(m_count: int, t_count: int) -> tuple[str, ...]:
+    """The ``m,t,`` field prefixes of an M x T clip's lines, row-major."""
+    return tuple(f"{m},{t}," for m in range(m_count) for t in range(t_count))
 
 
-def read_clip_csv(path: Path) -> PatchSignalClip:
+def write_clip_csv(clip: PatchSignalClip, path: Path, sidecar: bool = True) -> None:
     path = Path(path)
-    side = sidecar_path(path)
-    if not side.exists():
-        raise DataFormatError(f"missing sidecar {side}")
+    values = map(repr, clip.signals.ravel().tolist())
+    lines = map(operator.add, _prefixes(clip.patch_count, clip.frame_count), values)
+    path.write_text("m,t,value\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    if sidecar:
+        meta = {"M": clip.patch_count, "T": clip.frame_count, "fps": clip.fps}
+        sidecar_path(path).write_text(json.dumps(meta), encoding="utf-8")
+
+
+def _parse_exact(text: str, m_count: int, t_count: int) -> FloatArray | None:
+    """The M x T signals when ``text`` has the writer's layout (the header, then
+    each entry's ``m,t,`` line in row-major order, each ending in a newline)
+    and finite values, else None.  The values are those the validator reads."""
+    lines = text.split("\n")
+    if min(m_count, t_count) < 1 or len(lines) != m_count * t_count + 2:
+        return None
+    prefixes, body = _prefixes(m_count, t_count), lines[1:-1]
+    if lines[0] != "m,t,value" or lines[-1] or not all(map(str.startswith, body, prefixes)):
+        return None
     try:
-        meta = json.loads(side.read_text(encoding="utf-8"))
-        m_count, t_count = int(meta["M"]), int(meta["T"])
-        fps = float(meta.get("fps", DEFAULT_FPS))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataFormatError(f"bad sidecar {side}: {exc}") from exc
+        signals = np.array([float(line[len(p):]) for p, line in zip(prefixes, body)])
+    except ValueError:
+        return None
+    return signals.reshape(m_count, t_count) if np.isfinite(signals).all() else None
 
+
+def _read_csv_lines(path: Path, m_count: int, t_count: int) -> FloatArray:
+    """The line-by-line validator: any order, blank and padded lines allowed,
+    every error worded with its line."""
     signals = np.full((m_count, t_count), np.nan)
     seen = np.zeros((m_count, t_count), dtype=bool)
     with path.open(encoding="utf-8") as fh:
@@ -80,6 +103,28 @@ def read_clip_csv(path: Path) -> PatchSignalClip:
     if not seen.all():
         m, t = np.argwhere(~seen)[0]
         raise DataFormatError(f"{path}: missing entry for ({m},{t})")
+    return signals
+
+
+def read_clip_csv(path: Path, shape: tuple[int, int] | None = None) -> PatchSignalClip:
+    """A CSV clip of the given (M, T) at ``DEFAULT_FPS``; without a shape, M, T
+    and fps come from the clip's sidecar."""
+    path, fps = Path(path), DEFAULT_FPS
+    if shape is None:
+        side = sidecar_path(path)
+        if not side.exists():
+            raise DataFormatError(f"missing sidecar {side}")
+        try:
+            meta = json.loads(side.read_text(encoding="utf-8"))
+            shape, fps = (int(meta["M"]), int(meta["T"])), float(meta.get("fps", DEFAULT_FPS))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataFormatError(f"bad sidecar {side}: {exc}") from exc
+    try:
+        signals = _parse_exact(path.read_text(encoding="utf-8"), *shape)
+    except UnicodeDecodeError:  # the validator words it as it meets it
+        signals = None
+    if signals is None:
+        signals = _read_csv_lines(path, *shape)
     return PatchSignalClip(signals=signals, fps=fps)
 
 
@@ -107,18 +152,25 @@ def read_clip_binary(path: Path, fps: float = DEFAULT_FPS) -> PatchSignalClip:
     return PatchSignalClip(signals=signals.astype(np.float64), fps=fps)
 
 
-def write_clip(clip: PatchSignalClip, path: Path, format: str) -> None:
+def write_clip(clip: PatchSignalClip, path: Path, format: str, *, sidecar: bool = True) -> None:
+    """``sidecar=False`` writes a dataset's CSV clip, whose manifest states its shape."""
     if format == "csv":
-        write_clip_csv(clip, path)
+        write_clip_csv(clip, path, sidecar)
     elif format == "binary":
         write_clip_binary(clip, path)
     else:
         raise ValueError(f"unknown clip format {format!r}")
 
 
-def read_clip(path: Path, format: str) -> PatchSignalClip:
+def read_clip(path: Path, format: str, shape: tuple[int, int] | None = None) -> PatchSignalClip:
+    """``shape`` is the (M, T) a dataset's manifest states: a CSV clip is read
+    without a sidecar, and a binary clip must have it."""
     if format == "csv":
-        return read_clip_csv(path)
+        return read_clip_csv(path, shape)
     if format == "binary":
-        return read_clip_binary(path)
+        clip = read_clip_binary(path)
+        if shape is not None and clip.signals.shape != tuple(shape):
+            raise DataFormatError(f"{path}: clip is {clip.patch_count}x{clip.frame_count}, "
+                                  f"its manifest states {shape[0]}x{shape[1]}")
+        return clip
     raise ValueError(f"unknown clip format {format!r}")

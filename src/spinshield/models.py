@@ -28,6 +28,7 @@ from .spectral import (
     OneSidedSpectrum,
     PatchSignalClip,
     inverse_phasor,
+    keyed_rng,
     minmax_normalize,
 )
 
@@ -163,7 +164,7 @@ def init_bundle(
     """Fresh parameters: uniform +-1/sqrt(fan_in) weights, zero biases."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = keyed_rng(seed, 0)
     dims = {"input_width": input_width, "n_bins": n_bins, "hidden": hidden,
             "feature_dim": feature_dim, "gen_hidden": gen_hidden, "domain_hidden": domain_hidden}
     arrays = {
@@ -410,6 +411,9 @@ def load_bundle(path: Path) -> ModelBundle:
                            float(doc["alpha"]), float(doc["delta"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: incomplete checkpoint: {exc}") from exc
+    if not all(0.0 < v < np.inf for v in (bundle.generator.alpha, bundle.delta)):
+        raise DataFormatError(f"{path}: alpha and delta must be finite and positive, "
+                              f"got {bundle.generator.alpha!r} and {bundle.delta!r}")
     for name, shape in declared.items():
         if params[name].shape != shape:
             raise DataFormatError(

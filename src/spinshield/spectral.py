@@ -7,7 +7,9 @@ Conventions used throughout the package:
 * only bins ``k = 0 .. floor(T/2)`` are kept, the negative half is implied by
   Hermitian symmetry of real signals;
 * phase is canonicalized to 0 at bins with zero amplitude, and to exactly
-  ``{0, pi}`` at the DC bin (and the Nyquist bin for even ``T``).
+  ``{0, pi}`` at the DC bin (and the Nyquist bin for even ``T``);
+* every random stream is a counter-based Philox generator keyed by two
+  unsigned 64-bit words (``keyed_rng``).
 """
 
 from __future__ import annotations
@@ -16,11 +18,29 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
+from numpy.random.bit_generator import ISeedSequence
 
 FloatArray = npt.NDArray[np.float64]
 ComplexArray = npt.NDArray[np.complex128]
 
 DEFAULT_FPS = 25.0
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands a Philox its key as the seed sequence.  ``Philox(key=...)`` also
+    builds a ``SeedSequence`` from OS entropy, which a keyed stream never reads."""
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.key
+
+
+def keyed_rng(seed: int, stream: int) -> np.random.Generator:
+    """The stream of ``Philox(key=[seed, stream])``; ``Philox(key=seed)`` is stream 0."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(np.array([seed, stream], dtype=np.uint64))))
+
 
 # weights of the fixed luminance formula for RGB input
 _LUMA = np.array([0.299, 0.587, 0.114])

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import clipio
 from .errors import DataFormatError
-from .spectral import DEFAULT_FPS, FloatArray, PatchSignalClip
+from .spectral import DEFAULT_FPS, FloatArray, PatchSignalClip, keyed_rng
 
 PHASE_SLOPE_RANGE = 0.15  # radians per patch-grid step
 
@@ -106,10 +106,6 @@ def _patch_grid_shape(patches: int) -> tuple[int, int]:
     return rows, cols
 
 
-def _clip_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
-
-
 def _generate_chunk(spec: DatasetSpec, start: int, stop: int) -> list[LabeledClip]:
     """Clips start..stop-1; start is even, so fakes sit at the chunk's even offsets."""
     m, t_len, c = spec.patches, spec.frames, stop - start
@@ -123,7 +119,7 @@ def _generate_chunk(spec: DatasetSpec, start: int, stop: int) -> list[LabeledCli
     base_level, draws, noise = np.empty((c, m)), np.empty((c, len(ranges))), np.empty((c, m, t_len))
     t0, order = np.empty(c, dtype=np.int64), np.tile(np.arange(m), (c, 1))  # order: a real's patch shuffle
     for j, index in enumerate(range(start, stop)):
-        rng = _clip_rng(spec.seed, index)
+        rng = keyed_rng(spec.seed, index)
         base_level[j] = rng.uniform(spec.base_level_range[0], spec.base_level_range[1], size=m)
         # all stochastic choices are drawn regardless of label so that with both
         # cues switched off the two populations are literally identical
@@ -207,7 +203,9 @@ def phase_cue_statistic(clip: PatchSignalClip, component_bin: int = 1) -> float:
 
 # --- dataset files ----------------------------------------------------------------
 
-MANIFEST_VERSION = 1
+# version 2: the spec states every clip's shape, so CSV clips have no sidecar;
+# version 1 manifests still load, their CSV clips through their sidecars
+MANIFEST_VERSION = 2
 
 
 def spec_to_dict(spec: DatasetSpec) -> dict:
@@ -248,14 +246,24 @@ def spec_from_dict(data: dict) -> DatasetSpec:
 def save_dataset(
     clips: list[LabeledClip], spec: DatasetSpec, out_dir: Path, clip_format: str = "csv"
 ) -> Path:
-    """Write per-clip files plus a manifest JSON; returns the manifest path."""
+    """Write one file per clip plus a manifest JSON; returns the manifest path.
+
+    The manifest's spec states every clip's shape and the clips have
+    ``DEFAULT_FPS``, so a CSV clip gets no sidecar; a clip that differs is a
+    ``ValueError`` before any file is written.
+    """
+    shape = (spec.patches, spec.frames)
+    for i, labeled in enumerate(clips):
+        if labeled.clip.signals.shape != shape or labeled.clip.fps != DEFAULT_FPS:
+            raise ValueError(f"clip {i} is {labeled.clip.patch_count}x{labeled.clip.frame_count} at "
+                             f"{labeled.clip.fps} fps; the manifest states {shape[0]}x{shape[1]} at {DEFAULT_FPS} fps")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = "csv" if clip_format == "csv" else "spsc"
     entries = []
     for i, labeled in enumerate(clips):
         name = f"clip_{i:05d}.{ext}"
-        clipio.write_clip(labeled.clip, out_dir / name, clip_format)
+        clipio.write_clip(labeled.clip, out_dir / name, clip_format, sidecar=False)
         entries.append({"path": name, "label": labeled.y, "provenance": labeled.provenance})
     manifest = {
         "version": MANIFEST_VERSION,
@@ -278,9 +286,15 @@ def _read_manifest(manifest_path: Path) -> dict:
         raise DataFormatError(f"bad manifest JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataFormatError(f"{manifest_path}: manifest must be a JSON object")
-    if manifest.get("version") != MANIFEST_VERSION:
+    if manifest.get("version") not in (1, MANIFEST_VERSION):
         raise DataFormatError(f"unsupported manifest version {manifest.get('version')!r}")
     return manifest
+
+
+def _manifest_spec(manifest: dict, manifest_path: Path) -> DatasetSpec:
+    if not isinstance(manifest.get("spec"), dict):
+        raise DataFormatError(f"{manifest_path}: manifest has no dataset spec object")
+    return spec_from_dict(manifest["spec"])
 
 
 def _manifest_clips(
@@ -291,6 +305,10 @@ def _manifest_clips(
 ) -> list[LabeledClip]:
     fmt = clip_format or manifest.get("clip_format", "csv")
     base = manifest_path.parent
+    shape = None
+    if manifest["version"] != 1:
+        spec = _manifest_spec(manifest, manifest_path)
+        shape = (spec.patches, spec.frames)
     entries = []
     for entry in manifest.get("clips", []):
         try:
@@ -306,7 +324,7 @@ def _manifest_clips(
     for i in range(len(entries)) if select is None else select(len(entries)):
         label, rel, provenance = entries[i]
         try:
-            clip = clipio.read_clip(base / rel, fmt)
+            clip = clipio.read_clip(base / rel, fmt, shape)
         except ValueError as exc:
             raise DataFormatError(f"{rel}: {exc}") from exc
         out.append(LabeledClip(clip=clip, y=label, provenance=provenance))
@@ -330,7 +348,4 @@ def load_dataset(
     """
     manifest_path = Path(manifest_path)
     manifest = _read_manifest(manifest_path)
-    if not isinstance(manifest.get("spec"), dict):
-        raise DataFormatError(f"{manifest_path}: manifest has no dataset spec object")
-    spec = spec_from_dict(manifest["spec"])
-    return spec, _manifest_clips(manifest, manifest_path, None, select)
+    return _manifest_spec(manifest, manifest_path), _manifest_clips(manifest, manifest_path, None, select)

@@ -27,7 +27,7 @@ from . import objectives as obj
 from .attacks import DEFAULT_EPS0, DEFAULT_NOISE_SIGMA
 from .errors import DataFormatError, NumericalAbort
 from .evaluation import compute_auc, score_clips
-from .spectral import ComplexArray, FloatArray, forward_stack, inverse_phasor
+from .spectral import ComplexArray, FloatArray, forward_stack, inverse_phasor, keyed_rng
 from .synthdata import LabeledClip
 
 MODES = ("baseline", "spinshield", "naive_aug")
@@ -183,17 +183,13 @@ class Adam:
         self.flat -= self.lr * (self.m / bias1) / (np.sqrt(self.v / bias2) + self.eps)
 
 
-def _run_rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-
-
 def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic 80/10/10 train/val/test split of clip indices."""
     if n < 10:
         raise ValueError("need at least 10 clips to split")
     if not 0 <= seed < 2**64:
         raise ValueError(f"split seed must lie in [0, 2**64), got {seed}")
-    perm = _run_rng(seed, _STREAM_SPLIT).permutation(n)
+    perm = keyed_rng(seed, _STREAM_SPLIT).permutation(n)
     n_test = n // 10
     n_val = n // 10
     test = perm[:n_test]
@@ -458,8 +454,8 @@ def train(
     arrays = md.named_arrays(bundle)
     assert all(arrays[n] is a for opt in (det_opt, gen_opt) for n, a in opt.arrays.items())
 
-    batch_rng = _run_rng(config.seed, _STREAM_BATCH)
-    naive_rng = _run_rng(config.seed, _STREAM_NAIVE)
+    batch_rng = keyed_rng(config.seed, _STREAM_BATCH)
+    naive_rng = keyed_rng(config.seed, _STREAM_NAIVE)
 
     log_rows: list[dict] = []
     val_auc_by_epoch: list[float] = []

@@ -286,6 +286,24 @@ class TestMalformedInputs:
         assert "must be a JSON object" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", float("nan")), ("alpha", float("inf")), ("alpha", -1.0), ("alpha", 0.0),
+        ("delta", float("nan")), ("delta", float("-inf")), ("delta", 0.0),
+    ])
+    def test_bad_checkpoint_alpha_or_delta_is_data_error(self, pipeline, tmp_path, capsys, field, value):
+        # JSON's NaN and Infinity load as floats; the loader must refuse them
+        _, manifest, checkpoint = pipeline
+        doc = json.loads(checkpoint.read_text())
+        doc[field] = value
+        edited, out = tmp_path / "m.ckpt", tmp_path / "features.csv"
+        edited.write_text(json.dumps(doc))
+        code = cli.main(["features", "--checkpoint", str(edited), "--data", str(manifest),
+                         "--out", str(out), "--split", "all"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "finite and positive" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["gen-data", "gen-data --spec", "train", "train --config",
                                          "eval", "sweep", "adaptive", "features"])
     def test_negative_seed_is_data_error(self, pipeline, tmp_path, capsys, command):
@@ -370,6 +388,13 @@ class TestSplitLoading:
         chosen = dict(zip(("train", "val", "test"), training.split_indices(len(entries), 5)))[split]
         return [manifest.parent / entries[i]["path"] for i in chosen]
 
+    @staticmethod
+    def _reads(manifest, paths):
+        """The read_clip calls expected for these files: each with the shape
+        the version-2 manifest's spec states."""
+        spec = json.loads(manifest.read_text())["spec"]
+        return [(path, "binary", (spec["patches"], spec["frames"])) for path in paths]
+
     def test_eval_reads_only_the_split(self, pipeline, monkeypatch, tmp_path):
         from spinshield import clipio
 
@@ -377,9 +402,9 @@ class TestSplitLoading:
         read = []
         original = clipio.read_clip
 
-        def counting(path, fmt):
-            read.append(path)
-            return original(path, fmt)
+        def counting(path, fmt, shape=None):
+            read.append((path, fmt, shape))
+            return original(path, fmt, shape)
 
         monkeypatch.setattr(clipio, "read_clip", counting)
         code = cli.main([
@@ -387,7 +412,7 @@ class TestSplitLoading:
             str(tmp_path / "r.json"), "--n-seeds", "1", "--split", "test", "--split-seed", "5",
         ])
         assert code == 0
-        assert read == self._split_files(manifest, "test")
+        assert read == self._reads(manifest, self._split_files(manifest, "test"))
 
     def test_adaptive_reads_only_its_limit(self, pipeline, monkeypatch, tmp_path):
         from spinshield import clipio
@@ -395,13 +420,14 @@ class TestSplitLoading:
         _, manifest, checkpoint = pipeline
         read = []
         original = clipio.read_clip
-        monkeypatch.setattr(clipio, "read_clip", lambda path, fmt: read.append(path) or original(path, fmt))
+        monkeypatch.setattr(clipio, "read_clip",
+                            lambda path, fmt, shape=None: read.append((path, fmt, shape)) or original(path, fmt, shape))
         code = cli.main([
             "adaptive", "--checkpoint", str(checkpoint), "--data", str(manifest), "--out",
             str(tmp_path / "a.json"), "--steps", "1", "--limit", "10", "--split", "train", "--split-seed", "5",
         ])
         assert code == 0
-        assert read == self._split_files(manifest, "train")[:10]
+        assert read == self._reads(manifest, self._split_files(manifest, "train")[:10])
 
     @pytest.mark.parametrize("inside", [True, False])
     def test_corrupt_clip_fails_only_inside_the_split(self, pipeline, tmp_path, capsys, inside):

@@ -1,9 +1,14 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinshield import clipio
 from spinshield.errors import DataFormatError
-from spinshield.spectral import PatchSignalClip
+from spinshield.spectral import DEFAULT_FPS, PatchSignalClip
 
 from conftest import random_clip
 
@@ -96,3 +101,111 @@ def test_binary_bad_magic(tmp_path):
 def test_unknown_format_rejected(rng, tmp_path):
     with pytest.raises(ValueError, match="format"):
         clipio.write_clip(random_clip(rng), tmp_path / "x", "parquet")
+
+
+def test_csv_text_layout(tmp_path):
+    # the writer's bytes: header, then one repr-valued line per entry, row-major
+    signals = np.array([[1.0, -0.0], [5e-324, 1e308]])
+    path = tmp_path / "c.csv"
+    clipio.write_clip(PatchSignalClip(signals=signals), path, "csv")
+    assert path.read_bytes() == b"m,t,value\n0,0,1.0\n0,1,-0.0\n1,0,5e-324\n1,1,1e+308\n"
+    assert clipio.sidecar_path(path).read_text() == '{"M": 2, "T": 2, "fps": 25.0}'
+
+
+def test_dataset_csv_clip_has_no_sidecar(rng, tmp_path):
+    clip = random_clip(rng, patches=3, frames=5)
+    path = tmp_path / "c.csv"
+    clipio.write_clip(clip, path, "csv", sidecar=False)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]
+    back = clipio.read_clip(path, "csv", (3, 5))
+    np.testing.assert_array_equal(back.signals, clip.signals)
+    assert back.fps == DEFAULT_FPS
+    with pytest.raises(DataFormatError, match="missing sidecar"):
+        clipio.read_clip(path, "csv")
+
+
+def test_binary_clip_must_have_the_stated_shape(rng, tmp_path):
+    path = tmp_path / "c.spsc"
+    clipio.write_clip(random_clip(rng, patches=3, frames=5), path, "binary")
+    assert clipio.read_clip(path, "binary", (3, 5)).signals.shape == (3, 5)
+    with pytest.raises(DataFormatError, match="clip is 3x5, its manifest states 5x3"):
+        clipio.read_clip(path, "binary", (5, 3))
+
+
+# values whose repr round trip is easy to get wrong
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+                1.7976931348623157e308, 0.1, 1e16, 123456789.0]
+
+
+@st.composite
+def _signals(draw):
+    m, t = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    value = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+    return np.array(draw(st.lists(value, min_size=m * t, max_size=m * t))).reshape(m, t)
+
+
+def _outcome(read):
+    try:
+        return "ok", read().tobytes()
+    except Exception as exc:  # the type and the words are what is compared
+        return type(exc), str(exc)
+
+
+class TestOnePassReader:
+    """The one-pass CSV parse reads what the line validator reads, and leaves
+    every other text, and so every error message, to the validator."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(signals=_signals())
+    def test_round_trip_equals_the_validator(self, signals):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.csv"
+            clipio.write_clip(PatchSignalClip(signals=signals), path, "csv", sidecar=False)
+            fast = clipio._parse_exact(path.read_text(encoding="utf-8"), *signals.shape)
+            assert fast is not None  # the writer's text takes the one pass
+            slow = clipio._read_csv_lines(path, *signals.shape)
+            back = clipio.read_clip(path, "csv", signals.shape)
+        for got in (fast, slow, back.signals):
+            assert got.tobytes() == signals.tobytes()  # bit for bit, the sign of -0.0 too
+
+    MUTATIONS = ("swap", "blank", "pad", "duplicate", "drop", "nan", "extra field", "missing field")
+
+    @staticmethod
+    def _mutate(body: list[str], kind: str, i: int, j: int) -> list[str]:
+        body = list(body)
+        if kind == "swap":
+            body[i], body[j] = body[j], body[i]
+        elif kind == "blank":
+            body.insert(i, "")
+        elif kind == "pad":
+            body[i] = f" \t{body[i]}  "
+        elif kind == "duplicate":
+            body.insert(j, body[i])
+        elif kind == "drop":
+            del body[i]
+        elif kind == "nan":
+            body[i] = body[i].rsplit(",", 1)[0] + ",nan"
+        elif kind == "extra field":
+            body[i] += ",1"
+        else:
+            body[i] = body[i].rsplit(",", 1)[0]
+        return body
+
+    @settings(max_examples=300, deadline=None)
+    @given(signals=_signals(), kind=st.sampled_from(MUTATIONS), data=st.data())
+    def test_mutated_text_reads_as_the_validator_reads_it(self, signals, kind, data):
+        m, t = signals.shape
+        i, j = (data.draw(st.integers(0, m * t - 1)) for _ in range(2))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.csv"
+            clipio.write_clip(PatchSignalClip(signals=signals), path, "csv", sidecar=False)
+            body = path.read_text(encoding="utf-8").split("\n")[1:-1]
+            text = "\n".join(["m,t,value", *self._mutate(body, kind, i, j)]) + "\n"
+            path.write_text(text, encoding="utf-8")
+            slow = _outcome(lambda: clipio._read_csv_lines(path, m, t))
+            assert _outcome(lambda: clipio.read_clip(path, "csv", (m, t)).signals) == slow
+            fast = clipio._parse_exact(text, m, t)
+        if fast is not None:
+            assert ("ok", fast.tobytes()) == slow
+        if kind in ("blank", "pad", "duplicate", "drop", "nan", "extra field", "missing field"):
+            assert fast is None

@@ -14,6 +14,7 @@ from spinshield.spectral import (
     forward_stack,
     idft_real,
     inverse_stack,
+    keyed_rng,
     luminance,
     minmax_normalize,
     minmax_normalize_amplitude,
@@ -334,3 +335,43 @@ def test_round_trip_property(frames, patches, seed):
     clip = PatchSignalClip(signals=rng.normal(size=(patches, frames)))
     back = idft_real(dft_onesided(clip))
     np.testing.assert_allclose(back.signals, clip.signals, atol=1e-9)
+
+
+class TestKeyedRng:
+    """``keyed_rng`` gives ``Philox(key=...)``'s stream without drawing OS entropy."""
+
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (7, 3), (2**64 - 1, 2**64 - 1), (123456789, 0)])
+    def test_equals_the_keyed_philox(self, seed, stream):
+        ours = keyed_rng(seed, stream)
+        ref = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+        state, ref_state = ours.bit_generator.state, ref.bit_generator.state
+        for key in ("counter", "key"):
+            np.testing.assert_array_equal(state["state"][key], ref_state["state"][key])
+        # every kind of draw the package makes, interleaved
+        draws = [[rng.random(5), rng.integers(0, 1000, 3), rng.normal(0.0, 2.0, 4), rng.permutation(9),
+                  rng.uniform(-1.0, 1.0, 2), rng.integers(3, 9)] for rng in (ours, ref)]
+        for a, b in zip(*draws):
+            np.testing.assert_array_equal(a, b)
+
+    def test_one_word_key_is_stream_0(self):
+        ref = np.random.Generator(np.random.Philox(key=np.uint64(41)))
+        np.testing.assert_array_equal(keyed_rng(41, 0).random(8), ref.random(8))
+
+    def test_package_draws_no_os_entropy(self, monkeypatch):
+        import numpy.random.bit_generator as bit_generator
+
+        from spinshield import attacks, models, synthdata, training
+
+        calls = []
+        original = bit_generator.randbits
+        monkeypatch.setattr(bit_generator, "randbits", lambda n: calls.append(n) or original(n))
+        np.random.Philox(key=5)
+        assert calls == [128]  # the probe sees Philox(key=...)'s entropy draw
+        calls.clear()
+        clips = synthdata.generate_dataset(synthdata.DatasetSpec(n_clips=20, seed=3))
+        training.split_indices(20, 1)
+        for kind in attacks.ALL_KINDS:
+            attacks.sample_attack(kind, FrequencyGrid(16), 9, patches=4)
+        models.init_bundle(16, 9, seed=2)
+        training.train(training.TrainConfig(epochs=1, mode="naive_aug"), clips)
+        assert calls == []

@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from spinshield import clipio
 from spinshield import synthdata as sd
 from spinshield.attacks import AttackSpec, BandMaskParams, sample_attack, apply_attack
 from spinshield.errors import DataFormatError
 from spinshield.evaluation import compute_auc
-from spinshield.spectral import FrequencyGrid, dft_onesided
+from spinshield.spectral import DEFAULT_FPS, FrequencyGrid, PatchSignalClip, dft_onesided
 
 
 def ks_statistic(a, b):
@@ -190,6 +191,79 @@ class TestDatasetFiles:
         content[2] = "0,1,nan"
         bad.write_text("\n".join(content) + "\n")
         with pytest.raises(DataFormatError, match="clip_00001.csv:3"):
+            sd.load_clips(manifest)
+
+    @pytest.mark.parametrize("clip_format", ["csv", "binary"])
+    def test_dataset_is_one_file_per_clip(self, tmp_path, clip_format):
+        spec = sd.DatasetSpec(n_clips=4, seed=4)
+        manifest = sd.save_dataset(sd.generate_dataset(spec), spec, tmp_path / "ds", clip_format=clip_format)
+        ext = "csv" if clip_format == "csv" else "spsc"
+        assert sorted(p.name for p in manifest.parent.iterdir()) == [
+            *(f"clip_{i:05d}.{ext}" for i in range(4)), "manifest.json"]
+        assert json.loads(manifest.read_text())["version"] == sd.MANIFEST_VERSION == 2
+
+    @pytest.mark.parametrize("clip_format", ["csv", "binary"])
+    def test_version_1_dataset_loads_through_its_sidecars(self, tmp_path, clip_format):
+        # built as version 1 wrote it: each CSV clip with a sidecar, which states the fps
+        spec = sd.DatasetSpec(n_clips=6, seed=4)
+        clips = sd.generate_dataset(spec)
+        out, ext = tmp_path / "v1", "csv" if clip_format == "csv" else "spsc"
+        out.mkdir()
+        entries = []
+        for i, lc in enumerate(clips):
+            clipio.write_clip(PatchSignalClip(signals=lc.clip.signals, fps=30.0), out / f"c{i}.{ext}", clip_format)
+            entries.append({"path": f"c{i}.{ext}", "label": lc.y, "provenance": lc.provenance})
+        manifest = out / "manifest.json"
+        manifest.write_text(json.dumps({"version": 1, "clip_format": clip_format, "spec": sd.spec_to_dict(spec),
+                                        "seed": spec.seed, "clips": entries}))
+        loaded_spec, loaded = sd.load_dataset(manifest)
+        assert loaded_spec == spec
+        for a, b in zip(clips, loaded):
+            np.testing.assert_array_equal(a.clip.signals, b.clip.signals)
+            assert (a.y, a.provenance) == (b.y, b.provenance)
+            # binary clips hold no fps and read at the default, as they always did
+            assert b.clip.fps == (30.0 if clip_format == "csv" else DEFAULT_FPS)
+        if clip_format == "csv":
+            clipio.sidecar_path(out / "c3.csv").unlink()
+            with pytest.raises(DataFormatError, match="missing sidecar"):
+                sd.load_clips(manifest)
+
+    def test_version_2_reads_no_sidecar(self, tmp_path):
+        spec = sd.DatasetSpec(n_clips=4, seed=4)
+        clips = sd.generate_dataset(spec)
+        manifest = sd.save_dataset(clips, spec, tmp_path / "ds", clip_format="csv")
+        # a stale sidecar, as version 1 left it, is not read
+        clipio.sidecar_path(tmp_path / "ds" / "clip_00001.csv").write_text('{"M": 2, "T": 2, "fps": 30}')
+        for a, b in zip(clips, sd.load_clips(manifest)):
+            np.testing.assert_array_equal(a.clip.signals, b.clip.signals)
+            assert b.clip.fps == DEFAULT_FPS
+
+    @pytest.mark.parametrize("change", ["shape", "fps"])
+    def test_clip_unlike_the_manifest_is_refused(self, tmp_path, change):
+        spec = sd.DatasetSpec(n_clips=4, seed=1)
+        clips = sd.generate_dataset(spec)
+        signals = clips[2].clip.signals
+        odd = PatchSignalClip(signals=signals[:, :-1]) if change == "shape" else PatchSignalClip(signals, fps=30.0)
+        clips[2] = sd.LabeledClip(clip=odd, y=clips[2].y)
+        with pytest.raises(ValueError, match="clip 2 is 16x(15 at 25.0|16 at 30.0) fps; the manifest states 16x16"):
+            sd.save_dataset(clips, spec, tmp_path / "ds", clip_format="csv")
+        assert not (tmp_path / "ds").exists()
+
+    def test_binary_clip_unlike_the_manifest_is_a_data_error(self, tmp_path):
+        spec = sd.DatasetSpec(n_clips=4, seed=1)
+        manifest = sd.save_dataset(sd.generate_dataset(spec), spec, tmp_path / "ds", clip_format="binary")
+        clipio.write_clip(PatchSignalClip(signals=np.ones((16, 15))), tmp_path / "ds" / "clip_00003.spsc", "binary")
+        with pytest.raises(DataFormatError, match="clip_00003.spsc: clip is 16x15, its manifest states 16x16"):
+            sd.load_clips(manifest)
+
+    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    def test_unknown_manifest_version_is_a_data_error(self, tmp_path, version):
+        spec = sd.DatasetSpec(n_clips=2, seed=6)
+        manifest = sd.save_dataset(sd.generate_dataset(spec), spec, tmp_path / "ds")
+        doc = json.loads(manifest.read_text())
+        doc["version"] = version
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="unsupported manifest version"):
             sd.load_clips(manifest)
 
     def test_missing_manifest(self, tmp_path):
