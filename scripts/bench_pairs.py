@@ -157,7 +157,7 @@ def _environment(scratch: Path) -> dict:
         "blas_threads": "OPENBLAS_NUM_THREADS=1 and OMP_NUM_THREADS=1, set by perfbench/run.py before numpy is imported",
         "caller_env": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         # the runs create their files here, and the cost of creating a file belongs to the host
-        "scratch": {"path": str(scratch.resolve()), **_filesystem(scratch)},
+        "scratch": _filesystem(scratch),
     }
 
 
