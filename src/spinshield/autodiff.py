@@ -2,8 +2,9 @@
 
 Values are plain float64 arrays (scalars are 0-d), the graph is built by the
 op functions below, and :func:`backward` walks it in reverse topological order
-exactly once.  There is no automatic broadcasting; the handful of explicit
-row/column ops below cover everything the models and objectives need.
+exactly once.  There is no automatic broadcasting: :func:`dense` adds its
+bias to every row, :func:`scale` multiplies by a python scalar, and every
+other op takes operands of one shape.
 
 Gradient work happens only where a gradient is needed.  A leaf is trainable
 unless it is made with :func:`const`, and every other node requires a
@@ -17,9 +18,10 @@ when reusing nodes.
 
 The program builds no graph: its closed-form kernels call the plain-array
 products that the ops here share (:func:`standardized`, :func:`standardize_vjp`,
-:func:`softmax_rows`, :func:`softmax_vjp`, :func:`cross_entropy_parts`,
-:func:`cross_entropy_vjp`).  Graphs are the tests' reference for those kernels
-bit for bit, and carry the gradient checks against finite differences.
+:func:`softmax_rows`, :func:`softmax_vjp`, :func:`softmax_parts`,
+:func:`cross_entropy_parts`, :func:`cross_entropy_vjp`).  Graphs are the
+tests' reference for those kernels bit for bit, and carry the gradient checks
+against finite differences.
 """
 
 from __future__ import annotations
@@ -168,21 +170,6 @@ def add_scalar(a: Node, c: float) -> Node:
     return out
 
 
-def matmul(a: Node, b: Node) -> Node:
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {a.value.shape} @ {b.value.shape}")
-    out = Node(a.value @ b.value, (a, b))
-
-    def _backward(g: FloatArray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g @ b.value.T)
-        if b.requires_grad:
-            _accumulate(b, a.value.T @ g)
-
-    out._backward = _backward
-    return out
-
-
 def dense(x: Node, w: Node, b: Node, activation: str | None = None) -> Node:
     """One node for ``x @ w + b``, ``b`` added to every row, optionally
     through a tanh (``activation="tanh"``)."""
@@ -211,13 +198,17 @@ def dense(x: Node, w: Node, b: Node, activation: str | None = None) -> Node:
     return out
 
 
-def standardized(x: FloatArray, eps: float) -> tuple[FloatArray, FloatArray]:
+def standardized(x: FloatArray, eps: float, out: FloatArray | None = None) -> tuple[FloatArray, FloatArray]:
     """The rows of a 2-d array standardized as by :func:`standardize_rows`,
     and each row's ``1 / sqrt(var + eps)``; rows never mix, so a row's result
-    does not depend on the rows stacked with it."""
-    centered = x - x.mean(axis=1, keepdims=True)
-    inv_std = ((centered * centered).mean(axis=1, keepdims=True) + eps) ** -0.5
-    return centered * inv_std, inv_std
+    does not depend on the rows stacked with it.  The rows are written to
+    ``out`` if given, which may be ``x`` itself."""
+    centered = np.subtract(x, x.mean(axis=1, keepdims=True), out=out)
+    inv_std = np.square(centered).mean(axis=1, keepdims=True)
+    inv_std += eps
+    inv_std **= -0.5
+    centered *= inv_std
+    return centered, inv_std
 
 
 def standardize_rows(x: Node, eps: float) -> Node:
@@ -235,8 +226,12 @@ def standardize_vjp(val: FloatArray, inv_std: FloatArray, g: FloatArray) -> Floa
     """The vector-Jacobian product of :func:`standardized` at the rows it
     returned, ``val`` and ``inv_std``, for the output gradient ``g``."""
     # gradient at the centered rows, then projected onto zero-mean rows
-    g_centered = inv_std * (g - val * (g * val).mean(axis=1, keepdims=True))
-    return g_centered - g_centered.mean(axis=1, keepdims=True)
+    g_centered = g * val
+    np.multiply(val, g_centered.mean(axis=1, keepdims=True), out=g_centered)
+    np.subtract(g, g_centered, out=g_centered)
+    g_centered *= inv_std
+    g_centered -= g_centered.mean(axis=1, keepdims=True)
+    return g_centered
 
 
 def row_slice(a: Node, start: int, stop: int) -> Node:
@@ -271,12 +266,6 @@ def concat_rows(a: Node, b: Node) -> Node:
     return out
 
 
-def transpose(a: Node) -> Node:
-    out = Node(a.value.T, (a,))
-    out._backward = lambda g: _accumulate(a, g.T)
-    return out
-
-
 def reshape(a: Node, shape: Sequence[int]) -> Node:
     out = Node(a.value.reshape(shape), (a,))
     out._backward = lambda g: _accumulate(a, g.reshape(a.value.shape))
@@ -302,20 +291,6 @@ def log(a: Node) -> Node:
         raise ValueError("log of non-positive value; pre-stabilize with an epsilon")
     out = Node(np.log(a.value), (a,))
     out._backward = lambda g: _accumulate(a, g / a.value)
-    return out
-
-
-def powc(a: Node, c: float) -> Node:
-    """Elementwise power with a constant exponent."""
-    out = Node(a.value**c, (a,))
-    out._backward = lambda g: _accumulate(a, g * c * a.value ** (c - 1.0))
-    return out
-
-
-def clip_min(a: Node, c: float) -> Node:
-    """Elementwise max with a constant; gradient passes only where unclamped."""
-    out = Node(np.maximum(a.value, c), (a,))
-    out._backward = lambda g: _accumulate(a, g * (a.value > c))
     return out
 
 
@@ -353,71 +328,6 @@ def mean_all(a: Node) -> Node:
     return out
 
 
-def row_sum(a: Node) -> Node:
-    if a.value.ndim != 2:
-        raise ValueError("row_sum expects a 2-d matrix")
-    out = Node(a.value.sum(axis=1, keepdims=True), (a,))
-    out._backward = lambda g: _accumulate(a, g)
-    return out
-
-
-def row_mean(a: Node) -> Node:
-    if a.value.ndim != 2:
-        raise ValueError("row_mean expects a 2-d matrix")
-    n = a.value.shape[1]
-    out = Node(a.value.mean(axis=1, keepdims=True), (a,))
-    out._backward = lambda g: _accumulate(a, g / n)
-    return out
-
-
-def add_rowvec(m: Node, v: Node) -> Node:
-    """Add a length-N vector to every row of a B x N matrix."""
-    if m.value.ndim != 2 or v.value.ndim != 1 or m.value.shape[1] != v.value.shape[0]:
-        raise ValueError(f"add_rowvec: shapes {m.value.shape} and {v.value.shape}")
-    out = Node(m.value + v.value[None, :], (m, v))
-
-    def _backward(g: FloatArray) -> None:
-        if m.requires_grad:
-            _accumulate(m, g)
-        if v.requires_grad:
-            _accumulate(v, g.sum(axis=0))
-
-    out._backward = _backward
-    return out
-
-
-def add_colvec(m: Node, v: Node) -> Node:
-    """Add a B x 1 column to every column of a B x N matrix."""
-    if m.value.ndim != 2 or v.value.shape != (m.value.shape[0], 1):
-        raise ValueError(f"add_colvec: shapes {m.value.shape} and {v.value.shape}")
-    out = Node(m.value + v.value, (m, v))
-
-    def _backward(g: FloatArray) -> None:
-        if m.requires_grad:
-            _accumulate(m, g)
-        if v.requires_grad:
-            _accumulate(v, g.sum(axis=1, keepdims=True))
-
-    out._backward = _backward
-    return out
-
-
-def mul_colvec(m: Node, v: Node) -> Node:
-    """Scale every row of a B x N matrix by the matching B x 1 entry."""
-    if m.value.ndim != 2 or v.value.shape != (m.value.shape[0], 1):
-        raise ValueError(f"mul_colvec: shapes {m.value.shape} and {v.value.shape}")
-    out = Node(m.value * v.value, (m, v))
-
-    def _backward(g: FloatArray) -> None:
-        if m.requires_grad:
-            _accumulate(m, g * v.value)
-        if v.requires_grad:
-            _accumulate(v, (g * m.value).sum(axis=1, keepdims=True))
-
-    out._backward = _backward
-    return out
-
-
 def cross_entropy_with_logits(logits: Node, labels: npt.ArrayLike) -> Node:
     """Per-sample cross entropy in fused log-sum-exp form; returns a length-B vector."""
     y = np.asarray(labels, dtype=np.intp)
@@ -432,13 +342,22 @@ def cross_entropy_with_logits(logits: Node, labels: npt.ArrayLike) -> Node:
     return out
 
 
+def softmax_parts(z: FloatArray) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """The logits ``z`` shifted by each row's maximum, the log-sum-exp of each
+    shifted row and the row softmax of ``z``: the cross entropy of row i
+    against label k is ``lse[i] - shifted[i, k]``."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    e /= total
+    return shifted, np.log(total[:, 0]), e
+
+
 def cross_entropy_parts(z: FloatArray, labels: np.ndarray) -> tuple[FloatArray, FloatArray]:
     """Per-row cross entropy of the logits ``z`` against integer labels, in
     fused log-sum-exp form, and the row softmax of ``z``."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    losses = np.log(e.sum(axis=1)) - shifted[np.arange(z.shape[0]), labels]
-    return losses, e / e.sum(axis=1, keepdims=True)
+    shifted, lse, p = softmax_parts(z)
+    return lse - shifted[np.arange(z.shape[0]), labels], p
 
 
 def cross_entropy_vjp(p: FloatArray, labels: np.ndarray, g: "FloatArray | float") -> FloatArray:
@@ -447,7 +366,8 @@ def cross_entropy_vjp(p: FloatArray, labels: np.ndarray, g: "FloatArray | float"
     scalar for every row."""
     d = p.copy()
     d[np.arange(p.shape[0]), labels] -= 1.0
-    return d * g
+    d *= g
+    return d
 
 
 def grl(a: Node) -> Node:

@@ -22,7 +22,7 @@ from . import models as md
 from .errors import DataFormatError, NumericalAbort
 from .parallel import parallel_map
 from .spectral import (ComplexArray, FloatArray, FrequencyGrid, PatchSignalClip, forward_stack, inverse_phasor,
-                       inverse_stack)
+                       inverse_stack, minmax_normalize)
 from .synthdata import LabeledClip
 
 DEFAULT_ADAPTIVE_BUDGET = math.log(2.0)
@@ -50,11 +50,17 @@ def compute_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def _clean_path(bundle: md.ModelBundle, x: FloatArray) -> tuple[FloatArray, FloatArray]:
-    """Features and fake-probabilities for a stack of flat clips."""
+def _clean_path(bundle: md.ModelBundle, z: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """Features and class probabilities for standardized clip rows ``z``."""
     p = md.named_arrays(bundle)
-    h = md.encode(ad.standardized(np.asarray(x, dtype=np.float64), md.STANDARDIZE_EPS)[0], p)[1]
+    h = md.encode(z, p)[1]
     return h, ad.softmax_rows(md.classify(h, p))
+
+
+def score_rows(bundle: md.ModelBundle, z: FloatArray) -> np.ndarray:
+    """Fake-class probability per row of standardized clip rows ``z``: the
+    scores :func:`score_clips` gives the clips, as rows never mix."""
+    return _clean_path(bundle, z)[1][:, 1]
 
 
 def score_clips(bundle: md.ModelBundle, clips: list[PatchSignalClip] | FloatArray) -> np.ndarray:
@@ -66,8 +72,7 @@ def score_clips(bundle: md.ModelBundle, clips: list[PatchSignalClip] | FloatArra
     x = signals.reshape(len(signals), -1)
     if x.shape[1] != bundle.input_width:
         raise ValueError(f"clips flatten to width {x.shape[1]}, model expects {bundle.input_width}")
-    _, probs = _clean_path(bundle, x)
-    return probs[:, 1]
+    return score_rows(bundle, ad.standardized(np.asarray(x, dtype=np.float64), md.STANDARDIZE_EPS)[0])
 
 
 def score_clip(bundle: md.ModelBundle, clip: PatchSignalClip) -> float:
@@ -363,10 +368,11 @@ def dump_features(bundle: md.ModelBundle, labeled: list[LabeledClip], path: Path
     """CSV of encoder features for the clean and env view of every clip."""
     pairs = _ordered(labeled)
     signals = _signal_stack([lc.clip for _, lc in pairs])
-    h_clean, _ = _clean_path(bundle, signals.reshape(len(signals), -1))
+    h_clean, _ = _clean_path(bundle, ad.standardized(signals.reshape(len(signals), -1), md.STANDARDIZE_EPS)[0])
     amplitude, phase = forward_stack(signals)
     p = md.named_arrays(bundle)
-    views = md.lsa_forward(p, amplitude, np.exp(1j * phase), signals.shape[-1], bundle.generator.alpha, bundle.delta)
+    views = md.lsa_forward(p, amplitude, minmax_normalize(amplitude), np.exp(1j * phase), signals.shape[-1],
+                           bundle.generator.alpha, bundle.delta)
     h_env = md.encode(views.z_env, p)[1]
 
     dim = h_clean.shape[1]

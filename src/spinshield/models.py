@@ -10,6 +10,7 @@ the reference and for gradient checks.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -201,7 +202,10 @@ def classify(h: FloatArray, p: Mapping[str, FloatArray]) -> FloatArray:
 
 def tanh_backward(g: FloatArray, out: FloatArray) -> FloatArray:
     """The gradient at the input of ``tanh`` from the one at its output ``out``."""
-    return g * (1.0 - out * out)
+    slope = np.square(out)
+    np.subtract(1.0, slope, out=slope)
+    slope *= g
+    return slope
 
 
 def recompose_adjoint(g: FloatArray, phasor: ComplexArray, window: int) -> FloatArray:
@@ -209,12 +213,21 @@ def recompose_adjoint(g: FloatArray, phasor: ComplexArray, window: int) -> Float
     :func:`recompose_rows`: with the phase held fixed the map from amplitude
     to signal is linear, and this is its adjoint, via an rFFT of the signal
     rows' gradient ``g``."""
+    spectrum = np.fft.rfft(g, axis=1)
+    np.multiply(phasor, np.conj(spectrum, out=spectrum), out=spectrum)
+    return _adjoint_coef(window) * np.real(spectrum)
+
+
+@functools.lru_cache(maxsize=8)
+def _adjoint_coef(window: int) -> FloatArray:
+    """Each bin's weight in :func:`recompose_adjoint`, read-only and shared."""
     grid = FrequencyGrid(window)
     coef = np.full(grid.n_bins, 2.0 / window)
     coef[0] = 1.0 / window
     if grid.has_nyquist:
         coef[-1] = 1.0 / window
-    return coef[None, :] * np.real(phasor * np.conj(np.fft.rfft(g, axis=1)))
+    coef.flags.writeable = False
+    return coef
 
 
 def lsa_modulate(
@@ -251,18 +264,20 @@ class LsaViews(NamedTuple):
     inv_std: FloatArray
 
 
-def lsa_forward(gen: Mapping[str, FloatArray], amp: FloatArray, phasor: ComplexArray, window: int, alpha: float,
-                delta: float) -> LsaViews:
-    """The adversary's views of clip spectra ``(B, M, K)`` with their unit
-    phasors ``exp(i phase)``, and the intermediates of the pass."""
+def lsa_forward(gen: Mapping[str, FloatArray], amp: FloatArray, norm: FloatArray, phasor: ComplexArray, window: int,
+                alpha: float, delta: float) -> LsaViews:
+    """The adversary's views of clip spectra ``(B, M, K)`` with their
+    min-max normalized amplitudes (:func:`spectral.minmax_normalize`, the
+    generator's input) and unit phasors ``exp(i phase)``, and the
+    intermediates of the pass."""
     b, m, k = amp.shape
-    norm = minmax_normalize(amp).reshape(b * m, k)
+    norm = norm.reshape(b * m, k)
     hidden = np.tanh(norm @ gen["gen.w1"] + gen["gen.b1"])
     field = hidden @ gen["gen.w2"] + gen["gen.b2"]
     squashed, new_amp, denom, mask = lsa_modulate(amp.reshape(b * m, k), field, alpha, delta)
     phasor = phasor.reshape(b * m, k)
-    signals = inverse_phasor(new_amp, phasor, window)
-    z_env, inv_std = ad.standardized(signals.reshape(b, m * window), STANDARDIZE_EPS)
+    signals = inverse_phasor(new_amp, phasor, window).reshape(b, m * window)
+    z_env, inv_std = ad.standardized(signals, STANDARDIZE_EPS, out=signals)
     return LsaViews(norm, hidden, squashed, new_amp, denom, mask, phasor, z_env, inv_std)
 
 
@@ -286,7 +301,8 @@ def lsa_perturb(
     gen = {f"gen.{name}": getattr(generator, name) for name in ("w1", "b1", "w2", "b2")}
     phasor = np.exp(1j * spectrum.phase)
     window = spectrum.grid.window
-    views = lsa_forward(gen, spectrum.amplitude[None], phasor[None], window, generator.alpha, delta)
+    amp = spectrum.amplitude[None]
+    views = lsa_forward(gen, amp, minmax_normalize(amp), phasor[None], window, generator.alpha, delta)
     signals = inverse_phasor(views.new_amp, views.phasor, window)
     clip = PatchSignalClip(signals=signals, fps=DEFAULT_FPS if fps is None else fps)
     return clip, ModulationMask(values=views.mask[None], delta=delta)

@@ -75,7 +75,9 @@ def _as_matrix(x: "Node | npt.ArrayLike") -> Node:
 
 def resolve_bandwidth(a: np.ndarray, b: np.ndarray, kernel: KernelSpec) -> float:
     """Kernel bandwidth; the median heuristic pools both sets and takes the
-    median pairwise Euclidean distance (no gradient flows through this)."""
+    median pairwise Euclidean distance (no gradient flows through this), or
+    1.0 where that median is 0 or NaN.  The median is ``np.median``'s bit for
+    bit, with the monotone square root taken of the middle values alone."""
     if isinstance(kernel.bandwidth, float) or isinstance(kernel.bandwidth, int):
         return float(kernel.bandwidth)
     union = np.concatenate([a, b], axis=0)
@@ -84,7 +86,11 @@ def resolve_bandwidth(a: np.ndarray, b: np.ndarray, kernel: KernelSpec) -> float
     pairs = _upper_pairs(union.shape[0])
     if pairs.size == 0:
         return 1.0
-    med = float(np.median(np.sqrt(np.maximum(d2.ravel()[pairs], 0.0))))
+    dist2 = np.maximum(d2.ravel()[pairs], 0.0)
+    half = dist2.size // 2
+    middle = [half] if dist2.size % 2 else [half - 1, half]
+    dist2.partition(middle + [-1])  # a NaN sorts last, where np.median looks for one
+    med = np.nan if np.isnan(dist2[-1]) else float(np.sqrt(dist2[middle]).mean())
     return med if med > 0.0 else 1.0
 
 
@@ -143,11 +149,13 @@ def mmd_with_vjp(
     def vjp(g: float) -> tuple[FloatArray, FloatArray]:
         # d k(u_i, u_j) / d u_i = -2 inv_two_sq k(u_i, u_j) (u_i - u_j) over the
         # union u = [a; b], with each block's coefficient in one weight matrix
-        cross = (k_ab + k_ba.T) * (-1.0 / (na * nb))
-        weights = np.block([
-            [(k_aa + k_aa.T) * (1.0 / (na * na)), cross],
-            [cross.T, (k_bb + k_bb.T) * (1.0 / (nb * nb))],
-        ])
+        weights = np.empty((na + nb, na + nb))
+        for block, k, c in ((weights[:na, :na], k_aa, 1.0 / (na * na)), (weights[na:, na:], k_bb, 1.0 / (nb * nb))):
+            np.add(k, k.T, out=block)
+            block *= c
+        cross = np.add(k_ab, k_ba.T, out=weights[:na, na:])
+        cross *= -1.0 / (na * nb)
+        weights[na:, :na] = cross.T
         union = np.concatenate([av, bv])
         grad = (union * weights.sum(axis=1)[:, None] - weights @ union) * (-2.0 * inv_two_sq * g)
         return grad[:na], grad[na:]

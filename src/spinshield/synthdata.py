@@ -286,8 +286,10 @@ def _read_manifest(manifest_path: Path) -> dict:
         raise DataFormatError(f"bad manifest JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataFormatError(f"{manifest_path}: manifest must be a JSON object")
-    if manifest.get("version") not in (1, MANIFEST_VERSION):
-        raise DataFormatError(f"unsupported manifest version {manifest.get('version')!r}")
+    version = manifest.get("version")
+    # a JSON true or 2.0 compares equal to a version number, but is not one
+    if type(version) is not int or version not in (1, MANIFEST_VERSION):
+        raise DataFormatError(f"unsupported manifest version {version!r}")
     return manifest
 
 

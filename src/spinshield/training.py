@@ -26,8 +26,8 @@ from . import models as md
 from . import objectives as obj
 from .attacks import DEFAULT_EPS0, DEFAULT_NOISE_SIGMA
 from .errors import DataFormatError, NumericalAbort
-from .evaluation import compute_auc, score_clips
-from .spectral import ComplexArray, FloatArray, forward_stack, inverse_phasor, keyed_rng
+from .evaluation import compute_auc, score_rows
+from .spectral import ComplexArray, FloatArray, forward_stack, inverse_phasor, keyed_rng, minmax_normalize
 from .synthdata import LabeledClip
 
 MODES = ("baseline", "spinshield", "naive_aug")
@@ -51,7 +51,7 @@ VAL_SELECTION_TOLERANCE = 0.005
 # the parameters the adversary step reads: the encoder and the classifier
 _ADVERSARY_READS = ("enc.w1", "enc.b1", "enc.w2", "enc.b2", "head.wg", "head.bg")
 
-# clips standardized at a time when a run stacks its dataset
+# clips stacked, transformed and standardized at a time when a run stacks its dataset
 _STANDARDIZE_CHUNK = 256
 
 
@@ -145,7 +145,11 @@ class Adam:
     """Adaptive moment optimizer over a named set of parameter arrays, copied
     into one flat buffer so that a step is one update over it.  The caller's
     dict is repointed at views of the buffer: read the parameters through it,
-    since the arrays it held before are no longer trained."""
+    since the arrays it held before are no longer trained.
+
+    It also owns a flat gradient buffer, viewed per parameter in ``grads``:
+    a step kernel writes into the views, and ``step(opt.grads)`` reads them
+    in place."""
 
     def __init__(
         self,
@@ -155,9 +159,12 @@ class Adam:
         eps: float = 1e-8,
     ) -> None:
         self.flat = np.concatenate([np.ravel(arr) for arr in arrays.values()], dtype=np.float64)
+        self.grad = np.zeros_like(self.flat)
+        self.grads: dict[str, FloatArray] = {}
         start = 0
         for name, arr in arrays.items():
             arrays[name] = self.flat[start : start + arr.size].reshape(arr.shape)
+            self.grads[name] = self.grad[start : start + arr.size].reshape(arr.shape)
             start += arr.size
         self.arrays = arrays
         self.lr = lr
@@ -166,21 +173,36 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
+        self._step_buf, self._denom_buf = np.empty_like(self.flat), np.empty_like(self.flat)
 
     def step(self, grads: Mapping[str, FloatArray]) -> None:
-        """One update from a gradient per parameter.  A non-finite gradient
-        raises FloatingPointError and changes nothing."""
-        g = np.concatenate([np.ravel(grads[name]) for name in self.arrays])
+        """One update from a gradient per parameter: ``self.grads``, read in
+        place, or any other mapping, copied into the gradient buffer first.
+        A non-finite gradient raises FloatingPointError and changes no
+        parameter or moment."""
+        g = self.grad
+        if grads is not self.grads:
+            np.concatenate([np.ravel(grads[name]) for name in self.arrays], out=g)
         if not np.isfinite(g).all():
             raise FloatingPointError("non-finite gradient")
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
+        # flat -= lr (m / bias1) / (sqrt(v / bias2) + eps), in two scratch buffers
+        step, denom = self._step_buf, self._denom_buf
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
+        self.m += np.multiply(g, 1.0 - self.beta1, out=step)
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
-        self.flat -= self.lr * (self.m / bias1) / (np.sqrt(self.v / bias2) + self.eps)
+        np.multiply(g, 1.0 - self.beta2, out=step)
+        step *= g
+        self.v += step
+        np.divide(self.m, bias1, out=step)
+        step *= self.lr
+        np.divide(self.v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        self.flat -= step
 
 
 def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,26 +220,33 @@ def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return train, val, test
 
 
-def _stack_dataset(clips: list[LabeledClip]) -> tuple[FloatArray, FloatArray, ComplexArray, np.ndarray, int, int]:
+def _stack_dataset(
+    clips: list[LabeledClip],
+) -> tuple[FloatArray, FloatArray, FloatArray, ComplexArray, np.ndarray, int, int]:
     """What a run reads of its clips, built once: the standardized clip rows
-    ``(N, M*T)``, the amplitudes and unit phasors ``(N, M, K)``, the labels,
-    M and T.  The rows are standardized in place, a chunk at a time, and the
-    phasors replace the phases, so no stack is held twice."""
+    ``(N, M*T)``; the amplitudes, their per-clip min-max normalization (the
+    generator's input) and the unit phasors, each ``(N, M, K)``; the labels,
+    M and T.  The arrays are filled a chunk of clips at a time: a chunk's
+    signals are stacked into its rows, transformed, then standardized in
+    place.  Clips never mix, so each clip's values are those of one pass
+    over the whole stack."""
     shapes = {lc.clip.signals.shape for lc in clips}
     if len(shapes) != 1:
         raise ValueError(f"clips have inconsistent shapes: {sorted(shapes)}")
     m, t_len = shapes.pop()
-    signals = np.stack([lc.clip.signals for lc in clips])
-    amps, phases = forward_stack(signals)
-    phasors = 1j * phases
-    del phases
-    np.exp(phasors, out=phasors)
-    rows = signals.reshape(len(clips), m * t_len)
-    for start in range(0, len(rows), _STANDARDIZE_CHUNK):
-        chunk = rows[start : start + _STANDARDIZE_CHUNK]
-        chunk[...] = ad.standardized(chunk, md.STANDARDIZE_EPS)[0]
+    n, k = len(clips), t_len // 2 + 1
+    rows = np.empty((n, m * t_len))
+    amps, norms, phasors = np.empty((n, m, k)), np.empty((n, m, k)), np.empty((n, m, k), dtype=np.complex128)
+    for start in range(0, n, _STANDARDIZE_CHUNK):
+        part = slice(start, start + _STANDARDIZE_CHUNK)
+        signals = rows[part].reshape(-1, m, t_len)
+        np.stack([lc.clip.signals for lc in clips[part]], out=signals)
+        amps[part], phases = forward_stack(signals)
+        norms[part] = minmax_normalize(amps[part])
+        np.exp(1j * phases, out=phasors[part])
+        ad.standardized(rows[part], md.STANDARDIZE_EPS, out=rows[part])
     labels = np.array([lc.y for lc in clips], dtype=np.intp)
-    return rows, amps, phasors, labels, m, t_len
+    return rows, amps, norms, phasors, labels, m, t_len
 
 
 def _check_finite(value: float, what: str, step: int) -> float:
@@ -230,14 +259,15 @@ def _first_non_finite(arrays: Mapping[str, FloatArray]) -> str:
     return next(name for name, arr in arrays.items() if not np.isfinite(arr).all())
 
 
-def _adam_step(opt: Adam, grads: dict[str, FloatArray], step: int) -> None:
-    """One optimizer step on a gradient per parameter; a non-finite gradient,
-    or a parameter the step made non-finite, aborts the run.  Each check runs
-    once over the whole group and names the parameter on failure."""
+def _adam_step(opt: Adam, step: int) -> None:
+    """One optimizer step on the gradients a kernel wrote into ``opt.grads``;
+    a non-finite gradient, or a parameter the step made non-finite, aborts
+    the run.  Each check runs once over the whole group and names the
+    parameter on failure."""
     try:
-        opt.step(grads)
+        opt.step(opt.grads)
     except FloatingPointError:
-        raise NumericalAbort(f"gradient of {_first_non_finite(grads)} is non-finite at step {step}") from None
+        raise NumericalAbort(f"gradient of {_first_non_finite(opt.grads)} is non-finite at step {step}") from None
     if not np.isfinite(opt.flat).all():
         raise NumericalAbort(
             f"parameter {_first_non_finite(opt.arrays)} is non-finite after the Adam step at step {step}"
@@ -254,47 +284,57 @@ def _adam_step(opt: Adam, grads: dict[str, FloatArray], step: int) -> None:
 # into 0.0, as the padded sum does).
 
 
-def _param_grads(x: FloatArray, g: FloatArray) -> tuple[FloatArray, FloatArray]:
-    """The gradients at the weight and bias of ``x @ w + b``."""
-    return x.T @ g, g.sum(axis=0)
+def _param_grads(x: FloatArray, g: FloatArray, w_grad: FloatArray, b_grad: FloatArray) -> None:
+    """Write the gradients at the weight and bias of ``x @ w + b``."""
+    np.matmul(x.T, g, out=w_grad)
+    np.add.reduce(g, axis=0, out=b_grad)
 
 
 def _encoder_blindness(
-    h: FloatArray, q1: FloatArray, logits: FloatArray, disc: Mapping[str, FloatArray], g: float
+    h: FloatArray,
+    q1: FloatArray,
+    d_parts: tuple[FloatArray, FloatArray, FloatArray],
+    disc: Mapping[str, FloatArray],
+    g: float,
 ) -> tuple[float, FloatArray]:
     """The encoder side of L_blind (:func:`objectives.encoder_blindness_loss`)
     over the stacked clean and env features ``h``, given the discriminator's
-    forward pass over them (hidden layer ``q1``, ``logits``) with its
-    parameters ``disc`` held constant: the value, and its gradient at ``h``
-    for the value's gradient ``g``."""
+    forward pass over them (hidden layer ``q1``, and its logits'
+    :func:`autodiff.softmax_parts`) with its parameters ``disc`` held
+    constant: the value, and its gradient at ``h`` for the value's gradient
+    ``g``."""
     n = len(h) // 2
     paired, paired_vjp = obj.paired_displacement_with_vjp(h[:n], h[n:])
     view_weights = np.full(2 * n, 1.0 / n)
     zeros, ones = np.zeros(2 * n, dtype=np.intp), np.ones(2 * n, dtype=np.intp)
-    ce0, p0 = ad.cross_entropy_parts(logits, zeros)
-    ce1, p1 = ad.cross_entropy_parts(logits, ones)
-    confusion = np.sum((ce0 + ce1) * view_weights) * 0.5
+    shifted, lse, p = d_parts
+    confusion = np.sum(((lse - shifted[:, 0]) + (lse - shifted[:, 1])) * view_weights) * 0.5
     # the confusion term's two cross entropies pass their gradients separately
     g_rows = ((g * 0.5) * view_weights)[:, None]
-    g_logits = ad.cross_entropy_vjp(p0, zeros, g_rows) + ad.cross_entropy_vjp(p1, ones, g_rows)
+    g_logits = ad.cross_entropy_vjp(p, zeros, g_rows)
+    g_logits += ad.cross_entropy_vjp(p, ones, g_rows)
     g_h = md.tanh_backward(g_logits @ disc["head.wq2"].T, q1) @ disc["head.wq1"].T
     g_clean, g_env = paired_vjp(g)
     # the paired and confusion parts sum per view before the stack is formed
-    return paired + confusion, np.concatenate([g_clean + g_h[:n], g_env + g_h[n:]]) + 0.0
+    g_h[:n] += g_clean
+    g_h[n:] += g_env
+    g_h += 0.0
+    return paired + confusion, g_h
 
 
 def _detector_step(
     arrays: Mapping[str, FloatArray],
+    grads: Mapping[str, FloatArray],
     z_clean: FloatArray,
     z_env: FloatArray | None,
     y: np.ndarray,
     weights: obj.LossWeights,
-) -> tuple[tuple[float, float, float, float, float], dict[str, FloatArray]]:
+) -> tuple[float, float, float, float, float]:
     """The detector step's (L_det, L_sym, discriminator loss, L_blind, total)
-    over standardized clip rows, and the total's gradient at each of the
-    ``enc.*`` and ``head.*`` parameters in ``arrays``.  ``z_env`` is None in
-    baseline mode, where the invariance terms (and the discriminator's
-    gradients) are 0.
+    over standardized clip rows; it writes the total's gradient at each of the
+    ``enc.*`` and ``head.*`` parameters in ``arrays`` into ``grads``.
+    ``z_env`` is None in baseline mode, where the invariance terms (and the
+    discriminator's gradients) are 0.
 
     The clean and env views run through the encoder and classifier as one
     stack, and the discriminator runs once over both.  It learns on detached
@@ -312,46 +352,50 @@ def _detector_step(
         l_det = ce.mean()
         l_sym = l_disc = l_blind = 0.0
         g_h = g_logits @ a["head.wg"].T
-        grads = {name: np.zeros_like(a[name]) for name in ("head.wq1", "head.bq1", "head.wq2", "head.bq2")}
+        for name in ("head.wq1", "head.bq1", "head.wq2", "head.bq2"):
+            grads[name].fill(0.0)
     else:
-        grads = {}
         l_det = np.mean(ce[:n] + ce[n:])
         l_sym, sym_vjp = obj.symmetric_kl_with_vjp(p[:n], p[n:])
         g_softmax = np.concatenate(sym_vjp(weights.lambda_sym)) + 0.0
-        g_logits = (g_logits + 0.0) + ad.softmax_vjp(p, g_softmax)
-        # the discriminator, on features it does not pass a gradient to
+        g_logits += 0.0
+        g_logits += ad.softmax_vjp(p, g_softmax)
+        # the discriminator, on features it does not pass a gradient to; one
+        # softmax of its logits serves its own loss and the encoder's
         q1 = np.tanh(h @ a["head.wq1"] + a["head.bq1"])
-        d_logits = q1 @ a["head.wq2"] + a["head.bq2"]
+        d_parts = ad.softmax_parts(q1 @ a["head.wq2"] + a["head.bq2"])
+        shifted, lse, d_p = d_parts
         view_labels = np.repeat(np.array([0, 1], dtype=np.intp), n)
         view_weights = np.full(2 * n, 1.0 / n)
-        d_ce, d_p = ad.cross_entropy_parts(d_logits, view_labels)
-        l_disc = np.sum(d_ce * view_weights)
+        l_disc = np.sum((lse - shifted[np.arange(2 * n), view_labels]) * view_weights)
         g_d = ad.cross_entropy_vjp(d_p, view_labels, (weights.lambda_blind * view_weights)[:, None])
-        grads["head.wq2"], grads["head.bq2"] = _param_grads(q1, g_d)
+        _param_grads(q1, g_d, grads["head.wq2"], grads["head.bq2"])
         g_q1 = md.tanh_backward(g_d @ a["head.wq2"].T, q1)
-        grads["head.wq1"], grads["head.bq1"] = _param_grads(h, g_q1)
-        l_blind, g_blind = _encoder_blindness(h, q1, d_logits, a, weights.lambda_blind)
-        g_h = g_logits @ a["head.wg"].T + g_blind
+        _param_grads(h, g_q1, grads["head.wq1"], grads["head.bq1"])
+        l_blind, g_blind = _encoder_blindness(h, q1, d_parts, a, weights.lambda_blind)
+        g_h = g_logits @ a["head.wg"].T
+        g_h += g_blind
     total = l_det + (l_sym * weights.lambda_sym + (l_disc + l_blind) * weights.lambda_blind)
-    grads["enc.w2"], grads["enc.b2"] = _param_grads(h1, g_h)
-    grads["enc.w1"], grads["enc.b1"] = _param_grads(z, md.tanh_backward(g_h @ a["enc.w2"].T, h1))
-    grads["head.wg"], grads["head.bg"] = _param_grads(h, g_logits)
-    return (l_det, l_sym, l_disc, l_blind, total), {name: grads[name] for name in a}
+    _param_grads(h1, g_h, grads["enc.w2"], grads["enc.b2"])
+    _param_grads(z, md.tanh_backward(g_h @ a["enc.w2"].T, h1), grads["enc.w1"], grads["enc.b1"])
+    _param_grads(h, g_logits, grads["head.wg"], grads["head.bg"])
+    return l_det, l_sym, l_disc, l_blind, total
 
 
 def _adversary_step(
     frozen: Mapping[str, FloatArray],
     gen: Mapping[str, FloatArray],
+    grads: Mapping[str, FloatArray],
     views: md.LsaViews,
     z_clean: FloatArray,
     y: np.ndarray,
     weights: obj.LossWeights,
     alpha: float,
-) -> tuple[tuple[float, float, float], dict[str, FloatArray]]:
+) -> tuple[float, float, float]:
     """The adversary step's (mmd, mask_reg, L_gen) over its views and the
-    standardized clean rows, and the gradient of ``-L_gen`` at each generator
-    parameter in ``gen``.  The encoder and classifier parameters
-    (``_ADVERSARY_READS``) are held in ``frozen``."""
+    standardized clean rows; it writes the gradient of ``-L_gen`` at each
+    generator parameter in ``gen`` into ``grads``.  The encoder and
+    classifier parameters (``_ADVERSARY_READS``) are held in ``frozen``."""
     f = frozen
     h1_env, h_env = md.encode(views.z_env, f)
     logits = md.classify(h_env, f)
@@ -371,10 +415,9 @@ def _adversary_step(
     )
     g_field = md.lsa_modulate_vjp(g_new_amp, views.squashed, views.new_amp, alpha)
     g_hidden = md.tanh_backward(g_field @ gen["gen.w2"].T, views.hidden)
-    grads = {}
-    grads["gen.w2"], grads["gen.b2"] = _param_grads(views.hidden, g_field)
-    grads["gen.w1"], grads["gen.b1"] = _param_grads(views.norm, g_hidden)
-    return (d_mmd, reg, l_gen), {name: grads[name] for name in gen}
+    _param_grads(views.hidden, g_field, grads["gen.w2"], grads["gen.b2"])
+    _param_grads(views.norm, g_hidden, grads["gen.w1"], grads["gen.b1"])
+    return d_mmd, reg, l_gen
 
 
 def naive_env_views(
@@ -431,7 +474,7 @@ def train(
     (:func:`objectives.encoder_blindness_loss`); the discriminator's own loss
     is checked for finiteness but not logged.
     """
-    rows, amps, phasors, labels, m, t_len = _stack_dataset(dataset)
+    rows, amps, norms, phasors, labels, m, t_len = _stack_dataset(dataset)
     n_bins = t_len // 2 + 1
     train_idx, val_idx, test_idx = split_indices(len(dataset), config.seed)
     if len(np.unique(labels[val_idx])) < 2 or len(np.unique(labels[train_idx])) < 2:
@@ -465,7 +508,8 @@ def train(
     step = 0
     batch_counter = 0
     ratio = config.detector_steps_per_generator_step
-    val_clips = [dataset[i].clip for i in val_idx]
+    # standardization is row-wise, so these are the rows score_clips would build
+    val_rows = rows[val_idx]
 
     for epoch in range(config.epochs):
         order = batch_rng.permutation(train_idx)
@@ -479,18 +523,19 @@ def train(
             # adversary forward pass serves both steps: its views feed the
             # detector, and the adversary step backpropagates through it
             if config.mode == "spinshield":
-                views = md.lsa_forward(gen_opt.arrays, amps[batch], phasors[batch], t_len, config.alpha, bundle.delta)
+                views = md.lsa_forward(gen_opt.arrays, amps[batch], norms[batch], phasors[batch], t_len,
+                                       config.alpha, bundle.delta)
                 z_env = views.z_env
             elif config.mode == "naive_aug":
                 x_env = naive_env_views(amps[batch], phasors[batch], t_len, naive_rng, sigma=NAIVE_SIGMA)
-                z_env = ad.standardized(x_env, md.STANDARDIZE_EPS)[0]
+                z_env = ad.standardized(x_env, md.STANDARDIZE_EPS, out=x_env)[0]
             else:
                 z_env = None
 
-            losses, grads = _detector_step(det_opt.arrays, z_clean, z_env, y, config.weights)
+            losses = _detector_step(det_opt.arrays, det_opt.grads, z_clean, z_env, y, config.weights)
             for value, what in zip(losses, ("L_det", "L_sym", "discriminator loss", "L_blind", "total")):
                 _check_finite(value, what, step)
-            _adam_step(det_opt, grads, step)
+            _adam_step(det_opt, step)
             l_det, l_sym, _, l_blind, total = losses
             log_rows.append({
                 "step": step, "phase": "theta",
@@ -504,12 +549,12 @@ def train(
             batch_counter += 1
             if config.mode == "spinshield" and batch_counter % ratio == 0:
                 frozen = {name: arrays[name] for name in _ADVERSARY_READS}
-                losses, grads = _adversary_step(
-                    frozen, gen_opt.arrays, views, z_clean, y, config.weights, config.alpha
+                losses = _adversary_step(
+                    frozen, gen_opt.arrays, gen_opt.grads, views, z_clean, y, config.weights, config.alpha
                 )
                 for value, what in zip(losses, ("mmd", "mask_reg", "L_gen")):
                     _check_finite(value, what, step)
-                _adam_step(gen_opt, grads, step)  # ascends L_gen: the gradients are of -L_gen
+                _adam_step(gen_opt, step)  # ascends L_gen: the gradients are of -L_gen
                 d_mmd, reg, l_gen = losses
                 log_rows.append({
                     "step": step, "phase": "phi",
@@ -519,7 +564,7 @@ def train(
                 })
                 step += 1
 
-        val_scores = score_clips(bundle, val_clips)
+        val_scores = score_rows(bundle, val_rows)
         val_auc = compute_auc(val_scores, labels[val_idx])
         val_auc_by_epoch.append(val_auc)
         if val_auc >= best_auc - VAL_SELECTION_TOLERANCE:

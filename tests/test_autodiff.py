@@ -6,9 +6,10 @@ from spinshield import models as md
 from spinshield import training
 from spinshield.autodiff import Node
 from spinshield.objectives import LossWeights
-from spinshield.spectral import forward_stack
+from spinshield.spectral import forward_stack, minmax_normalize
 
 import graph_reference
+import primitives as prim
 
 
 def finite_diff(fn, arrays, which, h=1e-5):
@@ -63,10 +64,10 @@ class TestPrimitives:
             (lambda n: ad.sum_all(ad.tanh(n["a"])), (3, 2)),
             (lambda n: ad.sum_all(ad.exp(n["a"])), (2, 2)),
             (lambda n: ad.mean_all(ad.mul(n["a"], n["a"])), (4,)),
-            (lambda n: ad.sum_all(ad.powc(ad.add_scalar(ad.mul(n["a"], n["a"]), 1.0), -0.5)), (3,)),
-            (lambda n: ad.sum_all(ad.clip_min(n["a"], 0.1)), (5,)),
+            (lambda n: ad.sum_all(prim.powc(ad.add_scalar(ad.mul(n["a"], n["a"]), 1.0), -0.5)), (3,)),
+            (lambda n: ad.sum_all(prim.clip_min(n["a"], 0.1)), (5,)),
             (lambda n: ad.mean_all(ad.softmax(n["a"])), (3, 4)),
-            (lambda n: ad.sum_all(ad.row_mean(n["a"])), (3, 4)),
+            (lambda n: ad.sum_all(prim.row_mean(n["a"])), (3, 4)),
             (lambda n: ad.mean_all(ad.neg(ad.scale(n["a"], 2.5))), (2, 3)),
         ],
     )
@@ -85,8 +86,8 @@ class TestPrimitives:
         }
 
         def build(n):
-            z = ad.add_rowvec(ad.matmul(n["x"], n["w"]), n["b"])
-            z = ad.mul_colvec(ad.add_colvec(z, n["c"]), n["c"])
+            z = prim.add_rowvec(prim.matmul(n["x"], n["w"]), n["b"])
+            z = prim.mul_colvec(prim.add_colvec(z, n["c"]), n["c"])
             return ad.mean_all(ad.tanh(z))
 
         check_gradients(build, arrays)
@@ -109,8 +110,8 @@ class TestPrimitives:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             ad.add(Node(np.ones(3)), Node(np.ones(4)))
-        with pytest.raises(ValueError, match="matmul"):
-            ad.matmul(Node(np.ones((2, 3))), Node(np.ones((2, 3))))
+        with pytest.raises(ValueError, match="dense"):
+            ad.dense(Node(np.ones((2, 3))), Node(np.ones((2, 3))), Node(np.ones(3)))
 
     def test_rank_limit(self):
         with pytest.raises(ValueError, match="rank"):
@@ -123,7 +124,7 @@ class TestPrimitives:
             arrays = {"a": rng.normal(size=(3, 3)), "b": rng.normal(size=(3, 3))}
 
             def build(n, seed=seed):
-                z = ad.matmul(n["a"], n["b"])
+                z = ad.dense(n["a"], n["b"], ad.const(np.zeros(3)))
                 z = ad.tanh(z) if seed % 2 else ad.mul(z, n["a"])
                 z = ad.add(z, n["b"])
                 z = ad.scale(z, 0.7) if seed % 3 else ad.exp(ad.scale(z, 0.1))
@@ -152,7 +153,7 @@ class TestGrl:
             h = Node(h_val)
             w = Node(w_val)
             z = ad.grl(h) if with_grl else h
-            loss = ad.mean_all(ad.tanh(ad.matmul(z, w)))
+            loss = ad.mean_all(ad.dense(z, w, ad.const(np.zeros(2)), "tanh"))
             ad.backward(loss)
             return h.grad.copy(), w.grad.copy()
 
@@ -203,8 +204,8 @@ class TestBackward:
         rng = np.random.default_rng(13)
         a = rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4))
-        r1 = ad.tanh(ad.matmul(Node(a), Node(b))).value
-        r2 = ad.tanh(ad.matmul(Node(a), Node(b))).value
+        r1 = ad.dense(Node(a), Node(b), Node(np.zeros(4)), "tanh").value
+        r2 = ad.dense(Node(a), Node(b), Node(np.zeros(4)), "tanh").value
         np.testing.assert_array_equal(r1, r2)
 
 
@@ -232,12 +233,17 @@ class TestGradientWork:
             detector = {n: a for n, a in arrays.items() if n.startswith(("enc.", "head."))}
             env = graph_reference.lsa_views(amps, phasors, t, graph_reference.leaves(gen), alpha, delta)[0]
             z_env = ad.standardized(env.value, md.STANDARDIZE_EPS)[0]
-            run = training._detector_step if kernel else graph_reference.detector_step
-            return run(detector, z, z_env, y, LossWeights())[1]
+            if not kernel:
+                return graph_reference.detector_step(detector, z, z_env, y, LossWeights())[1]
+            grads = {n: np.full_like(a, np.nan) for n, a in detector.items()}
+            training._detector_step(detector, grads, z, z_env, y, LossWeights())
+            return grads
         frozen = {n: arrays[n] for n in training._ADVERSARY_READS}
         if kernel:
-            views = md.lsa_forward(gen, amps, phasors, t, alpha, delta)
-            return training._adversary_step(frozen, gen, views, z, y, LossWeights(), alpha)[1]
+            views = md.lsa_forward(gen, amps, minmax_normalize(amps), phasors, t, alpha, delta)
+            grads = {n: np.full_like(a, np.nan) for n, a in gen.items()}
+            training._adversary_step(frozen, gen, grads, views, z, y, LossWeights(), alpha)
+            return grads
         return graph_reference.adversary_step(frozen, gen, amps, phasors, t, z, y, LossWeights(), alpha, delta)[1]
 
     @pytest.mark.parametrize("step", ["detector", "adversary"])
@@ -257,11 +263,12 @@ class TestGradientWork:
         w = Node(rng.normal(size=(3, 2)))
         x = ad.const(rng.normal(size=(4, 3)))
         c = ad.const(rng.normal(size=(4, 2)))
-        fixed = ad.tanh(ad.matmul(x, ad.const(np.ones((3, 2)))))
+        zero_bias = ad.const(np.zeros(2))
+        fixed = ad.dense(x, ad.const(np.ones((3, 2))), zero_bias, "tanh")
         assert not fixed.requires_grad
         mixed = ad.custom(x.value @ w.value, (x, w), lambda g: (g @ w.value.T, x.value.T @ g))
         assert mixed.requires_grad
-        loss = ad.sum_all(ad.mul(ad.add(ad.add(ad.matmul(x, w), mixed), fixed), c))
+        loss = ad.sum_all(ad.mul(ad.add(ad.add(ad.dense(x, w, zero_bias), mixed), fixed), c))
         ad.backward(loss)
         for node in (x, c, fixed):
             assert node._grad is None
@@ -280,7 +287,7 @@ class TestGradientWork:
         y = Node(np.full((2, 3), 2.0))
         inner = ad.add(x, y)
         outer = ad.add(inner, x)
-        turned = ad.reshape(ad.transpose(outer), (3, 2))
+        turned = ad.reshape(outer, (3, 2))
         loss = ad.sum_all(ad.mul(turned, ad.const(np.ones((3, 2)))))
         ad.backward(loss)
         y.grad[0, 0] = 99.0
@@ -295,7 +302,7 @@ class TestGradientWork:
         [
             (ad.sum_all, 1.0),
             (ad.mean_all, 1.0 / 6.0),
-            (lambda n: ad.sum_all(ad.row_sum(n)), 1.0),
+            (lambda n: ad.sum_all(prim.row_sum(n)), 1.0),
         ],
     )
     def test_reduction_gradient_takes_the_leafs_shape(self, reduce, expected):
@@ -308,15 +315,15 @@ class TestGradientWork:
 
 
 def _composed_dense(x, w, b, activation=None):
-    z = ad.add_rowvec(ad.matmul(x, w), b)
+    z = prim.add_rowvec(prim.matmul(x, w), b)
     return ad.tanh(z) if activation == "tanh" else z
 
 
 def _composed_standardize(x, eps):
-    mu = ad.row_mean(x)
-    centered = ad.add_colvec(x, ad.neg(mu))
-    var = ad.row_mean(ad.mul(centered, centered))
-    return ad.mul_colvec(centered, ad.powc(ad.add_scalar(var, eps), -0.5))
+    mu = prim.row_mean(x)
+    centered = prim.add_colvec(x, ad.neg(mu))
+    var = prim.row_mean(ad.mul(centered, centered))
+    return prim.mul_colvec(centered, prim.powc(ad.add_scalar(var, eps), -0.5))
 
 
 def _assert_close(got, want, rtol=1e-12):

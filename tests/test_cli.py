@@ -215,6 +215,19 @@ class TestMalformedInputs:
         assert code == 2
         assert "bad manifest entry" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("version", [True, 1.0, 2.0, "1"])
+    def test_manifest_version_must_be_an_integer(self, pipeline, tmp_path, capsys, version):
+        _, manifest, checkpoint = pipeline
+        doc = json.loads(manifest.read_text())
+        doc["version"] = version
+        path = manifest.parent / f"version_{type(version).__name__}_{version}.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(path),
+                         "--out", str(tmp_path / "r.json"), "--split", "test", "--split-seed", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unsupported manifest version" in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("config", [[1, 2], {"weights": [0.5]}, {"weights": 3}])
     def test_non_object_config_is_data_error(self, pipeline, tmp_path, capsys, config):
         _, manifest, _ = pipeline

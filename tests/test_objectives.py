@@ -10,6 +10,7 @@ from spinshield.autodiff import Node
 from spinshield.models import ModulationMask
 from spinshield.objectives import KernelSpec, LossWeights
 
+import primitives as prim
 from test_autodiff import check_gradients, finite_diff
 
 
@@ -424,10 +425,10 @@ class TestFullObjectiveGradients:
 
 
 def _composed_kernel_sum(x, y, inv_two_sq):
-    sq_x = ad.row_sum(ad.mul(x, x))
-    sq_y = ad.row_sum(ad.mul(y, y))
-    d2 = ad.add_rowvec(
-        ad.add_colvec(ad.scale(ad.matmul(x, ad.transpose(y)), -2.0), sq_x),
+    sq_x = prim.row_sum(ad.mul(x, x))
+    sq_y = prim.row_sum(ad.mul(y, y))
+    d2 = prim.add_rowvec(
+        prim.add_colvec(ad.scale(prim.matmul(x, prim.transpose(y)), -2.0), sq_x),
         ad.reshape(sq_y, (sq_y.value.shape[0],)),
     )
     return ad.sum_all(ad.exp(ad.scale(d2, -inv_two_sq)))
@@ -446,10 +447,10 @@ def _composed_mmd(a, b, sigma):
 
 
 def _composed_symmetric_kl(p, q, floor=obj.PROB_FLOOR):
-    pf, qf = ad.clip_min(p, floor), ad.clip_min(q, floor)
+    pf, qf = prim.clip_min(p, floor), prim.clip_min(q, floor)
     log_p, log_q = ad.log(pf), ad.log(qf)
-    kl_pq = ad.row_sum(ad.mul(pf, ad.sub(log_p, log_q)))
-    kl_qp = ad.row_sum(ad.mul(qf, ad.sub(log_q, log_p)))
+    kl_pq = prim.row_sum(ad.mul(pf, ad.sub(log_p, log_q)))
+    kl_qp = prim.row_sum(ad.mul(qf, ad.sub(log_q, log_p)))
     return ad.scale(ad.mean_all(ad.add(kl_pq, kl_qp)), 0.5)
 
 
@@ -458,7 +459,7 @@ def _composed_paired_displacement(h_clean, h_env):
     mean = np.mean(h_clean.value, axis=0, keepdims=True)
     centered = ad.sub(h_clean, ad.const(np.repeat(mean, h_clean.value.shape[0], axis=0)))
     spread = ad.mean_all(ad.mul(centered, centered))
-    return ad.mul(ad.mean_all(ad.mul(diff, diff)), ad.powc(spread, -1.0))
+    return ad.mul(ad.mean_all(ad.mul(diff, diff)), prim.powc(spread, -1.0))
 
 
 class TestFusedObjectives:

@@ -12,7 +12,7 @@ from spinshield import training
 from spinshield.autodiff import Node
 from spinshield.errors import DataFormatError, NumericalAbort
 from spinshield.objectives import LossWeights
-from spinshield.spectral import forward_stack
+from spinshield.spectral import forward_stack, minmax_normalize
 
 import graph_reference
 
@@ -103,6 +103,49 @@ class TestAdam:
                 assert np.array_equal(arrays[n], ref[n]), n
                 assert arrays[n] is opt.arrays[n] and np.shares_memory(arrays[n], opt.flat)
 
+    @pytest.mark.parametrize("source", ["buffer", "dict"])
+    def test_in_place_step_is_the_textbook_update(self, source):
+        # the gradients written into the optimizer's own views, or handed
+        # over in an outside dict: either way each step is the textbook
+        # update, bit for bit
+        rng = np.random.default_rng(8)
+        shapes = {"w": (5, 3), "b": (3,), "s": (2, 1)}
+        arrays = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+        p = {n: a.copy() for n, a in arrays.items()}
+        opt = training.Adam(arrays, lr=0.01, betas=(0.8, 0.99), eps=1e-6)
+        m = {n: np.zeros(shape) for n, shape in shapes.items()}
+        v = {n: np.zeros(shape) for n, shape in shapes.items()}
+        b1, b2 = opt.beta1, opt.beta2
+        for t in range(1, 51):
+            grads = {n: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3) for n, shape in shapes.items()}
+            if source == "buffer":
+                for n, g in grads.items():
+                    opt.grads[n][...] = g
+                opt.step(opt.grads)
+            else:
+                opt.step(grads)
+            for n, g in grads.items():
+                m[n] = b1 * m[n] + (1.0 - b1) * g
+                v[n] = b2 * v[n] + (1.0 - b2) * g * g
+                p[n] = p[n] - opt.lr * (m[n] / (1.0 - b1**t)) / (np.sqrt(v[n] / (1.0 - b2**t)) + opt.eps)
+                assert np.array_equal(arrays[n], p[n]), (t, n)
+                assert np.array_equal(opt.grads[n], g) and np.shares_memory(opt.grads[n], opt.grad)
+            assert np.array_equal(opt.m, np.concatenate([m[n].ravel() for n in shapes]))
+            assert np.array_equal(opt.v, np.concatenate([v[n].ravel() for n in shapes]))
+
+    def test_nan_in_the_gradient_buffer_changes_nothing(self):
+        arrays = {"w": np.ones((2, 2)), "b": np.zeros(2)}
+        opt = training.Adam(arrays, lr=0.1)
+        opt.grad[:] = 1.0
+        opt.step(opt.grads)
+        before = (opt.flat.copy(), opt.m.copy(), opt.v.copy(), opt.t)
+        opt.grads["b"][1] = np.nan
+        with pytest.raises(FloatingPointError):
+            opt.step(opt.grads)
+        after = (opt.flat, opt.m, opt.v, opt.t)
+        for a, b in zip(before, after):
+            assert np.array_equal(a, b)
+
     def test_non_finite_gradient_changes_nothing(self):
         arrays = {"w": np.ones((2, 2)), "b": np.zeros(2)}
         opt = training.Adam(arrays, lr=0.1)
@@ -124,6 +167,31 @@ class TestAdam:
         assert config.weights.lambda_sym == 0.9
         assert config.weights.lambda_blind == 0.7
         assert config.alpha == 0.6
+
+
+class TestStackDataset:
+    """The chunked build equals one pass over the whole stack, bit for bit."""
+
+    @staticmethod
+    def _whole_stack(clips):
+        m, t = clips[0].clip.signals.shape
+        signals = np.stack([lc.clip.signals for lc in clips])
+        amps, phases = forward_stack(signals)
+        rows = ad.standardized(signals.reshape(len(clips), m * t), md.STANDARDIZE_EPS)[0]
+        labels = np.array([lc.y for lc in clips], dtype=np.intp)
+        return rows, amps, minmax_normalize(amps), np.exp(1j * phases), labels, m, t
+
+    @pytest.mark.parametrize("frames", [16, 15])
+    def test_chunks_equal_the_whole_stack(self, frames):
+        dataset = sd.generate_dataset(sd.DatasetSpec(n_clips=513, frames=frames, patches=6, shortcut_bin=6,
+                                                     phase_cue_strength=3.0, seed=7))
+        assert training._STANDARDIZE_CHUNK == 256
+        for n in (1, 255, 257, 513):
+            got, want = training._stack_dataset(dataset[:n]), self._whole_stack(dataset[:n])
+            assert got[-2:] == want[-2:] == (6, frames)
+            for a, b in zip(got[:-2], want[:-2]):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert np.array_equal(a, b), n
 
 
 class TestTraining:
@@ -175,8 +243,8 @@ class TestTraining:
         original = training._detector_step
 
         def poisoned(*args):
-            losses, grads = original(*args)
-            return (np.nan, *losses[1:]), grads
+            losses = original(*args)
+            return (np.nan, *losses[1:])
 
         monkeypatch.setattr(training, "_detector_step", poisoned)
         with pytest.raises(NumericalAbort, match="step"):
@@ -217,13 +285,15 @@ class TestAlternationIsolation:
         class Stop(Exception):
             pass
 
-        def recording_detector(arrays, *args):
-            losses, grads = original_detector(arrays, *args)
-            detector.append((sorted(arrays), grads))
-            return losses, grads
+        def recording_detector(arrays, grads, *args):
+            grads["enc.w1"].fill(np.nan)  # the kernel writes every gradient anew
+            losses = original_detector(arrays, grads, *args)
+            detector.append((sorted(arrays), {n: g.copy() for n, g in grads.items()}))
+            return losses
 
-        def recording_adversary(frozen, gen, *args):
-            adversary.append((sorted(frozen), sorted(gen), original_adversary(frozen, gen, *args)[1]))
+        def recording_adversary(frozen, gen, grads, *args):
+            original_adversary(frozen, gen, grads, *args)
+            adversary.append((sorted(frozen), sorted(gen), dict(grads)))
             raise Stop
 
         monkeypatch.setattr(training, "_detector_step", recording_detector)
@@ -235,7 +305,7 @@ class TestAlternationIsolation:
                         "head.bq2", "head.wg", "head.wq1", "head.wq2"]
         assert sorted(grads) == read
         for name, grad in grads.items():
-            assert np.any(grad != 0.0), name
+            assert np.any(grad != 0.0) and np.isfinite(grad).all(), name
         [(frozen, generator, gen_grads)] = adversary
         assert frozen == ["enc.b1", "enc.b2", "enc.w1", "enc.w2", "head.bg", "head.wg"]
         assert generator == sorted(gen_grads) == ["gen.b1", "gen.b2", "gen.w1", "gen.w2"]
@@ -243,10 +313,10 @@ class TestAlternationIsolation:
     def test_non_finite_gradient_aborts(self, tiny_dataset, monkeypatch):
         original = training._detector_step
 
-        def poisoned(*args):
-            losses, grads = original(*args)
+        def poisoned(arrays, grads, *args):
+            losses = original(arrays, grads, *args)
             grads["enc.w2"][0, 0] = np.nan
-            return losses, grads
+            return losses
 
         monkeypatch.setattr(training, "_detector_step", poisoned)
         with pytest.raises(NumericalAbort, match=r"gradient of enc\.w2 is non-finite at step 0"):
@@ -301,15 +371,15 @@ class TestAlternationIsolation:
         def per_view(graph):
             def encode(x):
                 z = md.standardize_rows(ad.const(x))
-                h1 = ad.tanh(ad.add_rowvec(ad.matmul(z, graph["enc.w1"]), graph["enc.b1"]))
-                return ad.add_rowvec(ad.matmul(h1, graph["enc.w2"]), graph["enc.b2"])
+                h1 = ad.dense(z, graph["enc.w1"], graph["enc.b1"], "tanh")
+                return ad.dense(h1, graph["enc.w2"], graph["enc.b2"])
 
             def classify(h):
-                return ad.add_rowvec(ad.matmul(h, graph["head.wg"]), graph["head.bg"])
+                return ad.dense(h, graph["head.wg"], graph["head.bg"])
 
             def discriminate(h, p):
-                q1 = ad.tanh(ad.add_rowvec(ad.matmul(h, p["head.wq1"]), p["head.bq1"]))
-                return ad.add_rowvec(ad.matmul(q1, p["head.wq2"]), p["head.bq2"])
+                q1 = ad.dense(h, p["head.wq1"], p["head.bq1"], "tanh")
+                return ad.dense(q1, p["head.wq2"], p["head.bq2"])
 
             def ce(logits, label):
                 return obj.batch_cross_entropy(logits, np.full(b, label, dtype=np.intp))
@@ -329,7 +399,8 @@ class TestAlternationIsolation:
             return obj.total_loss(l_det, l_sym, ad.add(l_disc, l_blind), weights)
 
         z_clean, z_env = (ad.standardized(x, md.STANDARDIZE_EPS)[0] for x in (x_clean, x_env))
-        losses, stacked = training._detector_step(detector, z_clean, z_env, y, weights)
+        stacked = {n: np.full_like(a, np.nan) for n, a in detector.items()}
+        losses = training._detector_step(detector, stacked, z_clean, z_env, y, weights)
         value = losses[-1]
         tracked = graph_reference.leaves(detector)
         loss = per_view(tracked)
@@ -365,8 +436,9 @@ class TestStepKernels:
         detector_step, adversary_step, lsa_forward = (
             training._detector_step, training._adversary_step, md.lsa_forward)
 
-        def check_views(gen, amp, phasor, window, alpha, delta):
-            views = lsa_forward(gen, amp, phasor, window, alpha, delta)
+        def check_views(gen, amp, norm, phasor, window, alpha, delta):
+            assert np.array_equal(norm, minmax_normalize(amp))
+            views = lsa_forward(gen, amp, norm, phasor, window, alpha, delta)
             last_views.update(gen=gen, amp=amp, phasor=phasor, window=window, alpha=alpha, delta=delta)
             env, mask = graph_reference.lsa_views(amp, phasor, window, graph_reference.leaves(gen), alpha, delta)
             assert np.array_equal(views.z_env, ad.standardized(env.value, md.STANDARDIZE_EPS)[0])
@@ -374,20 +446,25 @@ class TestStepKernels:
             seen["views"] += 1
             return views
 
-        def check_detector(arrays, z_clean, z_env, y, weights):
-            got = detector_step(arrays, z_clean, z_env, y, weights)
-            self._assert_equal(got, graph_reference.detector_step(arrays, z_clean, z_env, y, weights))
+        # each kernel must write every gradient: the buffer is poisoned first
+        def check_detector(arrays, grads, z_clean, z_env, y, weights):
+            for g in grads.values():
+                g.fill(np.nan)
+            losses = detector_step(arrays, grads, z_clean, z_env, y, weights)
+            self._assert_equal((losses, grads), graph_reference.detector_step(arrays, z_clean, z_env, y, weights))
             seen["detector"].append(len(y))
-            return got
+            return losses
 
-        def check_adversary(frozen, gen, views, z_clean, y, weights, alpha):
-            got = adversary_step(frozen, gen, views, z_clean, y, weights, alpha)
+        def check_adversary(frozen, gen, grads, views, z_clean, y, weights, alpha):
+            for g in grads.values():
+                g.fill(np.nan)
+            losses = adversary_step(frozen, gen, grads, views, z_clean, y, weights, alpha)
             v = last_views
             ref = graph_reference.adversary_step(frozen, gen, v["amp"], v["phasor"], v["window"],
                                                  z_clean, y, weights, v["alpha"], v["delta"])
-            self._assert_equal(got, ref)
+            self._assert_equal((losses, grads), ref)
             seen["adversary"] += 1
-            return got
+            return losses
 
         monkeypatch.setattr(md, "lsa_forward", check_views)
         monkeypatch.setattr(training, "_detector_step", check_detector)
