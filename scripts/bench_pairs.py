@@ -17,12 +17,15 @@ median/quartile summary of each end-to-end metric named in the change's
 the mount and filesystem type of ``--scratch``, where the runs create their
 files.
 
-Each metric's summary also states two verdicts.  ``worse_shift`` is the
+Each metric's summary also states three verdicts.  ``worse_shift`` is the
 change's median relative to the parent's, signed so that a positive value is
 a move in the metric's worse direction; ``within_bound`` says whether it is at
-most the metric's ``bound``.  ``gain`` says whether the change is better in at
-least 9 of every 10 pairs and its median is better than the parent's by more
-than the parent's interquartile range.
+most the metric's ``bound``.  ``unresolved`` says whether the parent's runs
+spread too widely for that bound to be told: their interquartile range,
+relative to their median, exceeds the bound, and not every run of the change
+is better than every run of the parent.  ``gain`` says whether the change is
+better in at least 9 of every 10 pairs and its median is better than the
+parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -93,12 +96,16 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
         if len(both) < 2:
             continue
         better = sum(1 for a, b in both if (b < a if lower else b > a))
-        parent, change = _spread([a for a, _ in both]), _spread([b for _, b in both])
+        parents, changes = [a for a, _ in both], [b for _, b in both]
+        parent, change = _spread(parents), _spread(changes)
         worse_by = change["median"] - parent["median"] if lower else parent["median"] - change["median"]
+        iqr = parent["q3"] - parent["q1"]
         if parent["median"]:
-            shift = worse_by / abs(parent["median"])
+            shift, spread = worse_by / abs(parent["median"]), iqr / abs(parent["median"])
         else:  # any move away from a zero median is an unbounded relative shift
             shift = math.copysign(math.inf, worse_by) if worse_by else 0.0
+            spread = math.inf if iqr else 0.0
+        separated = max(changes) < min(parents) if lower else min(changes) > max(parents)
         out[name] = {
             "parent": parent,
             "change": change,
@@ -107,7 +114,8 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
             "pairs": len(both),
             "worse_shift": shift,
             "within_bound": shift <= metric["bound"],
-            "gain": 10 * better >= 9 * len(both) and -worse_by > parent["q3"] - parent["q1"],
+            "unresolved": spread > metric["bound"] and not separated,
+            "gain": 10 * better >= 9 * len(both) and -worse_by > iqr,
         }
     return out
 

@@ -13,7 +13,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, json_int
 from .spectral import FloatArray, FrequencyGrid, PatchSignalClip, forward_stack, inverse_stack, keyed_rng
 
 KIND_IDENTITY = "identity"
@@ -291,19 +291,19 @@ def spec_to_dict(spec: AttackSpec) -> dict:
 def spec_from_dict(data: dict) -> AttackSpec:
     try:
         kind = data["kind"]
-        seed = int(data.get("seed", 0))
+        seed = json_int(data.get("seed", 0), "seed")
         params: Params
         if kind == KIND_IDENTITY:
             params = None
         elif kind == KIND_NOTCH:
             params = NotchParams(
-                center_bin=int(data["center_bin"]),
-                width_bins=int(data["width_bins"]),
+                center_bin=json_int(data["center_bin"], "center_bin"),
+                width_bins=json_int(data["width_bins"], "width_bins"),
                 floor=float(data.get("floor", 0.0)),
             )
         elif kind == KIND_BAND_MASK:
             params = BandMaskParams(
-                bands=tuple((int(s), int(w)) for s, w in data["bands"]),
+                bands=tuple((json_int(s, "band start"), json_int(w, "band width")) for s, w in data["bands"]),
                 tukey_alpha=float(data.get("tukey_alpha", DEFAULT_TUKEY_ALPHA)),
             )
         elif kind == KIND_TILT:

@@ -78,10 +78,15 @@ def resolve_bandwidth(a: np.ndarray, b: np.ndarray, kernel: KernelSpec) -> float
     median pairwise Euclidean distance (no gradient flows through this), or
     1.0 where that median is 0 or NaN.  The median is ``np.median``'s bit for
     bit, with the monotone square root taken of the middle values alone."""
+    union = np.concatenate([a, b], axis=0)
+    return _pooled_bandwidth(union, np.sum(union * union, axis=1), kernel)
+
+
+def _pooled_bandwidth(union: FloatArray, sq: FloatArray, kernel: KernelSpec) -> float:
+    """:func:`resolve_bandwidth` from the pooled sets ``union`` and the
+    squared norms ``sq`` of its rows."""
     if isinstance(kernel.bandwidth, float) or isinstance(kernel.bandwidth, int):
         return float(kernel.bandwidth)
-    union = np.concatenate([a, b], axis=0)
-    sq = np.sum(union * union, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * union @ union.T
     pairs = _upper_pairs(union.shape[0])
     if pairs.size == 0:
@@ -131,10 +136,13 @@ def mmd_with_vjp(
         raise ValueError("mmd requires non-empty feature sets")
     if av.shape[1] != bv.shape[1]:
         raise ValueError("feature dimensions differ")
-    sigma = resolve_bandwidth(av, bv, kernel)
-    inv_two_sq = 1.0 / (2.0 * sigma * sigma)
     na, nb = av.shape[0], bv.shape[0]
-    sq_a, sq_b = np.sum(av * av, axis=1), np.sum(bv * bv, axis=1)
+    # rows never mix, so the union's row sums are those of each set's own rows
+    union = np.concatenate([av, bv])
+    sq = np.sum(union * union, axis=1)
+    sq_a, sq_b = sq[:na], sq[na:]
+    sigma = _pooled_bandwidth(union, sq, kernel)
+    inv_two_sq = 1.0 / (2.0 * sigma * sigma)
 
     def kernel_block(x, sq_x, y, sq_y):
         d2 = (x @ y.T * -2.0 + sq_x[:, None]) + sq_y[None, :]
@@ -156,7 +164,6 @@ def mmd_with_vjp(
         cross = np.add(k_ab, k_ba.T, out=weights[:na, na:])
         cross *= -1.0 / (na * nb)
         weights[na:, :na] = cross.T
-        union = np.concatenate([av, bv])
         grad = (union * weights.sum(axis=1)[:, None] - weights @ union) * (-2.0 * inv_two_sq * g)
         return grad[:na], grad[na:]
 

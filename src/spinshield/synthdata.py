@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import clipio
-from .errors import DataFormatError
+from .errors import DataFormatError, json_int
 from .spectral import DEFAULT_FPS, FloatArray, PatchSignalClip, keyed_rng
 
 PHASE_SLOPE_RANGE = 0.15  # radians per patch-grid step
@@ -227,17 +227,17 @@ def spec_to_dict(spec: DatasetSpec) -> dict:
 def spec_from_dict(data: dict) -> DatasetSpec:
     try:
         return DatasetSpec(
-            n_clips=int(data["n_clips"]),
-            frames=int(data.get("frames", 16)),
-            patches=int(data.get("patches", 16)),
-            shortcut_bin=int(data.get("shortcut_bin", 5)),
+            n_clips=json_int(data["n_clips"], "n_clips"),
+            frames=json_int(data.get("frames", 16), "frames"),
+            patches=json_int(data.get("patches", 16), "patches"),
+            shortcut_bin=json_int(data.get("shortcut_bin", 5), "shortcut_bin"),
             shortcut_amplitude=float(data.get("shortcut_amplitude", 0.8)),
             phase_cue_strength=float(data.get("phase_cue_strength", 1.0)),
             base_amplitudes=tuple(float(a) for a in data.get("base_amplitudes", (1.0, 0.6, 0.3))),
-            base_bins=tuple(int(b) for b in data.get("base_bins", (1, 2, 3))),
+            base_bins=tuple(json_int(b, "base bin") for b in data.get("base_bins", (1, 2, 3))),
             base_level_range=tuple(float(v) for v in data.get("base_level_range", (0.3, 0.7))),
             noise_std=float(data.get("noise_std", 0.05)),
-            seed=int(data.get("seed", 0)),
+            seed=json_int(data.get("seed", 0), "seed"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad dataset spec: {exc}") from exc

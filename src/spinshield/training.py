@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import models as md
 from . import objectives as obj
 from .attacks import DEFAULT_EPS0, DEFAULT_NOISE_SIGMA
-from .errors import DataFormatError, NumericalAbort
+from .errors import DataFormatError, NumericalAbort, json_int
 from .evaluation import compute_auc, score_rows
 from .spectral import ComplexArray, FloatArray, forward_stack, inverse_phasor, keyed_rng, minmax_normalize
 from .synthdata import LabeledClip
@@ -114,13 +114,15 @@ def config_from_dict(data: dict) -> TrainConfig:
         w = data.get("weights", {})
         return TrainConfig(
             mode=data.get("mode", "spinshield"),
-            epochs=int(data.get("epochs", 25)),
-            batch_size=int(data.get("batch_size", 32)),
+            epochs=json_int(data.get("epochs", 25), "epochs"),
+            batch_size=json_int(data.get("batch_size", 32), "batch_size"),
             learning_rate=float(data.get("learning_rate", 1e-3)),
             generator_learning_rate=float(data.get("generator_learning_rate", 2e-2)),
             adam_betas=tuple(float(b) for b in data.get("adam_betas", (0.9, 0.999))),
             adam_eps=float(data.get("adam_eps", 1e-8)),
-            detector_steps_per_generator_step=int(data.get("detector_steps_per_generator_step", 1)),
+            detector_steps_per_generator_step=json_int(
+                data.get("detector_steps_per_generator_step", 1), "detector_steps_per_generator_step"
+            ),
             weights=obj.LossWeights(
                 gamma=float(w.get("gamma", 1.0)),
                 lambda_mask=float(w.get("lambda_mask", 0.1)),
@@ -128,7 +130,7 @@ def config_from_dict(data: dict) -> TrainConfig:
                 lambda_blind=float(w.get("lambda_blind", 0.7)),
             ),
             alpha=float(data.get("alpha", md.DEFAULT_ALPHA)),
-            seed=int(data.get("seed", 0)),
+            seed=json_int(data.get("seed", 0), "seed"),
         )
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"bad train config: {exc}") from exc
@@ -220,33 +222,44 @@ def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return train, val, test
 
 
-def _stack_dataset(
-    clips: list[LabeledClip],
-) -> tuple[FloatArray, FloatArray, FloatArray, ComplexArray, np.ndarray, int, int]:
-    """What a run reads of its clips, built once: the standardized clip rows
-    ``(N, M*T)``; the amplitudes, their per-clip min-max normalization (the
-    generator's input) and the unit phasors, each ``(N, M, K)``; the labels,
-    M and T.  The arrays are filled a chunk of clips at a time: a chunk's
-    signals are stacked into its rows, transformed, then standardized in
-    place.  Clips never mix, so each clip's values are those of one pass
-    over the whole stack."""
+def _clip_shape(clips: list[LabeledClip]) -> tuple[int, int]:
+    """The one (M, T) shape of every clip."""
     shapes = {lc.clip.signals.shape for lc in clips}
     if len(shapes) != 1:
         raise ValueError(f"clips have inconsistent shapes: {sorted(shapes)}")
-    m, t_len = shapes.pop()
+    return shapes.pop()
+
+
+def _stack_dataset(
+    clips: list[LabeledClip], n_spectra: int, with_norms: bool
+) -> tuple[FloatArray, np.ndarray, FloatArray, FloatArray | None, ComplexArray]:
+    """What a run reads of its clips, built once, all of one shape: the
+    standardized rows ``(N, M*T)`` and the labels of every clip; the
+    amplitudes and the unit phasors, each ``(n_spectra, M, K)``, of the first
+    ``n_spectra`` clips; and, ``with_norms``, their amplitudes' per-clip
+    min-max normalization (the generator's input), or None.  The arrays are
+    filled a chunk of clips at a time: a chunk's signals are stacked into its
+    rows, its clips among the first ``n_spectra`` transformed, then its rows
+    standardized in place.  Clips never mix, so each clip's values are those
+    of one pass over the whole stack."""
+    m, t_len = clips[0].clip.signals.shape
     n, k = len(clips), t_len // 2 + 1
     rows = np.empty((n, m * t_len))
-    amps, norms, phasors = np.empty((n, m, k)), np.empty((n, m, k)), np.empty((n, m, k), dtype=np.complex128)
+    amps, phasors = np.empty((n_spectra, m, k)), np.empty((n_spectra, m, k), dtype=np.complex128)
+    norms = np.empty((n_spectra, m, k)) if with_norms else None
     for start in range(0, n, _STANDARDIZE_CHUNK):
         part = slice(start, start + _STANDARDIZE_CHUNK)
         signals = rows[part].reshape(-1, m, t_len)
         np.stack([lc.clip.signals for lc in clips[part]], out=signals)
-        amps[part], phases = forward_stack(signals)
-        norms[part] = minmax_normalize(amps[part])
-        np.exp(1j * phases, out=phasors[part])
+        spectra = slice(start, min(start + _STANDARDIZE_CHUNK, n_spectra))
+        if spectra.start < spectra.stop:
+            amps[spectra], phases = forward_stack(signals[: spectra.stop - start])
+            if norms is not None:
+                norms[spectra] = minmax_normalize(amps[spectra])
+            np.exp(1j * phases, out=phasors[spectra])
         ad.standardized(rows[part], md.STANDARDIZE_EPS, out=rows[part])
     labels = np.array([lc.y for lc in clips], dtype=np.intp)
-    return rows, amps, norms, phasors, labels, m, t_len
+    return rows, labels, amps, norms, phasors
 
 
 def _check_finite(value: float, what: str, step: int) -> float:
@@ -474,10 +487,18 @@ def train(
     (:func:`objectives.encoder_blindness_loss`); the discriminator's own loss
     is checked for finiteness but not logged.
     """
-    rows, amps, norms, phasors, labels, m, t_len = _stack_dataset(dataset)
+    m, t_len = _clip_shape(dataset)
     n_bins = t_len // 2 + 1
     train_idx, val_idx, test_idx = split_indices(len(dataset), config.seed)
-    if len(np.unique(labels[val_idx])) < 2 or len(np.unique(labels[train_idx])) < 2:
+    # the run's arrays hold the training clips, then the validation clips;
+    # only the training clips' spectra are read, and only by the adversarial modes
+    n_train = len(train_idx)
+    rows, labels, amps, norms, phasors = _stack_dataset(
+        [dataset[i] for i in np.concatenate([train_idx, val_idx])],
+        0 if config.mode == "baseline" else n_train,
+        config.mode == "spinshield",
+    )
+    if len(np.unique(labels[n_train:])) < 2 or len(np.unique(labels[:n_train])) < 2:
         raise ValueError("train/val splits must contain both classes")
 
     bundle = md.init_bundle(
@@ -509,11 +530,13 @@ def train(
     batch_counter = 0
     ratio = config.detector_steps_per_generator_step
     # standardization is row-wise, so these are the rows score_clips would build
-    val_rows = rows[val_idx]
+    val_rows, val_labels = rows[n_train:], labels[n_train:]
 
     for epoch in range(config.epochs):
-        order = batch_rng.permutation(train_idx)
-        for start in range(0, len(order), config.batch_size):
+        # positions in the run's arrays: train_idx[order] is the permutation
+        # of train_idx the same generator would draw, in the same state after
+        order = batch_rng.permutation(n_train)
+        for start in range(0, n_train, config.batch_size):
             batch = order[start : start + config.batch_size]
             z_clean = rows[batch]
             y = labels[batch]
@@ -565,7 +588,7 @@ def train(
                 step += 1
 
         val_scores = score_rows(bundle, val_rows)
-        val_auc = compute_auc(val_scores, labels[val_idx])
+        val_auc = compute_auc(val_scores, val_labels)
         val_auc_by_epoch.append(val_auc)
         if val_auc >= best_auc - VAL_SELECTION_TOLERANCE:
             best_auc = max(best_auc, val_auc)

@@ -272,6 +272,55 @@ class TestMalformedInputs:
         assert "finite" in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("config", [
+        {"epochs": 1.9}, {"epochs": True}, {"epochs": "1"}, {"batch_size": 32.0},
+        {"detector_steps_per_generator_step": 1.5}, {"seed": 2.5},
+    ])
+    def test_integer_config_fields_must_be_integers(self, pipeline, tmp_path, capsys, config):
+        # int() would train 1 epoch for 1.9 and for true, and seed 2 for 2.5
+        _, manifest, _ = pipeline
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"epochs": 1, **config}))
+        code = cli.main(["train", "--config", str(path), "--data", str(manifest),
+                         "--out", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "bad train config" in err and "integer" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("spec", [
+        {"n_clips": True}, {"n_clips": 12.0}, {"seed": 2.5}, {"frames": "16"}, {"base_bins": [1, 2.0, 3]},
+    ])
+    def test_integer_spec_fields_must_be_integers(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n_clips": 12, **spec}))
+        code = cli.main(["gen-data", "--spec", str(path), "--out", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "bad dataset spec" in err and "integer" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "notch", "center_bin": 5.7, "width_bins": 1}, {"kind": "notch", "center_bin": 5, "width_bins": True},
+        {"kind": "identity", "seed": 2.5}, {"kind": "band_mask", "bands": [[2, 1.0]]},
+        {"kind": "band_mask", "bands": [["2", 1]]},
+    ])
+    def test_integer_attack_fields_must_be_integers(self, pipeline, tmp_path, capsys, spec):
+        from spinshield import clipio
+        from spinshield.synthdata import load_clips
+
+        _, manifest, _ = pipeline
+        infile = tmp_path / "clip.spsc"
+        clipio.write_clip_binary(load_clips(manifest)[0].clip, infile)
+        path = tmp_path / "attack.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "attacked.spsc"
+        code = cli.main(["attack", "--spec", str(path), "--in", str(infile), "--format", "binary", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "bad attack record" in err and "integer" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("config", [{"learning_rate": 1e300}, {"alpha": 1e300}])
     def test_numerical_abort_prints_one_line(self, pipeline, tmp_path, capsys, config):
         # numpy's floating-point warnings would reach stderr before the message

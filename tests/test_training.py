@@ -12,7 +12,7 @@ from spinshield import training
 from spinshield.autodiff import Node
 from spinshield.errors import DataFormatError, NumericalAbort
 from spinshield.objectives import LossWeights
-from spinshield.spectral import forward_stack, minmax_normalize
+from spinshield.spectral import forward_stack, keyed_rng, minmax_normalize
 
 import graph_reference
 
@@ -71,6 +71,18 @@ class TestSplits:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             training.split_indices(5, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 3, 31, 901, 2**63 + 5])
+    def test_batch_positions_draw_the_training_permutation(self, seed):
+        # train() permutes positions in its training rows; train_idx[positions]
+        # is the permutation of train_idx itself, and the generator ends alike
+        train_idx = training.split_indices(4000, seed)[0]
+        by_index, by_position = (keyed_rng(seed, training._STREAM_BATCH) for _ in range(2))
+        for _ in range(3):
+            assert np.array_equal(by_index.permutation(train_idx), train_idx[by_position.permutation(len(train_idx))])
+        states = [rng.bit_generator.state["state"] for rng in (by_index, by_position)]
+        assert all(np.array_equal(states[0][k], states[1][k]) for k in ("counter", "key"))
+        assert np.array_equal(by_index.integers(0, 2**63, 16), by_position.integers(0, 2**63, 16))
 
 
 class TestAdam:
@@ -170,7 +182,8 @@ class TestAdam:
 
 
 class TestStackDataset:
-    """The chunked build equals one pass over the whole stack, bit for bit."""
+    """The chunked build equals one pass over the whole stack, bit for bit, on
+    the clips it is given and the spectra it is asked for."""
 
     @staticmethod
     def _whole_stack(clips):
@@ -179,7 +192,7 @@ class TestStackDataset:
         amps, phases = forward_stack(signals)
         rows = ad.standardized(signals.reshape(len(clips), m * t), md.STANDARDIZE_EPS)[0]
         labels = np.array([lc.y for lc in clips], dtype=np.intp)
-        return rows, amps, minmax_normalize(amps), np.exp(1j * phases), labels, m, t
+        return rows, labels, amps, minmax_normalize(amps), np.exp(1j * phases), m, t
 
     @pytest.mark.parametrize("frames", [16, 15])
     def test_chunks_equal_the_whole_stack(self, frames):
@@ -187,11 +200,23 @@ class TestStackDataset:
                                                      phase_cue_strength=3.0, seed=7))
         assert training._STANDARDIZE_CHUNK == 256
         for n in (1, 255, 257, 513):
-            got, want = training._stack_dataset(dataset[:n]), self._whole_stack(dataset[:n])
-            assert got[-2:] == want[-2:] == (6, frames)
-            for a, b in zip(got[:-2], want[:-2]):
-                assert a.shape == b.shape and a.dtype == b.dtype
-                assert np.array_equal(a, b), n
+            rows, labels, amps, norms, phasors, m, t = self._whole_stack(dataset[:n])
+            assert (m, t) == (6, frames)
+            # every clip in order, and a shuffled selection that leaves some out, as a run's train+val
+            shuffled = np.random.default_rng(n).permutation(n)[: max(1, n - n // 5)]
+            for picked in (np.arange(n), shuffled):
+                n_train = (len(picked) * 8) // 9
+                for n_spectra, with_norms in ((0, False), (n_train, False), (n_train, True), (len(picked), True)):
+                    got = training._stack_dataset([dataset[i] for i in picked], n_spectra, with_norms)
+                    spectra = picked[:n_spectra]
+                    want = (rows[picked], labels[picked], amps[spectra],
+                            norms[spectra] if with_norms else None, phasors[spectra])
+                    for a, b in zip(got, want, strict=True):
+                        if b is None:
+                            assert a is None
+                            continue
+                        assert a.shape == b.shape and a.dtype == b.dtype
+                        assert np.array_equal(a, b), (n, n_spectra, with_norms)
 
 
 class TestTraining:
@@ -271,6 +296,17 @@ class TestTraining:
         mixed.append(LabeledClip(clip=PatchSignalClip(signals=rng.normal(size=(3, 16))), y=0))
         with pytest.raises(ValueError, match="inconsistent"):
             training.train(tiny_config(), mixed)
+
+    def test_bad_clip_shape_in_the_test_split_rejected(self, rng):
+        # the run stacks only its train and validation clips, but checks every clip
+        from spinshield.spectral import PatchSignalClip
+        from spinshield.synthdata import LabeledClip
+
+        clips = [LabeledClip(clip=PatchSignalClip(signals=rng.normal(size=(2, 16))), y=i % 2) for i in range(20)]
+        test_idx = training.split_indices(len(clips), tiny_config().seed)[2]
+        clips[test_idx[0]] = LabeledClip(clip=PatchSignalClip(signals=rng.normal(size=(3, 16))), y=0)
+        with pytest.raises(ValueError, match="inconsistent"):
+            training.train(tiny_config(), clips)
 
 
 class TestAlternationIsolation:
