@@ -13,9 +13,9 @@ parent first when i is even and the change first when i is odd. With
 first). The output names each side's commit (or its path, when the checkout is
 not a git repository) and records every run with its seed, side and order, a
 median/quartile summary of each end-to-end metric named in the change's
-``BENCHMARK.json``, the BLAS thread settings, the numpy and BLAS versions, and
-the mount and filesystem type of ``--scratch``, where the runs create their
-files.
+``BENCHMARK.json``, the BLAS thread settings, the numpy and BLAS versions,
+numpy's SIMD extensions, and the mount and filesystem type of ``--scratch``,
+where the runs create their files.
 
 Each metric's summary also states three verdicts.  ``worse_shift`` is the
 change's median relative to the parent's, signed so that a positive value is
@@ -155,12 +155,16 @@ def _filesystem(path: Path) -> dict:
 
 
 def _environment(scratch: Path) -> dict:
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
     return {
         "cpus": os.cpu_count(),
         "cpu": _cpu_model(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        # the SIMD extensions numpy was built for and found: a single-precision
+        # gain depends on the vector width
+        "simd": config.get("SIMD Extensions"),
         "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
         "blas_threads": "OPENBLAS_NUM_THREADS=1 and OMP_NUM_THREADS=1, set by perfbench/run.py before numpy is imported",
         "caller_env": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},

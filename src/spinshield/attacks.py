@@ -13,7 +13,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DataFormatError, json_int
+from .errors import DataFormatError, json_fields, json_int
 from .spectral import FloatArray, FrequencyGrid, PatchSignalClip, forward_stack, inverse_stack, keyed_rng
 
 KIND_IDENTITY = "identity"
@@ -288,6 +288,16 @@ def spec_to_dict(spec: AttackSpec) -> dict:
     return out
 
 
+# the fields spec_to_dict writes for each kind, the only ones spec_from_dict reads
+_RECORD_FIELDS = {
+    KIND_IDENTITY: (),
+    KIND_NOTCH: ("center_bin", "width_bins", "floor"),
+    KIND_BAND_MASK: ("bands", "tukey_alpha"),
+    KIND_TILT: ("beta1", "beta2", "eps0"),
+    KIND_NOISE: ("sigma", "draws", "eps0"),
+}
+
+
 def spec_from_dict(data: dict) -> AttackSpec:
     try:
         kind = data["kind"]
@@ -320,6 +330,7 @@ def spec_from_dict(data: dict) -> AttackSpec:
             )
         else:
             raise DataFormatError(f"unknown attack kind {kind!r}")
+        json_fields(data, ("kind", "seed", *_RECORD_FIELDS[kind]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad attack record: {exc}") from exc
     return AttackSpec(kind=kind, params=params, seed=seed)

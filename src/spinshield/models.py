@@ -180,10 +180,17 @@ def named_arrays(bundle: ModelBundle) -> dict[str, FloatArray]:
     return {name: getattr(getattr(bundle, part), field) for name, (part, field, _) in _PARAMS.items()}
 
 
-def set_named_arrays(bundle: ModelBundle, arrays: Mapping[str, FloatArray]) -> None:
+def bind_named_arrays(bundle: ModelBundle, arrays: Mapping[str, np.ndarray]) -> None:
+    """Point the bundle's parameters at the given arrays themselves, with no
+    copy and no cast, as a training run binds its optimizers' live buffers."""
     for name, arr in arrays.items():
         part, field, _ = _PARAMS[name]
-        setattr(getattr(bundle, part), field, np.asarray(arr, dtype=np.float64))
+        setattr(getattr(bundle, part), field, arr)
+
+
+def set_named_arrays(bundle: ModelBundle, arrays: Mapping[str, np.ndarray]) -> None:
+    """Set the bundle's parameters to the given arrays as float64."""
+    bind_named_arrays(bundle, {name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()})
 
 
 # --- the plain-array forward ----------------------------------------------------
@@ -215,14 +222,16 @@ def recompose_adjoint(g: FloatArray, phasor: ComplexArray, window: int) -> Float
     rows' gradient ``g``."""
     spectrum = np.fft.rfft(g, axis=1)
     np.multiply(phasor, np.conj(spectrum, out=spectrum), out=spectrum)
-    return _adjoint_coef(window) * np.real(spectrum)
+    real = np.real(spectrum)
+    return _adjoint_coef(window, real.dtype) * real
 
 
 @functools.lru_cache(maxsize=8)
-def _adjoint_coef(window: int) -> FloatArray:
-    """Each bin's weight in :func:`recompose_adjoint`, read-only and shared."""
+def _adjoint_coef(window: int, dtype: np.dtype) -> FloatArray:
+    """Each bin's weight in :func:`recompose_adjoint`, of the gradient's
+    dtype; read-only and shared."""
     grid = FrequencyGrid(window)
-    coef = np.full(grid.n_bins, 2.0 / window)
+    coef = np.full(grid.n_bins, 2.0 / window, dtype=dtype)
     coef[0] = 1.0 / window
     if grid.has_nyquist:
         coef[-1] = 1.0 / window

@@ -157,7 +157,7 @@ def mmd_with_vjp(
     def vjp(g: float) -> tuple[FloatArray, FloatArray]:
         # d k(u_i, u_j) / d u_i = -2 inv_two_sq k(u_i, u_j) (u_i - u_j) over the
         # union u = [a; b], with each block's coefficient in one weight matrix
-        weights = np.empty((na + nb, na + nb))
+        weights = np.empty((na + nb, na + nb), dtype=union.dtype)
         for block, k, c in ((weights[:na, :na], k_aa, 1.0 / (na * na)), (weights[na:, na:], k_bb, 1.0 / (nb * nb))):
             np.add(k, k.T, out=block)
             block *= c

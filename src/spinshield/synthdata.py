@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import clipio
-from .errors import DataFormatError, json_int
+from .errors import DataFormatError, json_fields, json_int
 from .spectral import DEFAULT_FPS, FloatArray, PatchSignalClip, keyed_rng
 
 PHASE_SLOPE_RANGE = 0.15  # radians per patch-grid step
@@ -224,8 +224,13 @@ def spec_to_dict(spec: DatasetSpec) -> dict:
     }
 
 
+# the fields spec_to_dict writes, the only ones spec_from_dict reads
+_SPEC_FIELDS = frozenset(spec_to_dict(DatasetSpec()))
+
+
 def spec_from_dict(data: dict) -> DatasetSpec:
     try:
+        json_fields(data, _SPEC_FIELDS)
         return DatasetSpec(
             n_clips=json_int(data["n_clips"], "n_clips"),
             frames=json_int(data.get("frames", 16), "frames"),

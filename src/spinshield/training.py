@@ -8,8 +8,13 @@ identical parameters bit for bit.
 
 Each step is a closed-form kernel that forwards and backwards the step's
 operations by hand in plain arrays, on the model's one plain forward (the one
-scoring and the white-box attack run), so no autodiff graph is built.  The
-kernels give bit for bit the gradients of the engine over the same graph.
+scoring and the white-box attack run), so no autodiff graph is built.  On
+float64 inputs the kernels give bit for bit the gradients of the engine over
+the same graph.
+
+A run trains in single precision: its stacked clips, its parameters, Adam's
+state and every step kernel are float32 (complex64 for the phasors).  The
+bundle it returns is float64, so checkpoints, reports and inference are too.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from . import autodiff as ad
 from . import models as md
 from . import objectives as obj
 from .attacks import DEFAULT_EPS0, DEFAULT_NOISE_SIGMA
-from .errors import DataFormatError, NumericalAbort, json_int
+from .errors import DataFormatError, NumericalAbort, json_fields, json_int
 from .evaluation import compute_auc, score_rows
 from .spectral import ComplexArray, FloatArray, forward_stack, inverse_phasor, keyed_rng, minmax_normalize
 from .synthdata import LabeledClip
@@ -107,11 +112,17 @@ def config_to_dict(config: TrainConfig) -> dict:
     }
 
 
+# the fields config_to_dict writes, the only ones config_from_dict reads
+_CONFIG_FIELDS = frozenset(config_to_dict(TrainConfig()))
+_WEIGHTS_FIELDS = frozenset(config_to_dict(TrainConfig())["weights"])
+
+
 def config_from_dict(data: dict) -> TrainConfig:
     if not isinstance(data, dict) or not isinstance(data.get("weights", {}), dict):
         raise DataFormatError("bad train config: the config and its weights must be JSON objects")
     try:
-        w = data.get("weights", {})
+        json_fields(data, _CONFIG_FIELDS)
+        w = json_fields(data.get("weights", {}), _WEIGHTS_FIELDS, "weights")
         return TrainConfig(
             mode=data.get("mode", "spinshield"),
             epochs=json_int(data.get("epochs", 25), "epochs"),
@@ -151,7 +162,7 @@ class Adam:
 
     It also owns a flat gradient buffer, viewed per parameter in ``grads``:
     a step kernel writes into the views, and ``step(opt.grads)`` reads them
-    in place."""
+    in place.  The buffers and moments take the dtype of the arrays given."""
 
     def __init__(
         self,
@@ -160,7 +171,7 @@ class Adam:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ) -> None:
-        self.flat = np.concatenate([np.ravel(arr) for arr in arrays.values()], dtype=np.float64)
+        self.flat = np.concatenate([np.ravel(arr) for arr in arrays.values()], dtype=np.result_type(*arrays.values()))
         self.grad = np.zeros_like(self.flat)
         self.grads: dict[str, FloatArray] = {}
         start = 0
@@ -169,9 +180,10 @@ class Adam:
             self.grads[name] = self.grad[start : start + arr.size].reshape(arr.shape)
             start += arr.size
         self.arrays = arrays
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+        # Python floats, which take the buffers' dtype in every update (NEP 50)
+        self.lr = float(lr)
+        self.beta1, self.beta2 = (float(beta) for beta in betas)
+        self.eps = float(eps)
         self.t = 0
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
@@ -233,20 +245,21 @@ def _clip_shape(clips: list[LabeledClip]) -> tuple[int, int]:
 def _stack_dataset(
     clips: list[LabeledClip], n_spectra: int, with_norms: bool
 ) -> tuple[FloatArray, np.ndarray, FloatArray, FloatArray | None, ComplexArray]:
-    """What a run reads of its clips, built once, all of one shape: the
-    standardized rows ``(N, M*T)`` and the labels of every clip; the
-    amplitudes and the unit phasors, each ``(n_spectra, M, K)``, of the first
-    ``n_spectra`` clips; and, ``with_norms``, their amplitudes' per-clip
-    min-max normalization (the generator's input), or None.  The arrays are
-    filled a chunk of clips at a time: a chunk's signals are stacked into its
-    rows, its clips among the first ``n_spectra`` transformed, then its rows
-    standardized in place.  Clips never mix, so each clip's values are those
-    of one pass over the whole stack."""
+    """What a run reads of its clips, built once, all of one shape and in
+    single precision: the standardized rows ``(N, M*T)`` and the labels of
+    every clip; the amplitudes and the unit phasors, each ``(n_spectra, M,
+    K)``, of the first ``n_spectra`` clips; and, ``with_norms``, their
+    amplitudes' per-clip min-max normalization (the generator's input), or
+    None.  The arrays are filled a chunk of clips at a time: a chunk's
+    signals are stacked into its rows as float32, its clips among the first
+    ``n_spectra`` transformed, then its rows standardized in place.  Clips
+    never mix, so each clip's values are those of one float32 pass over the
+    whole stack."""
     m, t_len = clips[0].clip.signals.shape
     n, k = len(clips), t_len // 2 + 1
-    rows = np.empty((n, m * t_len))
-    amps, phasors = np.empty((n_spectra, m, k)), np.empty((n_spectra, m, k), dtype=np.complex128)
-    norms = np.empty((n_spectra, m, k)) if with_norms else None
+    rows = np.empty((n, m * t_len), dtype=np.float32)
+    amps, phasors = np.empty((n_spectra, m, k), dtype=np.float32), np.empty((n_spectra, m, k), dtype=np.complex64)
+    norms = np.empty((n_spectra, m, k), dtype=np.float32) if with_norms else None
     for start in range(0, n, _STANDARDIZE_CHUNK):
         part = slice(start, start + _STANDARDIZE_CHUNK)
         signals = rows[part].reshape(-1, m, t_len)
@@ -318,7 +331,7 @@ def _encoder_blindness(
     ``g``."""
     n = len(h) // 2
     paired, paired_vjp = obj.paired_displacement_with_vjp(h[:n], h[n:])
-    view_weights = np.full(2 * n, 1.0 / n)
+    view_weights = np.full(2 * n, 1.0 / n, dtype=h.dtype)
     zeros, ones = np.zeros(2 * n, dtype=np.intp), np.ones(2 * n, dtype=np.intp)
     shifted, lse, p = d_parts
     confusion = np.sum(((lse - shifted[:, 0]) + (lse - shifted[:, 1])) * view_weights) * 0.5
@@ -379,7 +392,7 @@ def _detector_step(
         d_parts = ad.softmax_parts(q1 @ a["head.wq2"] + a["head.bq2"])
         shifted, lse, d_p = d_parts
         view_labels = np.repeat(np.array([0, 1], dtype=np.intp), n)
-        view_weights = np.full(2 * n, 1.0 / n)
+        view_weights = np.full(2 * n, 1.0 / n, dtype=h.dtype)
         l_disc = np.sum((lse - shifted[np.arange(2 * n), view_labels]) * view_weights)
         g_d = ad.cross_entropy_vjp(d_p, view_labels, (weights.lambda_blind * view_weights)[:, None])
         _param_grads(q1, g_d, grads["head.wq2"], grads["head.bq2"])
@@ -451,7 +464,9 @@ def naive_env_views(
     so this equals :func:`spectral.inverse_stack` of the phase.
     """
     b, m, k = amp.shape
-    draws = rng.normal(0.0, sigma, size=(b, 1, k)) * np.ones((1, m, 1))
+    # the draws are cast to the spectra's dtype after they are drawn, so that
+    # the stream is the same at every precision
+    draws = rng.normal(0.0, sigma, size=(b, 1, k)).astype(amp.dtype)
     new_amp = (amp + eps0) * np.exp(draws)
     return inverse_phasor(new_amp, phasor, window).reshape(b, m * window)
 
@@ -504,7 +519,8 @@ def train(
     bundle = md.init_bundle(
         input_width=m * t_len, n_bins=n_bins, alpha=config.alpha, seed=config.seed
     )
-    arrays = md.named_arrays(bundle)
+    # the run trains float32 copies of the initial draws
+    arrays = {n: a.astype(np.float32) for n, a in md.named_arrays(bundle).items()}
     det_opt = Adam({n: a for n, a in arrays.items() if n.startswith(("enc.", "head."))},
                    config.learning_rate, config.adam_betas, config.adam_eps)
     gen_opt = Adam(
@@ -513,8 +529,9 @@ def train(
         config.adam_betas,
         config.adam_eps,
     )
-    # the bundle's parameters are views of the optimizers' buffers from here on
-    md.set_named_arrays(bundle, {**det_opt.arrays, **gen_opt.arrays})
+    # the bundle's parameters are the optimizers' float32 views until the
+    # best-validation snapshot replaces them, as float64, at the end
+    md.bind_named_arrays(bundle, {**det_opt.arrays, **gen_opt.arrays})
     arrays = md.named_arrays(bundle)
     assert all(arrays[n] is a for opt in (det_opt, gen_opt) for n, a in opt.arrays.items())
 

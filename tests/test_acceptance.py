@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from spinshield import attacks as atk
 from spinshield import autodiff as ad
@@ -41,6 +42,15 @@ ADAPTIVE_CLIPS = 80
 def report(criterion, ok, detail=""):
     print(f"\n[{'PASS' if ok else 'FAIL'}] {criterion}" + (f"  ({detail})" if detail else ""))
     return ok
+
+
+def report_interval(name, per_seed):
+    """Print a per-seed value and a 95% t-interval of its mean over the
+    seeds, to read a margin against seed noise; it decides nothing."""
+    values = np.array(per_seed, dtype=float)
+    half = scipy.stats.t.ppf(0.975, len(values) - 1) * values.std(ddof=1) / math.sqrt(len(values))
+    print(f"    {name} per seed: {' '.join(f'{v:+.4f}' for v in values)}; "
+          f"mean {values.mean():+.4f}, 95% t-interval [{values.mean() - half:+.4f}, {values.mean() + half:+.4f}]")
 
 
 def forced_band_auc(bundle, labeled, k_s):
@@ -348,6 +358,7 @@ class TestCriterion5ShortcutCollapse:
         )
         ok = all(checks.values())
         report("criterion 5: shortcut collapse and suppression", ok, detail)
+        report_interval("drop", drops)
         assert ok, {k: v for k, v in checks.items() if not v}
 
     def test_baseline_sweep_dips_at_shortcut_bin(self, experiment):
@@ -381,6 +392,9 @@ class TestCriterion6AblationOrdering:
         )
         ok = all(checks.values())
         report("criterion 6: ablation ordering", ok, detail)
+        for name in ("no_sym", "no_blind"):
+            report_interval(f"full - {name}", [suite_mean(rows[s]["shift_reports"]["spinshield"])
+                                               - suite_mean(rows[s]["shift_reports"][name]) for s in SEEDS])
         assert ok, {k: v for k, v in checks.items() if not v}
 
 

@@ -245,6 +245,7 @@ class TestStackPath:
 
 class TestSerialization:
     def test_json_round_trip_every_kind(self, rng):
+        # the decoder reads every field the encoder writes, and no other
         for kind in attacks.ALL_KINDS + ("identity",):
             spec = sample_attack(kind, GRID16, seed=21, patches=3)
             back = spec_from_json(spec_to_json(spec))
@@ -269,3 +270,9 @@ class TestSerialization:
     def test_missing_field_rejected(self):
         with pytest.raises(DataFormatError):
             spec_from_dict({"kind": "tilt", "beta1": 0.2})
+
+    @pytest.mark.parametrize("extra", [{"flor": 0.5}, {"center": 3}, {"sigma": 0.2}])
+    def test_unknown_field_rejected(self, extra):
+        record = spec_to_dict(sample_attack("notch", GRID16, seed=3))
+        with pytest.raises(DataFormatError, match=f"^bad attack record: unknown field {next(iter(extra))!r}$"):
+            spec_from_dict({**record, **extra})

@@ -321,6 +321,51 @@ class TestMalformedInputs:
         assert "bad attack record" in err and "integer" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", [
+        {"epoch": 3}, {"weights": {"lambda_sim": 0}}, {"learning-rate": 0.1, "seeds": 2},
+    ])
+    def test_unknown_config_fields_are_data_errors(self, pipeline, tmp_path, capsys, config):
+        # a misspelt field used to fall back to its default: 25 epochs, lambda_sym 0.9
+        _, manifest, _ = pipeline
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"epochs": 1, **config}))
+        code = cli.main(["train", "--config", str(path), "--data", str(manifest),
+                         "--out", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "bad train config: unknown field" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("spec", [{"frame": 8}, {"seeds": 3}])
+    def test_unknown_spec_fields_are_data_errors(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n_clips": 12, **spec}))
+        code = cli.main(["gen-data", "--spec", str(path), "--out", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "bad dataset spec: unknown field" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "notch", "center_bin": 5, "width_bins": 1, "flor": 0.5},
+        {"kind": "identity", "floor": 0.5}, {"kind": "tilt", "beta1": 0.1, "beta2": 0.0, "eps": 1e-3},
+    ])
+    def test_unknown_attack_fields_are_data_errors(self, pipeline, tmp_path, capsys, spec):
+        from spinshield import clipio
+        from spinshield.synthdata import load_clips
+
+        _, manifest, _ = pipeline
+        infile = tmp_path / "clip.spsc"
+        clipio.write_clip_binary(load_clips(manifest)[0].clip, infile)
+        path = tmp_path / "attack.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "attacked.spsc"
+        code = cli.main(["attack", "--spec", str(path), "--in", str(infile), "--format", "binary", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "bad attack record: unknown field" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("config", [{"learning_rate": 1e300}, {"alpha": 1e300}])
     def test_numerical_abort_prints_one_line(self, pipeline, tmp_path, capsys, config):
         # numpy's floating-point warnings would reach stderr before the message

@@ -249,6 +249,26 @@ class TestRecomposeRows:
         np.testing.assert_allclose(nodes["amp"].grad, numeric, rtol=1e-4, atol=1e-6)
 
 
+    def test_adjoint_keeps_the_gradient_dtype(self, rng):
+        # each bin's weight is cached per window and dtype, so a float32
+        # gradient is not upcast by a float64 weight
+        g = rng.normal(size=(5, 16))
+        phasor = np.exp(1j * dft_onesided(random_clip(rng, patches=5, frames=16)).phase)
+        want = md.recompose_adjoint(g, phasor, 16)
+        got = md.recompose_adjoint(g.astype(np.float32), phasor.astype(np.complex64), 16)
+        assert want.dtype == np.float64 and got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+
+
+class TestNamedArrays:
+    def test_bind_keeps_the_arrays_and_set_casts_to_float64(self, bundle):
+        live = {name: arr.astype(np.float32) for name, arr in md.named_arrays(bundle).items()}
+        md.bind_named_arrays(bundle, live)
+        assert all(arr is live[name] for name, arr in md.named_arrays(bundle).items())
+        md.set_named_arrays(bundle, live)
+        for name, arr in md.named_arrays(bundle).items():
+            assert arr.dtype == np.float64 and np.array_equal(arr, live[name])
+
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path, bundle):
         path = tmp_path / "model.ckpt"

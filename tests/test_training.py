@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 
@@ -115,21 +116,23 @@ class TestAdam:
                 assert np.array_equal(arrays[n], ref[n]), n
                 assert arrays[n] is opt.arrays[n] and np.shares_memory(arrays[n], opt.flat)
 
-    @pytest.mark.parametrize("source", ["buffer", "dict"])
-    def test_in_place_step_is_the_textbook_update(self, source):
+    @staticmethod
+    def _check_textbook_update(source, dtype):
         # the gradients written into the optimizer's own views, or handed
         # over in an outside dict: either way each step is the textbook
-        # update, bit for bit
+        # update in the arrays' dtype, bit for bit
         rng = np.random.default_rng(8)
         shapes = {"w": (5, 3), "b": (3,), "s": (2, 1)}
-        arrays = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+        arrays = {n: rng.normal(size=shape).astype(dtype) for n, shape in shapes.items()}
         p = {n: a.copy() for n, a in arrays.items()}
         opt = training.Adam(arrays, lr=0.01, betas=(0.8, 0.99), eps=1e-6)
-        m = {n: np.zeros(shape) for n, shape in shapes.items()}
-        v = {n: np.zeros(shape) for n, shape in shapes.items()}
+        assert all(buf.dtype == dtype for buf in (opt.flat, opt.grad, opt.m, opt.v))
+        m = {n: np.zeros(shape, dtype) for n, shape in shapes.items()}
+        v = {n: np.zeros(shape, dtype) for n, shape in shapes.items()}
         b1, b2 = opt.beta1, opt.beta2
         for t in range(1, 51):
-            grads = {n: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3) for n, shape in shapes.items()}
+            grads = {n: (rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
+                     for n, shape in shapes.items()}
             if source == "buffer":
                 for n, g in grads.items():
                     opt.grads[n][...] = g
@@ -144,6 +147,16 @@ class TestAdam:
                 assert np.array_equal(opt.grads[n], g) and np.shares_memory(opt.grads[n], opt.grad)
             assert np.array_equal(opt.m, np.concatenate([m[n].ravel() for n in shapes]))
             assert np.array_equal(opt.v, np.concatenate([v[n].ravel() for n in shapes]))
+        assert all(a.dtype == dtype for a in (*arrays.values(), *p.values(), *m.values(), *v.values()))
+
+    @pytest.mark.parametrize("source", ["buffer", "dict"])
+    def test_in_place_step_is_the_textbook_update(self, source):
+        self._check_textbook_update(source, np.float64)
+
+    @pytest.mark.parametrize("source", ["buffer", "dict"])
+    def test_float32_step_is_the_float32_textbook_update(self, source):
+        # a training run's optimizers hold float32 arrays
+        self._check_textbook_update(source, np.float32)
 
     def test_nan_in_the_gradient_buffer_changes_nothing(self):
         arrays = {"w": np.ones((2, 2)), "b": np.zeros(2)}
@@ -182,13 +195,13 @@ class TestAdam:
 
 
 class TestStackDataset:
-    """The chunked build equals one pass over the whole stack, bit for bit, on
-    the clips it is given and the spectra it is asked for."""
+    """The chunked build equals one float32 pass over the whole stack, bit for
+    bit, on the clips it is given and the spectra it is asked for."""
 
     @staticmethod
     def _whole_stack(clips):
         m, t = clips[0].clip.signals.shape
-        signals = np.stack([lc.clip.signals for lc in clips])
+        signals = np.stack([lc.clip.signals for lc in clips]).astype(np.float32)
         amps, phases = forward_stack(signals)
         rows = ad.standardized(signals.reshape(len(clips), m * t), md.STANDARDIZE_EPS)[0]
         labels = np.array([lc.y for lc in clips], dtype=np.intp)
@@ -216,6 +229,7 @@ class TestStackDataset:
                             assert a is None
                             continue
                         assert a.shape == b.shape and a.dtype == b.dtype
+                        assert a.dtype in (np.float32, np.complex64, np.intp)
                         assert np.array_equal(a, b), (n, n_spectra, with_norms)
 
 
@@ -450,9 +464,28 @@ class TestAlternationIsolation:
             assert float(np.max(np.abs(grad - reference[name]))) <= 1e-12 * scale, name
 
 
+def _float64(arrays):
+    """Float64 (complex128) copies of a name -> array mapping, or of one array."""
+    if isinstance(arrays, np.ndarray):
+        return arrays.astype(np.complex128 if np.iscomplexobj(arrays) else np.float64)
+    return {name: _float64(arr) for name, arr in arrays.items()}
+
+
 class TestStepKernels:
-    """The closed-form step kernels give every loss and gradient of the
-    reference graph bit for bit, at every step of real training runs."""
+    """At every step of real training runs, the closed-form step kernels and
+    the adversary's forward, re-run on float64 casts of the run's float32
+    inputs, give every loss, gradient and view of the reference graph bit for
+    bit; and the run's own float32 outputs are within the tolerances below of
+    that float64 re-run."""
+
+    # the largest gap of a float32 output from its float64 re-run, relative
+    # to the float64 output's largest magnitude: per gradient of each step,
+    # per view array of the adversary's forward.  The most seen, here and
+    # over 3 epochs of naive_aug and spinshield on 800 clips (seeds 5 and
+    # 11), was 2.0e-3, 2.2e-6 and 2.9e-7.
+    RTOL = {"detector": 1e-2, "adversary": 1e-4, "views": 1e-5}
+    # and the largest absolute gap of a loss (4.1e-7 seen)
+    LOSS_ATOL = 1e-5
 
     @staticmethod
     def _assert_equal(got, want):
@@ -466,8 +499,28 @@ class TestStepKernels:
             assert grad.shape == ref_grads[name].shape, name
             assert np.array_equal(grad, ref_grads[name]), name
 
+    @staticmethod
+    def _gap(got, want):
+        """The largest gap of ``got`` from ``want``, relative to ``want``'s largest magnitude."""
+        gap = float(np.max(np.abs(got.astype(want.dtype) - want)))
+        return gap / float(np.max(np.abs(want))) if gap else 0.0
+
+    def _assert_close(self, got, want, kind, gaps):
+        """Assert the float32 ``got`` within tolerance of the float64 ``want``,
+        and record the largest gaps seen in ``gaps``."""
+        losses, grads = got
+        ref_losses, ref_grads = want
+        for value, ref in zip(losses, ref_losses, strict=True):
+            gaps["loss"] = max(gaps["loss"], abs(float(value) - float(ref)))
+            assert abs(float(value) - float(ref)) <= self.LOSS_ATOL, (value, ref)
+        for name, grad in grads.items():
+            assert grad.dtype == np.float32, name
+            gaps[kind] = max(gaps[kind], self._gap(grad, ref_grads[name]))
+            assert self._gap(grad, ref_grads[name]) <= self.RTOL[kind], name
+
     def _run(self, monkeypatch, config, dataset):
         seen = {"detector": [], "adversary": 0, "views": 0}
+        gaps = dict.fromkeys(("loss", *self.RTOL), 0.0)
         last_views = {}
         detector_step, adversary_step, lsa_forward = (
             training._detector_step, training._adversary_step, md.lsa_forward)
@@ -475,19 +528,31 @@ class TestStepKernels:
         def check_views(gen, amp, norm, phasor, window, alpha, delta):
             assert np.array_equal(norm, minmax_normalize(amp))
             views = lsa_forward(gen, amp, norm, phasor, window, alpha, delta)
-            last_views.update(gen=gen, amp=amp, phasor=phasor, window=window, alpha=alpha, delta=delta)
-            env, mask = graph_reference.lsa_views(amp, phasor, window, graph_reference.leaves(gen), alpha, delta)
-            assert np.array_equal(views.z_env, ad.standardized(env.value, md.STANDARDIZE_EPS)[0])
-            assert np.array_equal(views.mask, mask.value)
+            amp64, phasor64 = _float64(amp), _float64(phasor)
+            views64 = lsa_forward(_float64(gen), amp64, minmax_normalize(amp64), phasor64, window, alpha, delta)
+            last_views.update(amp=amp64, phasor=phasor64, window=window, alpha=alpha, delta=delta, views=views64)
+            env, mask = graph_reference.lsa_views(amp64, phasor64, window, graph_reference.leaves(_float64(gen)),
+                                                  alpha, delta)
+            assert np.array_equal(views64.z_env, ad.standardized(env.value, md.STANDARDIZE_EPS)[0])
+            assert np.array_equal(views64.mask, mask.value)
+            for got, want in ((views.z_env, views64.z_env), (views.mask, views64.mask)):
+                assert got.dtype == np.float32
+                gaps["views"] = max(gaps["views"], self._gap(got, want))
+                assert self._gap(got, want) <= self.RTOL["views"]
             seen["views"] += 1
             return views
 
-        # each kernel must write every gradient: the buffer is poisoned first
+        # each kernel must write every gradient: the buffers are poisoned first
         def check_detector(arrays, grads, z_clean, z_env, y, weights):
             for g in grads.values():
                 g.fill(np.nan)
             losses = detector_step(arrays, grads, z_clean, z_env, y, weights)
-            self._assert_equal((losses, grads), graph_reference.detector_step(arrays, z_clean, z_env, y, weights))
+            arrays64, grads64 = _float64(arrays), {n: np.full(g.shape, np.nan) for n, g in grads.items()}
+            z_clean64, z_env64 = _float64(z_clean), None if z_env is None else _float64(z_env)
+            losses64 = detector_step(arrays64, grads64, z_clean64, z_env64, y, weights)
+            self._assert_equal((losses64, grads64),
+                               graph_reference.detector_step(arrays64, z_clean64, z_env64, y, weights))
+            self._assert_close((losses, grads), (losses64, grads64), "detector", gaps)
             seen["detector"].append(len(y))
             return losses
 
@@ -496,9 +561,13 @@ class TestStepKernels:
                 g.fill(np.nan)
             losses = adversary_step(frozen, gen, grads, views, z_clean, y, weights, alpha)
             v = last_views
-            ref = graph_reference.adversary_step(frozen, gen, v["amp"], v["phasor"], v["window"],
-                                                 z_clean, y, weights, v["alpha"], v["delta"])
-            self._assert_equal((losses, grads), ref)
+            frozen64, gen64, z_clean64 = _float64(frozen), _float64(gen), _float64(z_clean)
+            grads64 = {n: np.full(g.shape, np.nan) for n, g in grads.items()}
+            losses64 = adversary_step(frozen64, gen64, grads64, v["views"], z_clean64, y, weights, alpha)
+            ref = graph_reference.adversary_step(frozen64, gen64, v["amp"], v["phasor"], v["window"],
+                                                 z_clean64, y, weights, v["alpha"], v["delta"])
+            self._assert_equal((losses64, grads64), ref)
+            self._assert_close((losses, grads), (losses64, grads64), "adversary", gaps)
             seen["adversary"] += 1
             return losses
 
@@ -506,6 +575,7 @@ class TestStepKernels:
         monkeypatch.setattr(training, "_detector_step", check_detector)
         monkeypatch.setattr(training, "_adversary_step", check_adversary)
         training.train(config, dataset)
+        seen["gaps"] = gaps
         return seen
 
     @pytest.mark.parametrize("mode", training.MODES)
@@ -532,6 +602,77 @@ class TestStepKernels:
         seen = self._run(monkeypatch, config, tiny_dataset)
         assert seen["adversary"] == 3
 
+
+class TestSinglePrecision:
+    """A run trains in float32 and hands back float64.  A float64 array met
+    inside the loop would be a silent upcast, which gives back the speed of
+    single precision.  Every gradient passes through ``_param_grads`` or
+    ``tanh_backward`` (whose in-place product would cast a float64 gradient
+    back), so a leak into any backward pass shows there."""
+
+    # what a step may read or return: single-precision values, integer labels
+    SINGLE = (np.float32, np.complex64, np.intp)
+
+    def _assert_single(self, value, where):
+        if isinstance(value, dict):
+            for name, item in value.items():
+                self._assert_single(item, f"{where}[{name}]")
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                self._assert_single(item, f"{where}[{i}]")
+        elif isinstance(value, (np.ndarray, np.generic)):
+            assert value.dtype in self.SINGLE, (where, value.dtype)
+
+    def _spy(self, monkeypatch, module, name, calls):
+        original = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            self._assert_single((args, kwargs), f"{name} input")
+            out = original(*args, **kwargs)
+            self._assert_single((args, out), f"{name} output")  # the gradients are written into args
+            calls[name] = calls.get(name, 0) + 1
+            return out
+
+        monkeypatch.setattr(module, name, spy)
+
+    @pytest.mark.parametrize("mode", training.MODES)
+    def test_the_loop_is_float32_and_its_products_float64(self, tiny_dataset, monkeypatch, mode, tmp_path):
+        from spinshield import evaluation as ev
+
+        calls = {}
+        with monkeypatch.context() as patch:
+            for module, name in ((training, "_detector_step"), (training, "_adversary_step"), (md, "lsa_forward"),
+                                 (training, "naive_env_views"), (training, "_param_grads"), (md, "tanh_backward")):
+                self._spy(patch, module, name, calls)
+            result = training.train(tiny_config(mode=mode, epochs=1), tiny_dataset)
+        steps = {"baseline": [], "naive_aug": ["naive_env_views"],
+                 "spinshield": ["_adversary_step", "lsa_forward"]}[mode]
+        assert sorted(calls) == sorted(["_detector_step", "_param_grads", "tanh_backward", *steps])
+
+        arrays = md.named_arrays(result.bundle)
+        assert all(a.dtype == np.float64 for a in arrays.values())
+        md.save_bundle(result.bundle, tmp_path / "model.ckpt")
+        params = json.loads((tmp_path / "model.ckpt").read_text())["params"]
+        loaded = md.named_arrays(md.load_bundle(tmp_path / "model.ckpt"))
+        for name, arr in arrays.items():
+            assert len(base64.b64decode(params[name]["data"])) == 8 * arr.size
+            assert loaded[name].dtype == np.float64 and np.array_equal(loaded[name], arr)
+        # inference runs in float64: its scores are not all float32 values
+        test = [tiny_dataset[i] for i in result.test_indices]
+        report = ev.evaluate_under_attacks(result.bundle, test, kinds=("notch",), n_seeds=1)
+        assert any(float(np.float32(score)) != score for score in report.clean_scores)
+
+
+    def test_naive_views_draw_one_stream_at_either_precision(self, rng):
+        # the float32 views cast the float64 draws, so the stream does not move
+        amp, phases = forward_stack(rng.normal(size=(4, 3, 16)))
+        phasor = np.exp(1j * phases)
+        rngs = [keyed_rng(5, training._STREAM_NAIVE) for _ in range(2)]
+        want = training.naive_env_views(amp, phasor, 16, rngs[0])
+        got = training.naive_env_views(amp.astype(np.float32), phasor.astype(np.complex64), 16, rngs[1])
+        assert want.dtype == np.float64 and got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
+        assert np.array_equal(rngs[0].integers(0, 2**63, 8), rngs[1].integers(0, 2**63, 8))
 
 class TestDomainConfusion:
     """The encoder side of L_blind pulls views onto the discriminator's boundary,
@@ -666,15 +807,17 @@ class TestGoldenTraining:
     float64, in ``named_arrays`` order) followed by the JSON of its log rows.
     A refactor that claims to be bit for bit must leave them unchanged.  A
     deliberate change of numerics, such as replacing the conjugate-mirror
-    inverse with ``np.fft.irfft``, must update the digests and record the
-    update in CHANGES.md.  The digests hold for one numpy and BLAS build
-    (numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64, one or two threads).
+    inverse with ``np.fft.irfft``, or training in float32 rather than
+    float64 (which re-pinned all three), must update the digests and record
+    the update in CHANGES.md.  The digests hold for one numpy and BLAS build
+    (numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64 with AVX512, one or two
+    threads).
     """
 
     DIGESTS = {
-        "baseline": "502d6bbf92aa83395a14e131b08ef6e717c666ac5cf0ed9741ebfc56ec823e1c",
-        "spinshield": "094d89d88f79a47afefb65ff79f64f454fb2cdc6b8822d523e49c42a73dd391c",
-        "naive_aug": "06fb1ed61ee8759b5e6e97f0ef901e824beab6bea6e3ba6046e0cf07a34d09af",
+        "baseline": "6707bd76bf6fdcfa8e25e6dfd5e3b36cda124cef84a6a3f56066c5c9acadd421",
+        "spinshield": "5c0e70d1b0a8f757285900f438ddd2a97a143850ab1f3cf9ae44bb6adcafce7e",
+        "naive_aug": "83657beb7b5de4f1d3f57d6be25a89bc38a8ed09730e18060d00555dba293783",
     }
 
     @pytest.mark.parametrize("mode", training.MODES)
