@@ -496,8 +496,9 @@ def train(
 ) -> TrainResult:
     """Train one detector per the config mode; returns the best-validation model.
 
-    ``epoch_hook`` (if given) observes the live bundle after each epoch; the
-    returned bundle is still the best-validation snapshot.  The log's
+    ``epoch_hook`` (if given) observes the live bundle after each epoch,
+    whose arrays are the run's float32 parameters; the returned bundle is
+    the best-validation snapshot, in float64.  The log's
     ``L_blind`` column holds the encoder side of the domain term
     (:func:`objectives.encoder_blindness_loss`); the discriminator's own loss
     is checked for finiteness but not logged.
