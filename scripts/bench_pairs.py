@@ -26,6 +26,13 @@ relative to their median, exceeds the bound, and not every run of the change
 is better than every run of the parent.  ``gain`` says whether the change is
 better in at least 9 of every 10 pairs and its median is better than the
 parent's by more than the parent's interquartile range.
+
+Beside them, ``pair_ratio`` gives the median and quartiles of change/parent
+within each pair, and ``better_in`` the number of pairs whose ratio is
+better.  A drift of the host between pairs moves both runs of a pair, so it
+cancels in the ratio while it widens the parent's spread.  The ratios are
+reported only: the ``gain``, ``unresolved`` and ``within_bound`` rules above
+do not read them.
 """
 
 from __future__ import annotations
@@ -106,6 +113,7 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
             shift = math.copysign(math.inf, worse_by) if worse_by else 0.0
             spread = math.inf if iqr else 0.0
         separated = max(changes) < min(parents) if lower else min(changes) > max(parents)
+        ratios = [b / a for a, b in both if a]  # a pair with a zero parent has no ratio
         out[name] = {
             "parent": parent,
             "change": change,
@@ -116,6 +124,8 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
             "within_bound": shift <= metric["bound"],
             "unresolved": spread > metric["bound"] and not separated,
             "gain": 10 * better >= 9 * len(both) and -worse_by > iqr,
+            "pair_ratio": {**_spread(ratios), "better_in": sum(1 for r in ratios if (r < 1 if lower else r > 1)),
+                           "pairs": len(ratios)} if len(ratios) >= 2 else None,
         }
     return out
 

@@ -8,12 +8,12 @@ into the record so that applying a spec is replayable without the seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DataFormatError, json_fields, json_int
+from .errors import DataFormatError, from_record, json_fields, json_int, to_record
 from .spectral import FloatArray, FrequencyGrid, PatchSignalClip, forward_stack, inverse_stack, keyed_rng
 
 KIND_IDENTITY = "identity"
@@ -49,7 +49,7 @@ class NotchParams:
 
 @dataclass(frozen=True)
 class BandMaskParams:
-    bands: tuple[tuple[int, int], ...]
+    bands: tuple[tuple[int, int], ...] = field(metadata={"name": ("band start", "band width")})
     tukey_alpha: float = DEFAULT_TUKEY_ALPHA
 
     def __post_init__(self) -> None:
@@ -274,63 +274,24 @@ def apply_attack(clip: PatchSignalClip, spec: AttackSpec) -> PatchSignalClip:
     return PatchSignalClip(signals=signals, fps=clip.fps)
 
 
+# the params record of each kind; its fields follow "kind" and "seed" in an attack record
+_PARAMS_OF_KIND = {KIND_IDENTITY: None, KIND_NOTCH: NotchParams, KIND_BAND_MASK: BandMaskParams,
+                   KIND_TILT: TiltParams, KIND_NOISE: NoiseParams}
+
+
 def spec_to_dict(spec: AttackSpec) -> dict:
-    out: dict = {"kind": spec.kind, "seed": spec.seed}
-    params = spec.params
-    if isinstance(params, NotchParams):
-        out.update(center_bin=params.center_bin, width_bins=params.width_bins, floor=params.floor)
-    elif isinstance(params, BandMaskParams):
-        out.update(bands=[list(b) for b in params.bands], tukey_alpha=params.tukey_alpha)
-    elif isinstance(params, TiltParams):
-        out.update(beta1=params.beta1, beta2=params.beta2, eps0=params.eps0)
-    elif isinstance(params, NoiseParams):
-        out.update(sigma=params.sigma, draws=[list(row) for row in params.draws], eps0=params.eps0)
-    return out
-
-
-# the fields spec_to_dict writes for each kind, the only ones spec_from_dict reads
-_RECORD_FIELDS = {
-    KIND_IDENTITY: (),
-    KIND_NOTCH: ("center_bin", "width_bins", "floor"),
-    KIND_BAND_MASK: ("bands", "tukey_alpha"),
-    KIND_TILT: ("beta1", "beta2", "eps0"),
-    KIND_NOISE: ("sigma", "draws", "eps0"),
-}
+    return {"kind": spec.kind, "seed": spec.seed, **(to_record(spec.params) if spec.params is not None else {})}
 
 
 def spec_from_dict(data: dict) -> AttackSpec:
     try:
         kind = data["kind"]
         seed = json_int(data.get("seed", 0), "seed")
-        params: Params
-        if kind == KIND_IDENTITY:
-            params = None
-        elif kind == KIND_NOTCH:
-            params = NotchParams(
-                center_bin=json_int(data["center_bin"], "center_bin"),
-                width_bins=json_int(data["width_bins"], "width_bins"),
-                floor=float(data.get("floor", 0.0)),
-            )
-        elif kind == KIND_BAND_MASK:
-            params = BandMaskParams(
-                bands=tuple((json_int(s, "band start"), json_int(w, "band width")) for s, w in data["bands"]),
-                tukey_alpha=float(data.get("tukey_alpha", DEFAULT_TUKEY_ALPHA)),
-            )
-        elif kind == KIND_TILT:
-            params = TiltParams(
-                beta1=float(data["beta1"]),
-                beta2=float(data["beta2"]),
-                eps0=float(data.get("eps0", DEFAULT_EPS0)),
-            )
-        elif kind == KIND_NOISE:
-            params = NoiseParams(
-                sigma=float(data["sigma"]),
-                draws=tuple(tuple(float(v) for v in row) for row in data["draws"]),
-                eps0=float(data.get("eps0", DEFAULT_EPS0)),
-            )
-        else:
+        if type(kind) is not str or kind not in _PARAMS_OF_KIND:
             raise DataFormatError(f"unknown attack kind {kind!r}")
-        json_fields(data, ("kind", "seed", *_RECORD_FIELDS[kind]))
+        fields = {key: value for key, value in data.items() if key != "kind" and key != "seed"}
+        cls = _PARAMS_OF_KIND[kind]  # identity has no params, so its record has no other field
+        params = from_record(cls, fields) if cls else json_fields(fields, ()) or None
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad attack record: {exc}") from exc
     return AttackSpec(kind=kind, params=params, seed=seed)

@@ -28,6 +28,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _add_model_args(sub: argparse.ArgumentParser, out_help: str) -> None:
+    sub.add_argument("--checkpoint", type=Path, required=True)
+    sub.add_argument("--data", type=Path, required=True)
+    sub.add_argument("--out", type=Path, required=True, help=out_help)
+
+
 def _add_split_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
     sub.add_argument("--split-seed", type=int, default=0,
@@ -69,9 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = subs.add_parser("eval", help="AUC under sampled spectral attacks")
-    p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True, help="EvalReport JSON output path")
+    _add_model_args(p, "EvalReport JSON output path")
     p.add_argument("--kinds", default=",".join(atk.ALL_KINDS),
                    help="comma-separated attack kinds")
     p.add_argument("--n-seeds", type=int, default=3)
@@ -80,16 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = subs.add_parser("sweep", help="per-bin notch suppression AUC table")
-    p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True, help="sweep CSV output path")
+    _add_model_args(p, "sweep CSV output path")
     _add_split_args(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("adaptive", help="white-box per-clip modulation attack")
-    p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True, help="report JSON output path")
+    _add_model_args(p, "report JSON output path")
     p.add_argument("--steps", type=int, default=evaluation.DEFAULT_ADAPTIVE_STEPS)
     p.add_argument("--budget", type=float, default=evaluation.DEFAULT_ADAPTIVE_BUDGET)
     p.add_argument("--limit", type=int, default=200, help="max clips to attack")
@@ -104,9 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_attack)
 
     p = subs.add_parser("features", help="dump clean and env encoder features")
-    p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True, help="features CSV output path")
+    _add_model_args(p, "features CSV output path")
     _add_split_args(p)
     p.set_defaults(func=_cmd_features)
 
@@ -122,15 +120,14 @@ def _load_json(path: Path) -> dict:
         raise DataFormatError(f"bad JSON in {path}: {exc}") from exc
 
 
+def _given(**overrides: object) -> dict:
+    """The record fields a command's flags override: those that were given."""
+    return {name: value for name, value in overrides.items() if value is not None}
+
+
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     spec = synthdata.spec_from_dict(_load_json(args.spec)) if args.spec else synthdata.DatasetSpec()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.n_clips is not None:
-        overrides["n_clips"] = args.n_clips
-    if overrides:
-        spec = synthdata.spec_from_dict({**synthdata.spec_to_dict(spec), **overrides})
+    spec = synthdata.spec_from_dict({**synthdata.spec_to_dict(spec), **_given(seed=args.seed, n_clips=args.n_clips)})
     clips = synthdata.generate_dataset(spec)
     manifest = synthdata.save_dataset(clips, spec, args.out, clip_format=args.format)
     print(f"wrote {len(clips)} clips, manifest {manifest}")
@@ -139,14 +136,8 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = training.config_from_dict(_load_json(args.config)) if args.config else training.TrainConfig()
-    data = training.config_to_dict(config)
-    if args.mode is not None:
-        data["mode"] = args.mode
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.epochs is not None:
-        data["epochs"] = args.epochs
-    config = training.config_from_dict(data)
+    config = training.config_from_dict({**training.config_to_dict(config),
+                                        **_given(mode=args.mode, seed=args.seed, epochs=args.epochs)})
     _, clips = synthdata.load_dataset(args.data)
     result = training.train(config, clips)
     md.save_bundle(result.bundle, args.out)

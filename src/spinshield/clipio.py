@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, json_int
 from .spectral import DEFAULT_FPS, FloatArray, PatchSignalClip
 
 MAGIC = b"SPSC"
@@ -116,7 +116,7 @@ def read_clip_csv(path: Path, shape: tuple[int, int] | None = None) -> PatchSign
             raise DataFormatError(f"missing sidecar {side}")
         try:
             meta = json.loads(side.read_text(encoding="utf-8"))
-            shape, fps = (int(meta["M"]), int(meta["T"])), float(meta.get("fps", DEFAULT_FPS))
+            shape, fps = (json_int(meta["M"], "M"), json_int(meta["T"], "T")), float(meta.get("fps", DEFAULT_FPS))
         except (ValueError, KeyError, TypeError) as exc:
             raise DataFormatError(f"bad sidecar {side}: {exc}") from exc
     try:

@@ -19,7 +19,7 @@ import numpy as np
 from . import attacks as atk
 from . import autodiff as ad
 from . import models as md
-from .errors import DataFormatError, NumericalAbort
+from .errors import DataFormatError, NumericalAbort, from_record, json_int, to_record
 from .parallel import parallel_map
 from .spectral import (ComplexArray, FloatArray, FrequencyGrid, PatchSignalClip, forward_stack, inverse_phasor,
                        inverse_stack, minmax_normalize)
@@ -90,24 +90,16 @@ class EvalReport:
     """Per-attack AUC plus everything needed to regenerate it bit for bit."""
 
     config: dict
-    clip_ids: list[int]
-    labels: list[int]
+    clip_ids: list[int] = field(metadata={"name": "clip id"})
+    labels: list[int] = field(metadata={"name": "label"})
     clean_scores: list[float]
     clean_auc: float
-    attacks: dict = field(default_factory=dict)
+    attacks: dict = field(default_factory=dict, metadata={"required": True})
     # attacks[kind] = {"aucs": [...], "mean": ..., "std": ...,
     #                  "per_seed": [{"seed": ..., "specs": [...], "scores": [...], "auc": ...}]}
 
     def to_dict(self) -> dict:
-        return {
-            "format": REPORT_FORMAT,
-            "config": self.config,
-            "clip_ids": self.clip_ids,
-            "labels": self.labels,
-            "clean_scores": self.clean_scores,
-            "clean_auc": self.clean_auc,
-            "attacks": self.attacks,
-        }
+        return {"format": REPORT_FORMAT, **to_record(self)}
 
     def save(self, path: Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict()), encoding="utf-8")
@@ -119,14 +111,7 @@ class EvalReport:
         if data.get("format") != REPORT_FORMAT:
             raise DataFormatError(f"unknown report format {data.get('format')!r}")
         try:
-            return EvalReport(
-                config=data["config"],
-                clip_ids=[int(i) for i in data["clip_ids"]],
-                labels=[int(y) for y in data["labels"]],
-                clean_scores=[float(s) for s in data["clean_scores"]],
-                clean_auc=float(data["clean_auc"]),
-                attacks=data["attacks"],
-            )
+            return from_record(EvalReport, {key: value for key, value in data.items() if key != "format"})
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"incomplete report: {exc}") from exc
 
@@ -142,9 +127,8 @@ class EvalReport:
 
 
 def _ordered(labeled: list[LabeledClip]) -> list[tuple[int, LabeledClip]]:
-    pairs = [(int(lc.provenance.get("index", i)), lc) for i, lc in enumerate(labeled)]
-    pairs.sort(key=lambda p: p[0])
-    return pairs
+    return sorted([(json_int(lc.provenance.get("index", i), "provenance index"), lc) for i, lc in enumerate(labeled)],
+                  key=lambda pair: pair[0])
 
 
 def _signal_stack(clips: list[PatchSignalClip]) -> FloatArray:

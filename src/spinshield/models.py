@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .errors import DataFormatError
+from .errors import DataFormatError, json_int
 from .spectral import (
     DEFAULT_FPS,
     ComplexArray,
@@ -125,7 +125,7 @@ _PARAMS = {
 
 
 def _shape(spec: tuple, dims: Mapping) -> tuple[int, ...]:
-    return tuple(d if isinstance(d, int) else int(dims[d]) for d in spec)
+    return tuple(d if isinstance(d, int) else json_int(dims[d], d) for d in spec)
 
 
 def _assemble(
@@ -389,7 +389,7 @@ def _encode_array(arr: FloatArray) -> dict:
 
 
 def _decode_array(entry: dict) -> FloatArray:
-    shape = tuple(int(s) for s in entry["shape"])
+    shape = tuple(json_int(s, "shape") for s in entry["shape"])
     raw = base64.b64decode(entry["data"])
     arr = np.frombuffer(raw, dtype="<f8")
     if arr.size != int(np.prod(shape)):
@@ -432,7 +432,7 @@ def load_bundle(path: Path) -> ModelBundle:
         dims = doc["dims"]
         params = {name: _decode_array(doc["params"][name]) for name in _PARAMS}
         declared = {name: _shape(spec, dims) for name, (_, _, spec) in _PARAMS.items()}
-        bundle = _assemble(params, int(dims["input_width"]), int(dims["n_bins"]),
+        bundle = _assemble(params, dims["input_width"], dims["n_bins"],  # integers: _shape has read them
                            float(doc["alpha"]), float(doc["delta"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: incomplete checkpoint: {exc}") from exc

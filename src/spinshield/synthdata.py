@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import clipio
-from .errors import DataFormatError, json_fields, json_int
+from .errors import DataFormatError, from_record, json_int, to_record
 from .spectral import DEFAULT_FPS, FloatArray, PatchSignalClip, keyed_rng
 
 PHASE_SLOPE_RANGE = 0.15  # radians per patch-grid step
@@ -53,14 +53,14 @@ _GENERATE_CHUNK = 256
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    n_clips: int = 4000
+    n_clips: int = field(default=4000, metadata={"required": True})
     frames: int = 16
     patches: int = 16
     shortcut_bin: int = 5
     shortcut_amplitude: float = 0.8
     phase_cue_strength: float = 1.0
     base_amplitudes: tuple[float, ...] = (1.0, 0.6, 0.3)
-    base_bins: tuple[int, ...] = (1, 2, 3)
+    base_bins: tuple[int, ...] = field(default=(1, 2, 3), metadata={"name": "base bin"})
     base_level_range: tuple[float, float] = (0.3, 0.7)
     noise_std: float = 0.05
     seed: int = 0
@@ -68,8 +68,8 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if self.n_clips < 1:
             raise ValueError("n_clips must be positive")
-        if self.base_level_range[0] > self.base_level_range[1]:
-            raise ValueError("base_level_range must be ordered")
+        if len(self.base_level_range) != 2 or self.base_level_range[0] > self.base_level_range[1]:
+            raise ValueError(f"base_level_range must be two ordered values, got {list(self.base_level_range)}")
         if self.frames < 4:
             raise ValueError("need at least 4 frames")
         if self.patches < 1:
@@ -209,41 +209,12 @@ MANIFEST_VERSION = 2
 
 
 def spec_to_dict(spec: DatasetSpec) -> dict:
-    return {
-        "n_clips": spec.n_clips,
-        "frames": spec.frames,
-        "patches": spec.patches,
-        "shortcut_bin": spec.shortcut_bin,
-        "shortcut_amplitude": spec.shortcut_amplitude,
-        "phase_cue_strength": spec.phase_cue_strength,
-        "base_amplitudes": list(spec.base_amplitudes),
-        "base_bins": list(spec.base_bins),
-        "base_level_range": list(spec.base_level_range),
-        "noise_std": spec.noise_std,
-        "seed": spec.seed,
-    }
-
-
-# the fields spec_to_dict writes, the only ones spec_from_dict reads
-_SPEC_FIELDS = frozenset(spec_to_dict(DatasetSpec()))
+    return to_record(spec)
 
 
 def spec_from_dict(data: dict) -> DatasetSpec:
     try:
-        json_fields(data, _SPEC_FIELDS)
-        return DatasetSpec(
-            n_clips=json_int(data["n_clips"], "n_clips"),
-            frames=json_int(data.get("frames", 16), "frames"),
-            patches=json_int(data.get("patches", 16), "patches"),
-            shortcut_bin=json_int(data.get("shortcut_bin", 5), "shortcut_bin"),
-            shortcut_amplitude=float(data.get("shortcut_amplitude", 0.8)),
-            phase_cue_strength=float(data.get("phase_cue_strength", 1.0)),
-            base_amplitudes=tuple(float(a) for a in data.get("base_amplitudes", (1.0, 0.6, 0.3))),
-            base_bins=tuple(json_int(b, "base bin") for b in data.get("base_bins", (1, 2, 3))),
-            base_level_range=tuple(float(v) for v in data.get("base_level_range", (0.3, 0.7))),
-            noise_std=float(data.get("noise_std", 0.05)),
-            seed=json_int(data.get("seed", 0), "seed"),
-        )
+        return from_record(DatasetSpec, data)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad dataset spec: {exc}") from exc
 
@@ -317,9 +288,13 @@ def _manifest_clips(
         spec = _manifest_spec(manifest, manifest_path)
         shape = (spec.patches, spec.frames)
     entries = []
-    for entry in manifest.get("clips", []):
+    listed = manifest.get("clips", [])
+    if not isinstance(listed, list):
+        raise DataFormatError(f"{manifest_path}: manifest clips must be a JSON list")
+    for entry in listed:
         try:
-            label, rel, provenance = int(entry["label"]), entry["path"], dict(entry.get("provenance", {}))
+            label, rel, provenance = json_int(entry["label"], "label"), entry["path"], dict(entry.get("provenance", {}))
+            json_int(provenance.get("index", 0), "provenance index")
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"bad manifest entry {entry!r}: {exc}") from exc
         if not isinstance(rel, str):

@@ -30,7 +30,7 @@ from . import autodiff as ad
 from . import models as md
 from . import objectives as obj
 from .attacks import DEFAULT_EPS0, DEFAULT_NOISE_SIGMA
-from .errors import DataFormatError, NumericalAbort, json_fields, json_int
+from .errors import DataFormatError, NumericalAbort, from_record, to_record
 from .evaluation import compute_auc, score_rows
 from .spectral import ComplexArray, FloatArray, forward_stack, inverse_phasor, keyed_rng, minmax_normalize
 from .synthdata import LabeledClip
@@ -92,57 +92,14 @@ class TrainConfig:
 
 
 def config_to_dict(config: TrainConfig) -> dict:
-    return {
-        "mode": config.mode,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "learning_rate": config.learning_rate,
-        "generator_learning_rate": config.generator_learning_rate,
-        "adam_betas": list(config.adam_betas),
-        "adam_eps": config.adam_eps,
-        "detector_steps_per_generator_step": config.detector_steps_per_generator_step,
-        "weights": {
-            "gamma": config.weights.gamma,
-            "lambda_mask": config.weights.lambda_mask,
-            "lambda_sym": config.weights.lambda_sym,
-            "lambda_blind": config.weights.lambda_blind,
-        },
-        "alpha": config.alpha,
-        "seed": config.seed,
-    }
-
-
-# the fields config_to_dict writes, the only ones config_from_dict reads
-_CONFIG_FIELDS = frozenset(config_to_dict(TrainConfig()))
-_WEIGHTS_FIELDS = frozenset(config_to_dict(TrainConfig())["weights"])
+    return to_record(config)
 
 
 def config_from_dict(data: dict) -> TrainConfig:
     if not isinstance(data, dict) or not isinstance(data.get("weights", {}), dict):
         raise DataFormatError("bad train config: the config and its weights must be JSON objects")
     try:
-        json_fields(data, _CONFIG_FIELDS)
-        w = json_fields(data.get("weights", {}), _WEIGHTS_FIELDS, "weights")
-        return TrainConfig(
-            mode=data.get("mode", "spinshield"),
-            epochs=json_int(data.get("epochs", 25), "epochs"),
-            batch_size=json_int(data.get("batch_size", 32), "batch_size"),
-            learning_rate=float(data.get("learning_rate", 1e-3)),
-            generator_learning_rate=float(data.get("generator_learning_rate", 2e-2)),
-            adam_betas=tuple(float(b) for b in data.get("adam_betas", (0.9, 0.999))),
-            adam_eps=float(data.get("adam_eps", 1e-8)),
-            detector_steps_per_generator_step=json_int(
-                data.get("detector_steps_per_generator_step", 1), "detector_steps_per_generator_step"
-            ),
-            weights=obj.LossWeights(
-                gamma=float(w.get("gamma", 1.0)),
-                lambda_mask=float(w.get("lambda_mask", 0.1)),
-                lambda_sym=float(w.get("lambda_sym", 0.9)),
-                lambda_blind=float(w.get("lambda_blind", 0.7)),
-            ),
-            alpha=float(data.get("alpha", md.DEFAULT_ALPHA)),
-            seed=json_int(data.get("seed", 0), "seed"),
-        )
+        return from_record(TrainConfig, data)
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"bad train config: {exc}") from exc
 

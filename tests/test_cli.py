@@ -442,6 +442,91 @@ class TestMalformedInputs:
         assert "n_seeds" in captured.err and len(captured.err.strip().splitlines()) == 1
         assert "nan" not in captured.out and not out.exists()
 
+    @pytest.mark.parametrize("label", [1.9, "0", True])
+    def test_manifest_labels_must_be_integers(self, pipeline, tmp_path, capsys, label):
+        # int() read 1.9, "0" and true as 1, 0 and 1, and the run trained
+        _, manifest, _ = pipeline
+        doc = json.loads(manifest.read_text())
+        doc["clips"][0]["label"] = label
+        path = manifest.parent / f"label_{type(label).__name__}.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["train", "--data", str(path), "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "bad manifest entry" in err and "label must be an integer" in err
+        assert len(err.strip().splitlines()) == 1 and not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("index", [0.5, "3"])
+    def test_provenance_index_must_be_an_integer(self, pipeline, tmp_path, capsys, index):
+        # int() read the index, which became the clip's id in a report
+        _, manifest, checkpoint = pipeline
+        doc = json.loads(manifest.read_text())
+        doc["clips"][1]["provenance"]["index"] = index
+        path = manifest.parent / f"index_{type(index).__name__}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        code = cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(path), "--out", str(out),
+                         "--kinds", "notch", "--n-seeds", "1", "--split", "all"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "bad manifest entry" in err and "provenance index must be an integer" in err
+        assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+    @pytest.mark.parametrize("clips", [5, None])
+    def test_manifest_clips_must_be_a_list(self, pipeline, tmp_path, capsys, clips):
+        # iterating them raised a TypeError, which escaped as a traceback
+        _, manifest, _ = pipeline
+        doc = json.loads(manifest.read_text())
+        doc["clips"] = clips
+        path = manifest.parent / f"clips_{type(clips).__name__}.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["train", "--data", str(path), "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "manifest clips must be a JSON list" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("name, edit", [("hidden", lambda v: v + 0.9), ("input_width", str),
+                                            ("n_bins", lambda v: True)])
+    def test_checkpoint_dims_must_be_integers(self, pipeline, tmp_path, capsys, name, edit):
+        # int() truncated 64.9 and read "256"; the checkpoint loaded
+        _, manifest, checkpoint = pipeline
+        doc = json.loads(checkpoint.read_text())
+        doc["dims"][name] = edit(doc["dims"][name])
+        edited, out = tmp_path / "m.ckpt", tmp_path / "features.csv"
+        edited.write_text(json.dumps(doc))
+        code = cli.main(["features", "--checkpoint", str(edited), "--data", str(manifest), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "incomplete checkpoint" in err and "must be an integer" in err
+        assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+    @pytest.mark.parametrize("meta", [{"M": 4.7, "T": 8}, {"M": 4, "T": "8"}, {"M": True, "T": 8}])
+    def test_sidecar_shape_must_be_integers(self, tmp_path, capsys, meta):
+        # int() read {"M": 4.7, "T": "8"} as a 4 x 8 clip
+        from spinshield import clipio
+        from spinshield.spectral import PatchSignalClip
+
+        infile, spec, out = tmp_path / "clip.csv", tmp_path / "notch.json", tmp_path / "out.csv"
+        clipio.write_clip_csv(PatchSignalClip(signals=np.ones((4, 8)) + np.arange(8) / 8), infile)
+        clipio.sidecar_path(infile).write_text(json.dumps({**meta, "fps": 30.0}))
+        spec.write_text(json.dumps({"kind": "notch", "center_bin": 2, "width_bins": 1}))
+        code = cli.main(["attack", "--spec", str(spec), "--in", str(infile), "--format", "csv", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "bad sidecar" in err and "must be an integer" in err
+        assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+    @pytest.mark.parametrize("level_range", [[0.3], [0.3, 0.5, 0.7]])
+    def test_base_level_range_must_be_two_values(self, tmp_path, capsys, level_range):
+        # one value raised an IndexError that escaped as a traceback; three read the first two
+        path, out = tmp_path / "spec.json", tmp_path / "data"
+        path.write_text(json.dumps({"n_clips": 12, "base_level_range": level_range}))
+        code = cli.main(["gen-data", "--spec", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "base_level_range must be two ordered values" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
 
 class TestIntegerInputs:
     """Any small integer, negative or zero, in an integer flag ends in exit code
@@ -556,3 +641,169 @@ class TestSplitLoading:
             assert target.name in err and len(err.strip().splitlines()) == 1
         else:
             assert code == 0 and err == ""
+
+
+
+def _paths(doc, path=()):
+    """The path of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _wrong_types(value):
+    """JSON values that no reader takes in place of ``value``: no integer
+    field takes a non-integer, no float field a non-number, no string field a
+    non-string and no array or object field a scalar."""
+    if type(value) is int:
+        return [1.5, "1", True, None, [1]]
+    if isinstance(value, float):
+        return ["x", None, [1.0], {"v": 1.0}]
+    if isinstance(value, str):
+        return [5, None, [], {}]
+    return [5, "x", None]
+
+
+class TestFuzzedFiles:
+    """A mutated input file ends in exit code 1-3 with one stderr line and no
+    traceback.  Every mutation makes the file malformed: a value of a JSON
+    type its reader refuses, an unknown field in a record, a document that
+    is not an object, a truncated document, or a clip whose lines or bytes
+    no longer describe a clip."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, pipeline, tmp_path_factory):
+        from spinshield import attacks as atk
+        from spinshield import clipio, synthdata, training
+        from spinshield.spectral import FrequencyGrid, PatchSignalClip
+
+        _, manifest, checkpoint = pipeline
+        root = tmp_path_factory.mktemp("fuzz")
+        clip = PatchSignalClip(signals=np.cos(np.arange(32.0)).reshape(4, 8) + 2.0)
+        clipio.write_clip_csv(clip, root / "clip.csv")
+        clipio.write_clip_binary(clip, root / "clip.spsc")
+        (root / "notch.json").write_text(json.dumps({"kind": "notch", "center_bin": 2, "width_bins": 1}))
+        records = {
+            "config": training.config_to_dict(training.TrainConfig(mode="baseline", epochs=1, seed=5)),
+            "spec": synthdata.spec_to_dict(synthdata.DatasetSpec(n_clips=12, seed=3)),
+            **{f"attack {kind}": atk.spec_to_dict(atk.sample_attack(kind, FrequencyGrid(8), 7, patches=4))
+               for kind in atk.ALL_KINDS + (atk.KIND_IDENTITY,)},
+        }
+        return {
+            "root": root, "manifest": manifest, "checkpoint": checkpoint, "records": set(records),
+            "documents": {**records, "manifest": json.loads(manifest.read_text()),
+                          "checkpoint": json.loads(checkpoint.read_text()),
+                          "sidecar": json.loads(clipio.sidecar_path(root / "clip.csv").read_text())},
+            "csv": (root / "clip.csv").read_text(), "spsc": (root / "clip.spsc").read_bytes(),
+        }
+
+    @staticmethod
+    def _argv(target, path, inputs):
+        if target == "config":
+            return ["train", "--config", str(path), "--data", str(inputs["manifest"]), "--epochs", "1"]
+        if target == "spec":
+            return ["gen-data", "--spec", str(path)]
+        if target.startswith("attack"):
+            return ["attack", "--spec", str(path), "--in", str(inputs["root"] / "clip.spsc"), "--format", "binary"]
+        if target in ("csv", "spsc", "sidecar"):
+            return ["attack", "--spec", str(inputs["root"] / "notch.json"), "--in", str(path),
+                    "--format", "binary" if target == "spsc" else "csv"]
+        data = path if target == "manifest" else inputs["manifest"]
+        checkpoint = path if target == "checkpoint" else inputs["checkpoint"]
+        return ["eval", "--data", str(data), "--checkpoint", str(checkpoint), "--kinds", "notch",
+                "--n-seeds", "1", "--split-seed", "5"]
+
+    @staticmethod
+    def _mutated_json(data, target, inputs):
+        doc = inputs["documents"][target]
+        how = data.draw(st.sampled_from(["value", "value", "value", "unknown", "root", "truncate"]), "how")
+        if how == "unknown" and target in inputs["records"]:
+            objects = [()] + [path for path in _paths(doc) if isinstance(_at(doc, path), dict)]
+            return json.dumps(_replaced(doc, (*data.draw(st.sampled_from(objects), "object"), "misspelt"), 1))
+        if how == "root":
+            return json.dumps(data.draw(st.sampled_from([[1, 2], "x", 3, None]), "root"))
+        if how == "truncate":
+            text = json.dumps(doc)
+            return text[: data.draw(st.integers(0, len(text) - 1), "length")]
+        paths = list(_paths(doc))
+        if target == "manifest":
+            # every entry is read alike, so two stand for all; no command reads
+            # the manifest's copy of the spec seed or a clip's flip frame
+            paths = [p for p in paths if p != ("seed",) and p[-1] != "t0" and not (p[0] == "clips" and p[1:2] >= (2,))]
+        path = data.draw(st.sampled_from(paths), "path")
+        return json.dumps(_replaced(doc, path, data.draw(st.sampled_from(_wrong_types(_at(doc, path))), "value")))
+
+    @staticmethod
+    def _mutated_csv(data, text):
+        lines = text.split("\n")
+        i = data.draw(st.integers(1, len(lines) - 2), "line")
+        m, t, _ = lines[i].split(",")
+        how = data.draw(st.sampled_from(["drop", "repeat", "value", "index", "header"]), "how")
+        if how == "drop":
+            del lines[i]
+        elif how == "repeat":
+            lines.insert(i, lines[i])
+        elif how == "value":
+            lines[i] = f"{m},{t},{data.draw(st.sampled_from(['nan', 'inf', 'x', '']), 'value')}"
+        elif how == "index":
+            lines[i] = f"{m},{data.draw(st.sampled_from(['8', '-1', '1.5', 'x']), 'frame')},0.5"
+        else:
+            lines[0] = data.draw(st.sampled_from(["", "m,t", "t,m,value", "1,2,3"]), "header")
+        return "\n".join(lines)
+
+    @staticmethod
+    def _mutated_spsc(data, raw):
+        how = data.draw(st.sampled_from(["truncate", "append", "magic", "patches", "value"]), "how")
+        if how == "truncate":
+            return raw[: data.draw(st.integers(0, len(raw) - 1), "length")]
+        if how == "append":
+            return raw + bytes(data.draw(st.integers(1, 16), "extra"))
+        if how == "magic":
+            return b"SPSX" + raw[4:]
+        if how == "patches":  # another patch count at 8 frames promises another payload size
+            patches = data.draw(st.integers(0, 2**32 - 1).filter(lambda m: m != 4), "patches")
+            return raw[:4] + patches.to_bytes(4, "little") + raw[8:]
+        at = 12 + 8 * data.draw(st.integers(0, 31), "entry")
+        return raw[:at] + np.array([np.nan], dtype="<f8").tobytes() + raw[at + 8:]
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exit_code_contract(self, inputs, data):
+        target = data.draw(st.sampled_from(["config", "spec", "attack", "manifest", "checkpoint", "sidecar", "csv",
+                                            "spsc"]), "target")
+        if target == "attack":
+            target = data.draw(st.sampled_from(sorted(t for t in inputs["documents"] if t.startswith("attack"))), "kind")
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            if target == "spsc":
+                path = tmp / "clip.spsc"
+                path.write_bytes(self._mutated_spsc(data, inputs["spsc"]))
+            elif target in ("csv", "sidecar"):
+                path = tmp / "clip.csv"
+                path.write_text(self._mutated_csv(data, inputs["csv"]) if target == "csv" else inputs["csv"])
+                sidecar = inputs["documents"]["sidecar"]
+                path.with_name("clip.csv.json").write_text(
+                    self._mutated_json(data, target, inputs) if target == "sidecar" else json.dumps(sidecar))
+            else:
+                path = tmp / "record.json"
+                path.write_text(self._mutated_json(data, target, inputs))
+            argv = [*self._argv(target, path, inputs), "--out", str(tmp / "out")]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        assert code in (1, 2, 3), (target, path.name, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
