@@ -33,6 +33,11 @@ better.  A drift of the host between pairs moves both runs of a pair, so it
 cancels in the ratio while it widens the parent's spread.  The ratios are
 reported only: the ``gain``, ``unresolved`` and ``within_bound`` rules above
 do not read them.
+
+Each workload's ``operations`` summary is reported only too.  It parses the
+``round untraced ...: name=1.234s ...`` lines that every run prints, and
+gives per operation each side's median over all its untraced rounds, the
+number of those rounds, and the change/parent ratio of the two medians.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import json
 import math
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -127,6 +133,25 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
             "pair_ratio": {**_spread(ratios), "better_in": sum(1 for r in ratios if (r < 1 if lower else r > 1)),
                            "pairs": len(ratios)} if len(ratios) >= 2 else None,
         }
+    return out
+
+
+def _operations(runs: list[dict]) -> dict:
+    """Per operation, each side's median seconds over its untraced rounds and
+    the change/parent ratio of those medians."""
+    times: dict[str, dict[str, list[float]]] = {}
+    for run in runs:
+        for line in run["rounds"]:
+            head, _, ops = line.partition(": ")
+            if head.startswith("round untraced"):
+                for name, value in re.findall(r"\s*(.+?)=([0-9.]+)s", ops):
+                    times.setdefault(name, {"parent": [], "change": []})[run["side"]].append(float(value))
+    out = {}
+    for name, sides in times.items():
+        medians = {side: statistics.median(values) for side, values in sides.items() if values}
+        out[name] = {**{side: {"median_s": m, "rounds": len(sides[side])} for side, m in medians.items()},
+                     "ratio": medians["change"] / medians["parent"]
+                     if medians.get("parent") and "change" in medians else None}
     return out
 
 
@@ -222,6 +247,7 @@ def main(argv: list[str]) -> int:
             "all_correct": all(r["correct"] for r in runs),
             "failed_operations": sum(r["failed"] for r in runs),
             "summary": _summary(runs, declared["end_to_end"]),
+            "operations": _operations(runs),
             "runs": runs,
         }
         if args.trace_seed is not None:

@@ -203,8 +203,9 @@ def standardized(x: FloatArray, eps: float, out: FloatArray | None = None) -> tu
     and each row's ``1 / sqrt(var + eps)``; rows never mix, so a row's result
     does not depend on the rows stacked with it.  The rows are written to
     ``out`` if given, which may be ``x`` itself."""
-    centered = np.subtract(x, x.mean(axis=1, keepdims=True), out=out)
-    inv_std = np.square(centered).mean(axis=1, keepdims=True)
+    # a row's sum over its count gives np.mean's bits without its overhead
+    centered = np.subtract(x, np.add.reduce(x, axis=1, keepdims=True) / x.shape[1], out=out)
+    inv_std = np.add.reduce(np.square(centered), axis=1, keepdims=True) / x.shape[1]
     inv_std += eps
     inv_std **= -0.5
     centered *= inv_std
@@ -227,10 +228,10 @@ def standardize_vjp(val: FloatArray, inv_std: FloatArray, g: FloatArray) -> Floa
     returned, ``val`` and ``inv_std``, for the output gradient ``g``."""
     # gradient at the centered rows, then projected onto zero-mean rows
     g_centered = g * val
-    np.multiply(val, g_centered.mean(axis=1, keepdims=True), out=g_centered)
+    np.multiply(val, np.add.reduce(g_centered, axis=1, keepdims=True) / g.shape[1], out=g_centered)
     np.subtract(g, g_centered, out=g_centered)
     g_centered *= inv_std
-    g_centered -= g_centered.mean(axis=1, keepdims=True)
+    g_centered -= np.add.reduce(g_centered, axis=1, keepdims=True) / g.shape[1]
     return g_centered
 
 
@@ -312,7 +313,7 @@ def softmax_rows(z: FloatArray) -> FloatArray:
 
 def softmax_vjp(p: FloatArray, g: FloatArray) -> FloatArray:
     """The vector-Jacobian product of the row softmax ``p`` for its gradient ``g``."""
-    return p * (g - np.sum(g * p, axis=1, keepdims=True))
+    return p * (g - np.add.reduce(g * p, axis=1, keepdims=True))
 
 
 def sum_all(a: Node) -> Node:

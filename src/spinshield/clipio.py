@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, json_int
+from .errors import DataFormatError, json_fields, json_float, json_int
 from .spectral import DEFAULT_FPS, FloatArray, PatchSignalClip
 
 MAGIC = b"SPSC"
@@ -115,8 +115,9 @@ def read_clip_csv(path: Path, shape: tuple[int, int] | None = None) -> PatchSign
         if not side.exists():
             raise DataFormatError(f"missing sidecar {side}")
         try:
-            meta = json.loads(side.read_text(encoding="utf-8"))
-            shape, fps = (json_int(meta["M"], "M"), json_int(meta["T"], "T")), float(meta.get("fps", DEFAULT_FPS))
+            meta = json_fields(json.loads(side.read_text(encoding="utf-8")), ("M", "T", "fps"))
+            shape = json_int(meta["M"], "M"), json_int(meta["T"], "T")
+            fps = json_float(meta.get("fps", DEFAULT_FPS), "fps")
         except (ValueError, KeyError, TypeError) as exc:
             raise DataFormatError(f"bad sidecar {side}: {exc}") from exc
     try:

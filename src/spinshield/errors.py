@@ -24,6 +24,16 @@ def json_int(value: object, name: str) -> int:
     return value
 
 
+def json_float(value: object, name: str) -> float:
+    """``float(value)`` if ``value`` is a number as JSON decodes one, an
+    integer included.  A bool or a numeric string, which ``float()`` would
+    read, is a ``TypeError`` here, as for :func:`json_int`."""
+    number = float(value)  # type: ignore[arg-type]
+    if type(value) is bool or type(value) is str:
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return number
+
+
 def json_fields(value: object, known: Collection[str], where: str = "") -> dict:
     """``value`` if it is a JSON object whose every key is one of ``known``.
     A decoder that reads each field with a default would pass over a
@@ -45,7 +55,7 @@ def _codec(hint: object, name: str | tuple[str, ...]) -> tuple[Callable | None, 
     if hint is int:
         return None, functools.partial(json_int, name=name)
     if hint is float:
-        return None, float
+        return None, functools.partial(json_float, name=name)
     if dataclasses.is_dataclass(hint):
         return to_record, functools.partial(from_record, hint, where=name)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -55,9 +65,9 @@ def _codec(hint: object, name: str | tuple[str, ...]) -> tuple[Callable | None, 
                 origin if decode is None else lambda value: origin(map(decode, value)))
     if origin is not tuple:
         return None, None
+    if all(arg is float for arg in args):  # the class checks the length
+        return list, lambda value: tuple(json_float(item, name) for item in value)  # type: ignore[arg-type]
     parts = [_codec(arg, part)[1] for arg, part in zip(args, name if isinstance(name, tuple) else (name,) * len(args))]
-    if all(part is float for part in parts):  # the class checks the length
-        return list, lambda value: tuple(map(float, value))
 
     def decode_parts(value: object) -> tuple:
         *items, = value  # type: ignore[misc]  # with the errors of unpacking it

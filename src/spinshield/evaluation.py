@@ -21,8 +21,8 @@ from . import autodiff as ad
 from . import models as md
 from .errors import DataFormatError, NumericalAbort, from_record, json_int, to_record
 from .parallel import parallel_map
-from .spectral import (ComplexArray, FloatArray, FrequencyGrid, PatchSignalClip, forward_stack, inverse_phasor,
-                       inverse_stack, minmax_normalize)
+from .spectral import (ComplexArray, FloatArray, FrequencyGrid, PatchSignalClip, forward_stack, inverse_stack,
+                       minmax_normalize, synthesize_rows)
 from .synthdata import LabeledClip
 
 DEFAULT_ADAPTIVE_BUDGET = math.log(2.0)
@@ -111,7 +111,13 @@ class EvalReport:
         if data.get("format") != REPORT_FORMAT:
             raise DataFormatError(f"unknown report format {data.get('format')!r}")
         try:
-            return from_record(EvalReport, {key: value for key, value in data.items() if key != "format"})
+            report = from_record(EvalReport, {key: value for key, value in data.items() if key != "format"})
+            if not isinstance(report.config, dict) or not isinstance(report.attacks, dict):
+                raise TypeError("config and attacks must be JSON objects")
+            for kind, block in report.attacks.items():
+                if not isinstance(block, dict) or not isinstance(block.get("per_seed"), list):
+                    raise TypeError(f"attacks[{kind!r}] must be a JSON object with a per_seed list")
+            return report
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"incomplete report: {exc}") from exc
 
@@ -271,7 +277,7 @@ def _attack_objective(
     exp(u)`` and unit phasors ``phasor``, and (if ``want_grad``) its gradient
     at the log-amplitude field ``u``."""
     scale = np.exp(u)
-    signals = inverse_phasor(amp * scale, phasor, window)
+    signals = synthesize_rows(amp * scale, phasor, window)
     z, inv_std = ad.standardized(signals.reshape(1, -1), md.STANDARDIZE_EPS)
     hidden, h = md.encode(z, p)
     labels = np.array([y])

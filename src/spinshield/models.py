@@ -10,7 +10,6 @@ the reference and for gradient checks.
 from __future__ import annotations
 
 import base64
-import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,12 +24,12 @@ from .spectral import (
     DEFAULT_FPS,
     ComplexArray,
     FloatArray,
-    FrequencyGrid,
     OneSidedSpectrum,
     PatchSignalClip,
-    inverse_phasor,
     keyed_rng,
     minmax_normalize,
+    synthesis_basis,
+    synthesize_rows,
 )
 
 DEFAULT_HIDDEN = 64
@@ -218,25 +217,12 @@ def tanh_backward(g: FloatArray, out: FloatArray) -> FloatArray:
 def recompose_adjoint(g: FloatArray, phasor: ComplexArray, window: int) -> FloatArray:
     """The vector-Jacobian product at the amplitude rows of
     :func:`recompose_rows`: with the phase held fixed the map from amplitude
-    to signal is linear, and this is its adjoint, via an rFFT of the signal
-    rows' gradient ``g``."""
-    spectrum = np.fft.rfft(g, axis=1)
-    np.multiply(phasor, np.conj(spectrum, out=spectrum), out=spectrum)
-    real = np.real(spectrum)
-    return _adjoint_coef(window, real.dtype) * real
-
-
-@functools.lru_cache(maxsize=8)
-def _adjoint_coef(window: int, dtype: np.dtype) -> FloatArray:
-    """Each bin's weight in :func:`recompose_adjoint`, of the gradient's
-    dtype; read-only and shared."""
-    grid = FrequencyGrid(window)
-    coef = np.full(grid.n_bins, 2.0 / window, dtype=dtype)
-    coef[0] = 1.0 / window
-    if grid.has_nyquist:
-        coef[-1] = 1.0 / window
-    coef.flags.writeable = False
-    return coef
+    to signal is linear, and this is its adjoint: the signal rows' gradient
+    ``g`` against the :func:`spectral.synthesis_basis`, read at each phasor."""
+    coeffs = (g @ synthesis_basis(window, g.dtype).T).view(np.result_type(g.dtype, np.complex64))
+    np.conj(coeffs, out=coeffs)
+    coeffs *= phasor
+    return coeffs.real
 
 
 def lsa_modulate(
@@ -285,7 +271,7 @@ def lsa_forward(gen: Mapping[str, FloatArray], amp: FloatArray, norm: FloatArray
     field = hidden @ gen["gen.w2"] + gen["gen.b2"]
     squashed, new_amp, denom, mask = lsa_modulate(amp.reshape(b * m, k), field, alpha, delta)
     phasor = phasor.reshape(b * m, k)
-    signals = inverse_phasor(new_amp, phasor, window).reshape(b, m * window)
+    signals = synthesize_rows(new_amp, phasor, window).reshape(b, m * window)
     z_env, inv_std = ad.standardized(signals, STANDARDIZE_EPS, out=signals)
     return LsaViews(norm, hidden, squashed, new_amp, denom, mask, phasor, z_env, inv_std)
 
@@ -312,7 +298,7 @@ def lsa_perturb(
     window = spectrum.grid.window
     amp = spectrum.amplitude[None]
     views = lsa_forward(gen, amp, minmax_normalize(amp), phasor[None], window, generator.alpha, delta)
-    signals = inverse_phasor(views.new_amp, views.phasor, window)
+    signals = synthesize_rows(views.new_amp, views.phasor, window)
     clip = PatchSignalClip(signals=signals, fps=DEFAULT_FPS if fps is None else fps)
     return clip, ModulationMask(values=views.mask[None], delta=delta)
 
@@ -348,12 +334,12 @@ def generator_field(norm_amp: Node, p: Mapping[str, Node]) -> Node:
 
 
 def recompose_rows(amp: Node, phase: FloatArray | ComplexArray, window: int) -> Node:
-    """:func:`spinshield.spectral.inverse_phasor` as a graph node, with the
+    """:func:`spinshield.spectral.synthesize_rows` as a graph node, with the
     backward :func:`recompose_adjoint`; ``phase`` is the rows' phase or its
     unit phasor ``exp(i phase)``."""
     phasor = phase if np.iscomplexobj(phase) else np.exp(1j * np.asarray(phase, dtype=np.float64))
     return ad.custom(
-        inverse_phasor(amp.value, phasor, window), (amp,), lambda g: (recompose_adjoint(g, phasor, window),)
+        synthesize_rows(amp.value, phasor, window), (amp,), lambda g: (recompose_adjoint(g, phasor, window),)
     )
 
 

@@ -78,24 +78,28 @@ def resolve_bandwidth(a: np.ndarray, b: np.ndarray, kernel: KernelSpec) -> float
     median pairwise Euclidean distance (no gradient flows through this), or
     1.0 where that median is 0 or NaN.  The median is ``np.median``'s bit for
     bit, with the monotone square root taken of the middle values alone."""
-    union = np.concatenate([a, b], axis=0)
-    return _pooled_bandwidth(union, np.sum(union * union, axis=1), kernel)
+    return _bandwidth(_pooled_d2(np.concatenate([a, b], axis=0)), kernel)
 
 
-def _pooled_bandwidth(union: FloatArray, sq: FloatArray, kernel: KernelSpec) -> float:
-    """:func:`resolve_bandwidth` from the pooled sets ``union`` and the
-    squared norms ``sq`` of its rows."""
-    if isinstance(kernel.bandwidth, float) or isinstance(kernel.bandwidth, int):
+def _pooled_d2(union: FloatArray) -> FloatArray:
+    """The squared Euclidean distances between the rows of ``union``, from
+    one Gram matrix of them."""
+    sq = np.add.reduce(union * union, axis=1)
+    return (union @ union.T * -2.0 + sq[:, None]) + sq
+
+
+def _bandwidth(d2: FloatArray, kernel: KernelSpec) -> float:
+    """:func:`resolve_bandwidth` from the pooled squared distances ``d2``."""
+    if not isinstance(kernel.bandwidth, str):
         return float(kernel.bandwidth)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * union @ union.T
-    pairs = _upper_pairs(union.shape[0])
+    pairs = _upper_pairs(d2.shape[0])
     if pairs.size == 0:
         return 1.0
     dist2 = np.maximum(d2.ravel()[pairs], 0.0)
     half = dist2.size // 2
     middle = [half] if dist2.size % 2 else [half - 1, half]
     dist2.partition(middle + [-1])  # a NaN sorts last, where np.median looks for one
-    med = np.nan if np.isnan(dist2[-1]) else float(np.sqrt(dist2[middle]).mean())
+    med = np.nan if np.isnan(dist2[-1]) else float(np.add.reduce(np.sqrt(dist2[middle])) / len(middle))
     return med if med > 0.0 else 1.0
 
 
@@ -137,37 +141,35 @@ def mmd_with_vjp(
     if av.shape[1] != bv.shape[1]:
         raise ValueError("feature dimensions differ")
     na, nb = av.shape[0], bv.shape[0]
-    # rows never mix, so the union's row sums are those of each set's own rows
+    # one Gram matrix of the union u = [a; b] serves the bandwidth and every kernel block
     union = np.concatenate([av, bv])
-    sq = np.sum(union * union, axis=1)
-    sq_a, sq_b = sq[:na], sq[na:]
-    sigma = _pooled_bandwidth(union, sq, kernel)
+    d2 = _pooled_d2(union)
+    sigma = _bandwidth(d2, kernel)
     inv_two_sq = 1.0 / (2.0 * sigma * sigma)
-
-    def kernel_block(x, sq_x, y, sq_y):
-        d2 = (x @ y.T * -2.0 + sq_x[:, None]) + sq_y[None, :]
-        return np.exp(d2 * -inv_two_sq)
-
-    k_aa, k_bb = kernel_block(av, sq_a, av, sq_a), kernel_block(bv, sq_b, bv, sq_b)
-    k_ab, k_ba = kernel_block(av, sq_a, bv, sq_b), kernel_block(bv, sq_b, av, sq_a)
-    value = (k_aa.sum() * (1.0 / (na * na)) + k_bb.sum() * (1.0 / (nb * nb))) - (
-        (k_ab.sum() + k_ba.sum()) * (1.0 / (na * nb))
+    k = np.exp(np.multiply(d2, -inv_two_sq, out=d2), out=d2)
+    value = (k[:na, :na].sum() * (1.0 / (na * na)) + k[na:, na:].sum() * (1.0 / (nb * nb))) - (
+        (k[:na, na:].sum() + k[na:, :na].sum()) * (1.0 / (na * nb))
     )
 
     def vjp(g: float) -> tuple[FloatArray, FloatArray]:
-        # d k(u_i, u_j) / d u_i = -2 inv_two_sq k(u_i, u_j) (u_i - u_j) over the
-        # union u = [a; b], with each block's coefficient in one weight matrix
-        weights = np.empty((na + nb, na + nb), dtype=union.dtype)
-        for block, k, c in ((weights[:na, :na], k_aa, 1.0 / (na * na)), (weights[na:, na:], k_bb, 1.0 / (nb * nb))):
-            np.add(k, k.T, out=block)
-            block *= c
-        cross = np.add(k_ab, k_ba.T, out=weights[:na, na:])
-        cross *= -1.0 / (na * nb)
-        weights[na:, :na] = cross.T
-        grad = (union * weights.sum(axis=1)[:, None] - weights @ union) * (-2.0 * inv_two_sq * g)
+        # d k(u_i, u_j) / d u_i = -2 inv_two_sq k(u_i, u_j) (u_i - u_j), with
+        # each block's coefficient in one weight matrix
+        weights = np.add(k, k.T)
+        weights *= _block_coefficients(na, nb, union.dtype)
+        grad = (union * np.add.reduce(weights, axis=1)[:, None] - weights @ union) * (-2.0 * inv_two_sq * g)
         return grad[:na], grad[na:]
 
     return value, vjp
+
+
+@functools.lru_cache(maxsize=8)
+def _block_coefficients(na: int, nb: int, dtype: np.dtype) -> FloatArray:
+    """Each kernel entry's coefficient in the MMD over the union of ``na`` and
+    ``nb`` rows: ``1/n^2`` within a set, ``-1/(na nb)`` across; read-only."""
+    coef = np.full((na + nb, na + nb), -1.0 / (na * nb), dtype=dtype)
+    coef[:na, :na], coef[na:, na:] = 1.0 / (na * na), 1.0 / (nb * nb)
+    coef.flags.writeable = False
+    return coef
 
 
 def _mask_node(mask: "Node | ModulationMask") -> Node:
@@ -302,9 +304,10 @@ def paired_displacement_with_vjp(
     diff = h_clean - h_env
     # the batch mean enters as a constant: the rows of (h - mean) sum to zero,
     # so the spread's gradient is the same as with the mean differentiated
-    centered = h_clean - h_clean.mean(axis=0, keepdims=True)
-    shift = np.mean(diff * diff)
-    spread = np.mean(centered * centered)
+    centered = h_clean - np.add.reduce(h_clean, axis=0, keepdims=True) / len(h_clean)
+    # np.mean's bits, as a sum over the count
+    shift = np.add.reduce(diff * diff, axis=None) / diff.size
+    spread = np.add.reduce(centered * centered, axis=None) / diff.size
     if spread == 0.0:
         # one clip (or clean features all alike): the ratio is undefined
         return 0.0, lambda g: (np.zeros_like(h_clean), np.zeros_like(h_env))
@@ -370,7 +373,7 @@ def symmetric_kl_with_vjp(
         return ((log_ratio + diff / pf) * (p > floor) * c,
                 (-log_ratio - diff / qf) * (q > floor) * c)
 
-    return np.sum(diff * log_ratio) * half_mean, vjp
+    return np.add.reduce(diff * log_ratio, axis=None) * half_mean, vjp
 
 
 def total_loss(l_det: Node, l_sym: Node, l_blind: Node, weights: LossWeights) -> Node:

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,20 +244,37 @@ def forward_stack(signals: FloatArray) -> tuple[FloatArray, FloatArray]:
     return amplitude, _canonical_phase(amplitude, phase)
 
 
-def inverse_phasor(amplitude: FloatArray, phasor: ComplexArray, window: int) -> FloatArray:
-    """Real signals ``(..., M, T)`` from amplitude and unit phasors ``(..., M, K)``
-    by ``irfft``, which takes only the real parts of the DC and Nyquist bins."""
-    return np.fft.irfft(amplitude * phasor, n=window, axis=-1)
-
-
 def inverse_stack(amplitude: FloatArray, phase: FloatArray, window: int) -> FloatArray:
-    """Real signals ``(..., M, T)`` from amplitude and phase ``(..., M, K)``.
+    """Real signals ``(..., M, T)`` from amplitude and phase ``(..., M, K)``
+    by ``irfft``, which takes only the real parts of the DC and Nyquist bins.
 
-    Every amplitude-only transform in the package funnels through this kernel,
-    which keeps attacks and the spectral adversary phase-preserving.
-    Unvalidated, like :func:`forward_stack`.
+    Every amplitude-only transform in the package funnels through this kernel
+    (or :func:`synthesize_rows`), which keeps attacks and the spectral
+    adversary phase-preserving.  Unvalidated, like :func:`forward_stack`.
     """
-    return inverse_phasor(amplitude, np.exp(1j * _canonical_phase(amplitude, phase)), window)
+    return np.fft.irfft(amplitude * np.exp(1j * _canonical_phase(amplitude, phase)), n=window, axis=-1)
+
+
+@functools.lru_cache(maxsize=8)
+def synthesis_basis(window: int, dtype: np.dtype) -> FloatArray:
+    """``irfft`` as a ``(2K, T)`` real matrix over one-sided coefficients seen
+    as (real, imaginary) pairs, in the real dtype of ``dtype``: the irfft of
+    each unit coefficient, with irfft's bin weights and without the imaginary
+    parts of the DC and Nyquist bins.  Read-only and shared."""
+    unit = np.eye(window // 2 + 1)
+    basis = np.stack([np.fft.irfft(unit, n=window), np.fft.irfft(1j * unit, n=window)], axis=1)
+    basis = basis.reshape(-1, window).astype(np.finfo(dtype).dtype)
+    basis.flags.writeable = False
+    return basis
+
+
+def synthesize_rows(amplitude: FloatArray, phasor: ComplexArray, window: int) -> FloatArray:
+    """:func:`inverse_stack` of amplitude rows ``(R, K)`` and their unit
+    phasors as one matmul against :func:`synthesis_basis`, whose transpose is
+    its adjoint.  A row's low bits depend on the rows stacked with it, so only
+    the differentiated paths use it; attacks and scoring keep ``np.fft``."""
+    coeffs = amplitude * phasor
+    return coeffs.view(np.finfo(coeffs.dtype).dtype) @ synthesis_basis(window, coeffs.dtype)
 
 
 def minmax_normalize(amplitude: FloatArray) -> FloatArray:

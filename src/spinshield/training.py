@@ -19,7 +19,9 @@ bundle it returns is float64, so checkpoints, reports and inference are too.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -32,7 +34,7 @@ from . import objectives as obj
 from .attacks import DEFAULT_EPS0, DEFAULT_NOISE_SIGMA
 from .errors import DataFormatError, NumericalAbort, from_record, to_record
 from .evaluation import compute_auc, score_rows
-from .spectral import ComplexArray, FloatArray, forward_stack, inverse_phasor, keyed_rng, minmax_normalize
+from .spectral import ComplexArray, FloatArray, forward_stack, keyed_rng, minmax_normalize, synthesize_rows
 from .synthdata import LabeledClip
 
 MODES = ("baseline", "spinshield", "naive_aug")
@@ -233,7 +235,7 @@ def _stack_dataset(
 
 
 def _check_finite(value: float, what: str, step: int) -> float:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericalAbort(f"{what} is non-finite ({value}) at step {step}")
     return float(value)
 
@@ -273,6 +275,18 @@ def _param_grads(x: FloatArray, g: FloatArray, w_grad: FloatArray, b_grad: Float
     np.add.reduce(g, axis=0, out=b_grad)
 
 
+@functools.lru_cache(maxsize=8)
+def _view_constants(n: int, dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """A batch of ``n`` clips in two views, clean then env: its row indices,
+    view labels, all-0 and all-1 labels and view weights ``1/n`` in
+    ``dtype``; built once per size, read-only and shared by every step."""
+    rows = np.arange(2 * n)
+    consts = (rows, rows // n, np.zeros_like(rows), np.ones_like(rows), np.full(2 * n, 1.0 / n, dtype=dtype))
+    for array in consts:
+        array.flags.writeable = False
+    return consts
+
+
 def _encoder_blindness(
     h: FloatArray,
     q1: FloatArray,
@@ -288,10 +302,9 @@ def _encoder_blindness(
     ``g``."""
     n = len(h) // 2
     paired, paired_vjp = obj.paired_displacement_with_vjp(h[:n], h[n:])
-    view_weights = np.full(2 * n, 1.0 / n, dtype=h.dtype)
-    zeros, ones = np.zeros(2 * n, dtype=np.intp), np.ones(2 * n, dtype=np.intp)
+    _, _, zeros, ones, view_weights = _view_constants(n, h.dtype)
     shifted, lse, p = d_parts
-    confusion = np.sum(((lse - shifted[:, 0]) + (lse - shifted[:, 1])) * view_weights) * 0.5
+    confusion = np.add.reduce(((lse - shifted[:, 0]) + (lse - shifted[:, 1])) * view_weights) * 0.5
     # the confusion term's two cross entropies pass their gradients separately
     g_rows = ((g * 0.5) * view_weights)[:, None]
     g_logits = ad.cross_entropy_vjp(p, zeros, g_rows)
@@ -332,13 +345,13 @@ def _detector_step(
     ce, p = ad.cross_entropy_parts(logits, labels)
     g_logits = ad.cross_entropy_vjp(p, labels, 1.0 / n)
     if z_env is None:
-        l_det = ce.mean()
+        l_det = np.add.reduce(ce) / n
         l_sym = l_disc = l_blind = 0.0
         g_h = g_logits @ a["head.wg"].T
         for name in ("head.wq1", "head.bq1", "head.wq2", "head.bq2"):
             grads[name].fill(0.0)
     else:
-        l_det = np.mean(ce[:n] + ce[n:])
+        l_det = np.add.reduce(ce[:n] + ce[n:]) / n
         l_sym, sym_vjp = obj.symmetric_kl_with_vjp(p[:n], p[n:])
         g_softmax = np.concatenate(sym_vjp(weights.lambda_sym)) + 0.0
         g_logits += 0.0
@@ -348,9 +361,8 @@ def _detector_step(
         q1 = np.tanh(h @ a["head.wq1"] + a["head.bq1"])
         d_parts = ad.softmax_parts(q1 @ a["head.wq2"] + a["head.bq2"])
         shifted, lse, d_p = d_parts
-        view_labels = np.repeat(np.array([0, 1], dtype=np.intp), n)
-        view_weights = np.full(2 * n, 1.0 / n, dtype=h.dtype)
-        l_disc = np.sum((lse - shifted[np.arange(2 * n), view_labels]) * view_weights)
+        rows, view_labels, _, _, view_weights = _view_constants(n, h.dtype)
+        l_disc = np.add.reduce((lse - shifted[rows, view_labels]) * view_weights)
         g_d = ad.cross_entropy_vjp(d_p, view_labels, (weights.lambda_blind * view_weights)[:, None])
         _param_grads(q1, g_d, grads["head.wq2"], grads["head.bq2"])
         g_q1 = md.tanh_backward(g_d @ a["head.wq2"].T, q1)
@@ -380,14 +392,16 @@ def _adversary_step(
     generator parameter in ``gen`` into ``grads``.  The encoder and
     classifier parameters (``_ADVERSARY_READS``) are held in ``frozen``."""
     f = frozen
-    h1_env, h_env = md.encode(views.z_env, f)
+    # the env and clean views run through the encoder as one stack
+    n = len(z_clean)
+    h1, h = md.encode(np.concatenate([views.z_env, z_clean]), f)
+    h1_env, h_env, h_clean = h1[:n], h[:n], h[n:]
     logits = md.classify(h_env, f)
-    h_clean = md.encode(z_clean, f)[1]
     d_mmd, mmd_vjp = obj.mmd_with_vjp(h_clean, h_env)
     ce, p = ad.cross_entropy_parts(logits, y)
     dev = views.mask - 1.0
     reg = (dev * dev).sum() * (1.0 / dev.size)
-    l_gen = (ce.mean() + d_mmd * weights.gamma) - reg * weights.lambda_mask
+    l_gen = (np.add.reduce(ce) / len(y) + d_mmd * weights.gamma) - reg * weights.lambda_mask
 
     # backward from -L_gen
     g_logits = ad.cross_entropy_vjp(p, y, -1.0 / len(y))
@@ -418,14 +432,14 @@ def naive_env_views(
     average out across patches and barely pressure patch-mean features.
     ``phasor`` is ``exp(i phase)`` of a canonical phase (see
     :func:`spectral.forward_stack`); the new amplitude is positive everywhere,
-    so this equals :func:`spectral.inverse_stack` of the phase.
+    so this is :func:`spectral.synthesize_rows`'s ``inverse_stack`` of the phase.
     """
     b, m, k = amp.shape
     # the draws are cast to the spectra's dtype after they are drawn, so that
     # the stream is the same at every precision
     draws = rng.normal(0.0, sigma, size=(b, 1, k)).astype(amp.dtype)
     new_amp = (amp + eps0) * np.exp(draws)
-    return inverse_phasor(new_amp, phasor, window).reshape(b, m * window)
+    return synthesize_rows(new_amp.reshape(b * m, k), phasor.reshape(b * m, k), window).reshape(b, m * window)
 
 
 @dataclass
@@ -506,6 +520,8 @@ def train(
     ratio = config.detector_steps_per_generator_step
     # standardization is row-wise, so these are the rows score_clips would build
     val_rows, val_labels = rows[n_train:], labels[n_train:]
+    # views of the detector's live parameters, which Adam updates in place
+    frozen = {name: arrays[name] for name in _ADVERSARY_READS}
 
     for epoch in range(config.epochs):
         # positions in the run's arrays: train_idx[order] is the permutation
@@ -546,7 +562,6 @@ def train(
             # --- adversary step: detector frozen ----------------------------------
             batch_counter += 1
             if config.mode == "spinshield" and batch_counter % ratio == 0:
-                frozen = {name: arrays[name] for name in _ADVERSARY_READS}
                 losses = _adversary_step(
                     frozen, gen_opt.arrays, gen_opt.grads, views, z_clean, y, config.weights, config.alpha
                 )

@@ -516,6 +516,50 @@ class TestMalformedInputs:
         assert "bad sidecar" in err and "must be an integer" in err
         assert len(err.strip().splitlines()) == 1 and not out.exists()
 
+    @pytest.mark.parametrize("config", [{"learning_rate": True}, {"learning_rate": "0.002"},
+                                        {"adam_betas": [0.9, "0.99"]}, {"weights": {"gamma": False}}])
+    def test_config_floats_must_be_numbers(self, pipeline, tmp_path, capsys, config):
+        # float() read {"learning_rate": true} as 1.0 and "0.002" as 0.002; the run trained
+        _, manifest, _ = pipeline
+        path, out = tmp_path / "train.json", tmp_path / "m.ckpt"
+        path.write_text(json.dumps({"mode": "baseline", "epochs": 1, **config}))
+        code = cli.main(["train", "--config", str(path), "--data", str(manifest), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "bad train config" in err and "must be a number" in err
+        assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+    @pytest.mark.parametrize("params", [{"floor": "0.5"}, {"floor": False}])
+    def test_attack_floats_must_be_numbers(self, tmp_path, capsys, params):
+        # float() read a floor of "0.5" as 0.5 and false as 0.0; the clip was notched
+        from spinshield import clipio
+        from spinshield.spectral import PatchSignalClip
+
+        infile, spec, out = tmp_path / "clip.spsc", tmp_path / "notch.json", tmp_path / "out.spsc"
+        clipio.write_clip_binary(PatchSignalClip(signals=np.ones((4, 8)) + np.arange(8) / 8), infile)
+        spec.write_text(json.dumps({"kind": "notch", "center_bin": 2, "width_bins": 1, **params}))
+        code = cli.main(["attack", "--spec", str(spec), "--in", str(infile), "--format", "binary", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "bad attack record: floor must be a number" in err
+        assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+    @pytest.mark.parametrize("meta", [{"M": 4, "T": 8, "fsp": 30.0}, {"M": 4, "T": 8, "fps": "30"}])
+    def test_sidecar_keys_and_fps(self, tmp_path, capsys, meta):
+        # a misspelt fps was passed over and the clip read at 25 fps; "30" was read as 30.0
+        from spinshield import clipio
+        from spinshield.spectral import PatchSignalClip
+
+        infile, spec, out = tmp_path / "clip.csv", tmp_path / "notch.json", tmp_path / "out.csv"
+        clipio.write_clip_csv(PatchSignalClip(signals=np.ones((4, 8)) + np.arange(8) / 8, fps=30.0), infile)
+        clipio.sidecar_path(infile).write_text(json.dumps(meta))
+        spec.write_text(json.dumps({"kind": "notch", "center_bin": 2, "width_bins": 1}))
+        code = cli.main(["attack", "--spec", str(spec), "--in", str(infile), "--format", "csv", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "bad sidecar" in err and ("unknown field 'fsp'" in err or "fps must be a number" in err)
+        assert len(err.strip().splitlines()) == 1 and not out.exists()
+
     @pytest.mark.parametrize("level_range", [[0.3], [0.3, 0.5, 0.7]])
     def test_base_level_range_must_be_two_values(self, tmp_path, capsys, level_range):
         # one value raised an IndexError that escaped as a traceback; three read the first two

@@ -250,8 +250,8 @@ class TestRecomposeRows:
 
 
     def test_adjoint_keeps_the_gradient_dtype(self, rng):
-        # each bin's weight is cached per window and dtype, so a float32
-        # gradient is not upcast by a float64 weight
+        # the synthesis basis is cached per window and dtype, so a float32
+        # gradient is not upcast by a float64 basis
         g = rng.normal(size=(5, 16))
         phasor = np.exp(1j * dft_onesided(random_clip(rng, patches=5, frames=16)).phase)
         want = md.recompose_adjoint(g, phasor, 16)

@@ -94,7 +94,8 @@ def reports(draw):
         labels=draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
         clean_scores=draw(st.lists(finite, min_size=n, max_size=n)),
         clean_auc=draw(finite),
-        attacks=draw(st.dictionaries(st.sampled_from(atk.ALL_KINDS), st.fixed_dictionaries({"mean": finite}))),
+        attacks=draw(st.dictionaries(st.sampled_from(atk.ALL_KINDS),
+                                     st.fixed_dictionaries({"mean": finite, "per_seed": st.just([])}))),
     )
 
 
@@ -292,6 +293,20 @@ MENDED = [
      "bad dataset spec: base_level_range must be two ordered values, got [0.3]"),
     ("spec", {"n_clips": 12, "base_level_range": [0.3, 0.5, 0.7]},
      "bad dataset spec: base_level_range must be two ordered values, got [0.3, 0.5, 0.7]"),
+    # float fields were read with float(), which took a bool or a numeric string
+    ("config", {"learning_rate": True}, "bad train config: learning_rate must be a number, got True"),
+    ("config", {"adam_betas": [0.9, "0.999"]}, "bad train config: adam_betas must be a number, got '0.999'"),
+    ("spec", {"n_clips": 12, "noise_std": False}, "bad dataset spec: noise_std must be a number, got False"),
+    ("attack", {"kind": "notch", "center_bin": 2, "width_bins": 1, "floor": "0.5"},
+     "bad attack record: floor must be a number, got '0.5'"),
+    ("report", {**REPORT, "clean_scores": [0.1, True]}, "incomplete report: clean_scores must be a number, got True"),
+    # a report's config and attacks were passed on unchecked, and replay_report ended in a traceback
+    ("report", {**REPORT, "attacks": [1]}, "incomplete report: config and attacks must be JSON objects"),
+    ("report", {**REPORT, "config": [1]}, "incomplete report: config and attacks must be JSON objects"),
+    ("report", {**REPORT, "attacks": {"notch": 1}},
+     "incomplete report: attacks['notch'] must be a JSON object with a per_seed list"),
+    ("report", {**REPORT, "attacks": {"notch": {"mean": 0.5, "per_seed": 3}}},
+     "incomplete report: attacks['notch'] must be a JSON object with a per_seed list"),
     # the message of an unordered range names the length check it shares
     ("spec", {"n_clips": 12, "base_level_range": [0.7, 0.3]},
      "bad dataset spec: base_level_range must be two ordered values, got [0.7, 0.3]"),

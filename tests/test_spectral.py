@@ -19,7 +19,10 @@ from spinshield.spectral import (
     minmax_normalize,
     minmax_normalize_amplitude,
     recompose,
+    synthesis_basis,
+    synthesize_rows,
 )
+from spinshield.models import recompose_adjoint
 
 from conftest import random_clip
 
@@ -262,6 +265,61 @@ class TestStackKernels:
         amplitude, _ = forward_stack(np.stack([c.signals for c in clips]))
         for clip, norm in zip(clips, minmax_normalize(amplitude)):
             assert np.array_equal(minmax_normalize_amplitude(dft_onesided(clip)), norm)
+
+
+def _rows(rng, frames, dtype, rows=12):
+    """Amplitude rows and unit phasors of one-sided spectra at ``dtype``'s precision."""
+    k = frames // 2 + 1
+    amp = rng.uniform(0.0, 2.0, size=(rows, k)).astype(dtype)
+    phasor = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(rows, k))).astype(np.result_type(dtype, np.complex64))
+    return amp, phasor
+
+
+class TestSynthesisBasis:
+    """The matmul inverse of the differentiated paths and its adjoint,
+    ``models.recompose_adjoint``, against ``np.fft.irfft``."""
+
+    FRAMES = [4, 8, 15, 16, 17]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("frames", FRAMES)
+    def test_matches_irfft(self, rng, frames, dtype):
+        amp, phasor = _rows(rng, frames, dtype)
+        basis = synthesis_basis(frames, phasor.dtype)
+        assert basis.shape == (2 * (frames // 2 + 1), frames) and basis.dtype == dtype
+        assert not basis.flags.writeable
+        got = synthesize_rows(amp, phasor, frames)
+        # the reference is the float64 irfft of the same (rounded) inputs
+        want = np.fft.irfft(amp.astype(np.float64) * phasor.astype(np.complex128), n=frames, axis=-1)
+        assert got.dtype == dtype and got.shape == want.shape
+        gap = float(np.max(np.abs(got - want)))
+        if dtype is np.float64:
+            assert gap <= 1e-12
+        else:
+            assert gap <= 1e-6 * float(np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("frames", FRAMES)
+    def test_adjoint_is_the_transpose(self, rng, frames, dtype):
+        # <L a, g> = <a, L^T g> for the amplitude-to-signal map L at fixed phasors
+        amp, phasor = _rows(rng, frames, dtype)
+        g = rng.normal(size=(len(amp), frames)).astype(dtype)
+        adjoint = recompose_adjoint(g, phasor, frames)
+        assert adjoint.dtype == dtype and adjoint.shape == amp.shape
+        lhs = float(np.sum(synthesize_rows(amp, phasor, frames).astype(np.float64) * g))
+        rhs = float(np.sum(amp.astype(np.float64) * adjoint))
+        assert lhs == pytest.approx(rhs, rel=1e-12 if dtype is np.float64 else 1e-5)
+
+    @pytest.mark.parametrize("frames", FRAMES)
+    def test_drops_the_imaginary_parts_of_real_bins(self, rng, frames):
+        # phasors at DC (and Nyquist for even T) that are not real: irfft reads their real parts only
+        amp, phasor = _rows(rng, frames, np.float64)
+        real_bins = [0, -1] if frames % 2 == 0 else [0]
+        real = phasor.copy()
+        real[:, real_bins] = phasor[:, real_bins].real
+        got = synthesize_rows(amp, phasor, frames)
+        assert np.array_equal(got, synthesize_rows(amp, real, frames))
+        np.testing.assert_allclose(got, np.fft.irfft(amp * phasor, n=frames, axis=-1), rtol=0, atol=1e-12)
 
 
 class TestExtractPatchSignals:

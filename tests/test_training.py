@@ -602,7 +602,9 @@ class TestSinglePrecision:
     inside the loop would be a silent upcast, which gives back the speed of
     single precision.  Every gradient passes through ``_param_grads`` or
     ``tanh_backward`` (whose in-place product would cast a float64 gradient
-    back), so a leak into any backward pass shows there."""
+    back), so a leak into any backward pass shows there; the synthesis
+    basis (``synthesize_rows`` and its adjoint ``recompose_adjoint``) is
+    cached per dtype, and a float64 one would show at its calls."""
 
     # what a step may read or return: single-precision values, integer labels
     SINGLE = (np.float32, np.complex64, np.intp)
@@ -636,11 +638,12 @@ class TestSinglePrecision:
         calls = {}
         with monkeypatch.context() as patch:
             for module, name in ((training, "_detector_step"), (training, "_adversary_step"), (md, "lsa_forward"),
-                                 (training, "naive_env_views"), (training, "_param_grads"), (md, "tanh_backward")):
+                                 (training, "naive_env_views"), (training, "_param_grads"), (md, "tanh_backward"),
+                                 (training, "synthesize_rows"), (md, "synthesize_rows"), (md, "recompose_adjoint")):
                 self._spy(patch, module, name, calls)
             result = training.train(tiny_config(mode=mode, epochs=1), tiny_dataset)
-        steps = {"baseline": [], "naive_aug": ["naive_env_views"],
-                 "spinshield": ["_adversary_step", "lsa_forward"]}[mode]
+        steps = {"baseline": [], "naive_aug": ["naive_env_views", "synthesize_rows"],
+                 "spinshield": ["_adversary_step", "lsa_forward", "synthesize_rows", "recompose_adjoint"]}[mode]
         assert sorted(calls) == sorted(["_detector_step", "_param_grads", "tanh_backward", *steps])
 
         arrays = md.named_arrays(result.bundle)
@@ -810,8 +813,8 @@ class TestGoldenTraining:
 
     DIGESTS = {
         "baseline": "6707bd76bf6fdcfa8e25e6dfd5e3b36cda124cef84a6a3f56066c5c9acadd421",
-        "spinshield": "5c0e70d1b0a8f757285900f438ddd2a97a143850ab1f3cf9ae44bb6adcafce7e",
-        "naive_aug": "83657beb7b5de4f1d3f57d6be25a89bc38a8ed09730e18060d00555dba293783",
+        "spinshield": "97aa7ca0c5e6b9ad0abd6af9d7ee5c9e42429299fd17066bf660bb47617fbb68",
+        "naive_aug": "5dbbb261bfb36e93f5d3d754c5b0d38eeb715a290e1cb24cf9fe85715db68e37",
     }
 
     @pytest.mark.parametrize("mode", training.MODES)
