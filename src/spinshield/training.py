@@ -432,7 +432,7 @@ def naive_env_views(
     average out across patches and barely pressure patch-mean features.
     ``phasor`` is ``exp(i phase)`` of a canonical phase (see
     :func:`spectral.forward_stack`); the new amplitude is positive everywhere,
-    so this is :func:`spectral.synthesize_rows`'s ``inverse_stack`` of the phase.
+    so this is :func:`spectral.inverse_stack` of the phase, by ``synthesize_rows``.
     """
     b, m, k = amp.shape
     # the draws are cast to the spectra's dtype after they are drawn, so that
