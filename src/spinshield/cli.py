@@ -16,7 +16,7 @@ import numpy as np
 from . import attacks as atk
 from . import clipio, evaluation, synthdata, training
 from . import models as md
-from .errors import DataFormatError, NumericalAbort
+from .errors import DataFormatError, NumericalAbort, read_json
 
 
 class UsageError(Exception):
@@ -111,22 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path: Path) -> dict:
-    if not path.exists():
-        raise DataFormatError(f"file not found: {path}")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"bad JSON in {path}: {exc}") from exc
-
-
 def _given(**overrides: object) -> dict:
     """The record fields a command's flags override: those that were given."""
     return {name: value for name, value in overrides.items() if value is not None}
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    spec = synthdata.spec_from_dict(_load_json(args.spec)) if args.spec else synthdata.DatasetSpec()
+    spec = synthdata.spec_from_dict(read_json(args.spec, "dataset spec")) if args.spec else synthdata.DatasetSpec()
     spec = synthdata.spec_from_dict({**synthdata.spec_to_dict(spec), **_given(seed=args.seed, n_clips=args.n_clips)})
     clips = synthdata.generate_dataset(spec)
     manifest = synthdata.save_dataset(clips, spec, args.out, clip_format=args.format)
@@ -135,7 +126,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = training.config_from_dict(_load_json(args.config)) if args.config else training.TrainConfig()
+    config = training.load_config(args.config) if args.config else training.TrainConfig()
     config = training.config_from_dict({**training.config_to_dict(config),
                                         **_given(mode=args.mode, seed=args.seed, epochs=args.epochs)})
     _, clips = synthdata.load_dataset(args.data)
@@ -189,7 +180,7 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    spec = atk.spec_from_dict(_load_json(args.spec))
+    spec = atk.spec_from_dict(read_json(args.spec, "attack spec"))
     clip = clipio.read_clip(args.infile, args.format)
     attacked = atk.apply_attack(clip, spec)
     clipio.write_clip(attacked, args.out, args.format)

@@ -3,7 +3,9 @@ codec of its dataclass records, :func:`to_record` and :func:`from_record`."""
 
 import dataclasses
 import functools
+import json
 import typing
+from pathlib import Path
 from typing import Callable, Collection
 
 
@@ -13,6 +15,18 @@ class DataFormatError(Exception):
 
 class NumericalAbort(Exception):
     """A non-finite value appeared where the pipeline requires finiteness."""
+
+
+def read_json(path: Path, what: str) -> typing.Any:
+    """The JSON document in the file ``path``, which holds a ``what``; a
+    missing file or bad JSON is a :class:`DataFormatError` naming the file."""
+    path = Path(path)
+    if not path.exists():
+        raise DataFormatError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"bad {what} JSON in {path}: {exc}") from exc
 
 
 def json_int(value: object, name: str) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 from . import attacks as atk
 from . import autodiff as ad
 from . import models as md
-from .errors import DataFormatError, NumericalAbort, from_record, json_int, to_record
+from .errors import DataFormatError, NumericalAbort, from_record, json_int, read_json, to_record
 from .parallel import parallel_map
 from .spectral import (ComplexArray, FloatArray, FrequencyGrid, PatchSignalClip, forward_stack, inverse_stack,
                        minmax_normalize, synthesize_rows)
@@ -52,7 +52,7 @@ def compute_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def _clean_path(bundle: md.ModelBundle, z: FloatArray) -> tuple[FloatArray, FloatArray]:
     """Features and class probabilities for standardized clip rows ``z``."""
-    p = md.named_arrays(bundle)
+    p = bundle.params
     h = md.encode(z, p)[1]
     return h, ad.softmax_rows(md.classify(h, p))
 
@@ -70,8 +70,9 @@ def score_clips(bundle: md.ModelBundle, clips: list[PatchSignalClip] | FloatArra
         return np.zeros(0)
     signals = clips if isinstance(clips, np.ndarray) else np.stack([c.signals for c in clips])
     x = signals.reshape(len(signals), -1)
-    if x.shape[1] != bundle.input_width:
-        raise ValueError(f"clips flatten to width {x.shape[1]}, model expects {bundle.input_width}")
+    width = bundle.params["enc.w1"].shape[0]
+    if x.shape[1] != width:
+        raise ValueError(f"clips flatten to width {x.shape[1]}, model expects {width}")
     return score_rows(bundle, ad.standardized(np.asarray(x, dtype=np.float64), md.STANDARDIZE_EPS)[0])
 
 
@@ -123,13 +124,7 @@ class EvalReport:
 
     @staticmethod
     def load(path: Path) -> "EvalReport":
-        path = Path(path)
-        if not path.exists():
-            raise DataFormatError(f"report not found: {path}")
-        try:
-            return EvalReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"bad report JSON in {path}: {exc}") from exc
+        return EvalReport.from_dict(read_json(path, "report"))
 
 
 def _ordered(labeled: list[LabeledClip]) -> list[tuple[int, LabeledClip]]:
@@ -312,7 +307,7 @@ def adaptive_attack(
     amp, phase = forward_stack(clip.signals)
     phasor = np.exp(1j * phase)
     window = clip.frame_count
-    p = md.named_arrays(bundle)
+    p = bundle.params
     step_size = 2.5 * budget / steps
 
     u = np.zeros_like(amp)
@@ -360,9 +355,9 @@ def dump_features(bundle: md.ModelBundle, labeled: list[LabeledClip], path: Path
     signals = _signal_stack([lc.clip for _, lc in pairs])
     h_clean, _ = _clean_path(bundle, ad.standardized(signals.reshape(len(signals), -1), md.STANDARDIZE_EPS)[0])
     amplitude, phase = forward_stack(signals)
-    p = md.named_arrays(bundle)
+    p = bundle.params
     views = md.lsa_forward(p, amplitude, minmax_normalize(amplitude), np.exp(1j * phase), signals.shape[-1],
-                           bundle.generator.alpha, bundle.delta)
+                           bundle.alpha, bundle.delta)
     h_env = md.encode(views.z_env, p)[1]
 
     dim = h_clean.shape[1]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .errors import DataFormatError, json_int
+from .errors import DataFormatError, json_int, read_json
 from .spectral import (
     DEFAULT_FPS,
     ComplexArray,
@@ -44,39 +44,6 @@ CHECKPOINT_FORMAT = "spinshield-checkpoint-v1"
 
 
 @dataclass
-class EncoderParams:
-    """Two-layer tanh perceptron shared by both views (one object, one set of weights)."""
-
-    w1: FloatArray
-    b1: FloatArray
-    w2: FloatArray
-    b2: FloatArray
-
-
-@dataclass
-class HeadParams:
-    """Linear real/fake head plus a two-layer domain discriminator."""
-
-    wg: FloatArray
-    bg: FloatArray
-    wq1: FloatArray
-    bq1: FloatArray
-    wq2: FloatArray
-    bq2: FloatArray
-
-
-@dataclass
-class GeneratorParams:
-    """Per-patch shared perceptron over one-sided bins, plus perturbation strength."""
-
-    w1: FloatArray
-    b1: FloatArray
-    w2: FloatArray
-    b2: FloatArray
-    alpha: float = DEFAULT_ALPHA
-
-
-@dataclass
 class ModulationMask:
     """Effective per-sample, per-patch, per-bin amplitude modulation ratio."""
 
@@ -94,53 +61,37 @@ class ModulationMask:
 
 @dataclass
 class ModelBundle:
-    encoder: EncoderParams
-    heads: HeadParams
-    generator: GeneratorParams
-    input_width: int
-    n_bins: int
+    """The model's parameters, canonical name -> array in :data:`_PARAMS`
+    order, and the adversary's strength ``alpha`` and mask guard ``delta``;
+    every dimension is read from the arrays' shapes."""
+
+    params: dict[str, FloatArray]
+    alpha: float = DEFAULT_ALPHA
     delta: float = DEFAULT_DELTA
 
 
-# every parameter: canonical name -> (bundle part, field, shape in terms of the
-# checkpoint dims); the order is that of named_arrays, checkpoints and
-# init_bundle's draws
+# every parameter: canonical name -> shape in terms of the checkpoint dims; the
+# order is that of named_arrays, checkpoints and init_bundle's draws
 _PARAMS = {
-    "enc.w1": ("encoder", "w1", ("input_width", "hidden")),
-    "enc.b1": ("encoder", "b1", ("hidden",)),
-    "enc.w2": ("encoder", "w2", ("hidden", "feature_dim")),
-    "enc.b2": ("encoder", "b2", ("feature_dim",)),
-    "head.wg": ("heads", "wg", ("feature_dim", 2)),
-    "head.bg": ("heads", "bg", (2,)),
-    "head.wq1": ("heads", "wq1", ("feature_dim", "domain_hidden")),
-    "head.bq1": ("heads", "bq1", ("domain_hidden",)),
-    "head.wq2": ("heads", "wq2", ("domain_hidden", 2)),
-    "head.bq2": ("heads", "bq2", (2,)),
-    "gen.w1": ("generator", "w1", ("n_bins", "gen_hidden")),
-    "gen.b1": ("generator", "b1", ("gen_hidden",)),
-    "gen.w2": ("generator", "w2", ("gen_hidden", "n_bins")),
-    "gen.b2": ("generator", "b2", ("n_bins",)),
+    "enc.w1": ("input_width", "hidden"),
+    "enc.b1": ("hidden",),
+    "enc.w2": ("hidden", "feature_dim"),
+    "enc.b2": ("feature_dim",),
+    "head.wg": ("feature_dim", 2),
+    "head.bg": (2,),
+    "head.wq1": ("feature_dim", "domain_hidden"),
+    "head.bq1": ("domain_hidden",),
+    "head.wq2": ("domain_hidden", 2),
+    "head.bq2": (2,),
+    "gen.w1": ("n_bins", "gen_hidden"),
+    "gen.b1": ("gen_hidden",),
+    "gen.w2": ("gen_hidden", "n_bins"),
+    "gen.b2": ("n_bins",),
 }
 
 
 def _shape(spec: tuple, dims: Mapping) -> tuple[int, ...]:
     return tuple(d if isinstance(d, int) else json_int(dims[d], d) for d in spec)
-
-
-def _assemble(
-    arrays: Mapping[str, FloatArray], input_width: int, n_bins: int, alpha: float, delta: float
-) -> ModelBundle:
-    parts: dict[str, dict] = {"encoder": {}, "heads": {}, "generator": {}}
-    for name, (part, field, _) in _PARAMS.items():
-        parts[part][field] = arrays[name]
-    return ModelBundle(
-        encoder=EncoderParams(**parts["encoder"]),
-        heads=HeadParams(**parts["heads"]),
-        generator=GeneratorParams(**parts["generator"], alpha=alpha),
-        input_width=input_width,
-        n_bins=n_bins,
-        delta=delta,
-    )
 
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> FloatArray:
@@ -167,29 +118,16 @@ def init_bundle(
     rng = keyed_rng(seed, 0)
     dims = {"input_width": input_width, "n_bins": n_bins, "hidden": hidden,
             "feature_dim": feature_dim, "gen_hidden": gen_hidden, "domain_hidden": domain_hidden}
-    arrays = {
-        name: _uniform(rng, _shape(spec, dims)) if field.startswith("w") else np.zeros(_shape(spec, dims))
-        for name, (_, field, spec) in _PARAMS.items()
+    params = {
+        name: _uniform(rng, _shape(spec, dims)) if ".w" in name else np.zeros(_shape(spec, dims))
+        for name, spec in _PARAMS.items()
     }
-    return _assemble(arrays, input_width, n_bins, alpha, delta)
+    return ModelBundle(params, alpha, delta)
 
 
 def named_arrays(bundle: ModelBundle) -> dict[str, FloatArray]:
-    """Canonical name -> live array mapping, grouped by dotted prefix."""
-    return {name: getattr(getattr(bundle, part), field) for name, (part, field, _) in _PARAMS.items()}
-
-
-def bind_named_arrays(bundle: ModelBundle, arrays: Mapping[str, np.ndarray]) -> None:
-    """Point the bundle's parameters at the given arrays themselves, with no
-    copy and no cast, as a training run binds its optimizers' live buffers."""
-    for name, arr in arrays.items():
-        part, field, _ = _PARAMS[name]
-        setattr(getattr(bundle, part), field, arr)
-
-
-def set_named_arrays(bundle: ModelBundle, arrays: Mapping[str, np.ndarray]) -> None:
-    """Set the bundle's parameters to the given arrays as float64."""
-    bind_named_arrays(bundle, {name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()})
+    """A new canonical name -> live array mapping, grouped by dotted prefix."""
+    return dict(bundle.params)
 
 
 # --- the plain-array forward ----------------------------------------------------
@@ -287,20 +225,16 @@ def amplitude_vjp(g_h: FloatArray, p: Mapping[str, FloatArray], hidden: FloatArr
 
 
 def lsa_perturb(
-    spectrum: OneSidedSpectrum,
-    generator: GeneratorParams,
-    delta: float = DEFAULT_DELTA,
-    fps: float | None = None,
+    spectrum: OneSidedSpectrum, bundle: ModelBundle, fps: float | None = None
 ) -> tuple[PatchSignalClip, ModulationMask]:
-    """Perturb one clip's amplitude spectrum with the learned adversary."""
-    gen = {f"gen.{name}": getattr(generator, name) for name in ("w1", "b1", "w2", "b2")}
+    """Perturb one clip's amplitude spectrum with the bundle's learned adversary."""
     phasor = np.exp(1j * spectrum.phase)
     window = spectrum.grid.window
     amp = spectrum.amplitude[None]
-    views = lsa_forward(gen, amp, minmax_normalize(amp), phasor[None], window, generator.alpha, delta)
+    views = lsa_forward(bundle.params, amp, minmax_normalize(amp), phasor[None], window, bundle.alpha, bundle.delta)
     signals = synthesize_rows(views.new_amp, views.phasor, window)
     clip = PatchSignalClip(signals=signals, fps=DEFAULT_FPS if fps is None else fps)
-    return clip, ModulationMask(values=views.mask[None], delta=delta)
+    return clip, ModulationMask(values=views.mask[None], delta=bundle.delta)
 
 
 # --- graph-level forward passes -------------------------------------------------
@@ -384,32 +318,26 @@ def _decode_array(entry: dict) -> FloatArray:
 
 
 def save_bundle(bundle: ModelBundle, path: Path) -> None:
-    arrays = named_arrays(bundle)
+    p = bundle.params
     doc = {
         "format": CHECKPOINT_FORMAT,
         "dims": {
-            "input_width": bundle.input_width,
-            "n_bins": bundle.n_bins,
-            "hidden": bundle.encoder.w1.shape[1],
-            "feature_dim": bundle.encoder.w2.shape[1],
-            "gen_hidden": bundle.generator.w1.shape[1],
-            "domain_hidden": bundle.heads.wq1.shape[1],
+            "input_width": p["enc.w1"].shape[0],
+            "n_bins": p["gen.w1"].shape[0],
+            "hidden": p["enc.w1"].shape[1],
+            "feature_dim": p["enc.w2"].shape[1],
+            "gen_hidden": p["gen.w1"].shape[1],
+            "domain_hidden": p["head.wq1"].shape[1],
         },
-        "alpha": bundle.generator.alpha,
+        "alpha": bundle.alpha,
         "delta": bundle.delta,
-        "params": {name: _encode_array(arr) for name, arr in arrays.items()},
+        "params": {name: _encode_array(p[name]) for name in _PARAMS},
     }
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def load_bundle(path: Path) -> ModelBundle:
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"checkpoint not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"bad checkpoint JSON in {path}: {exc}") from exc
+    doc = read_json(path, "checkpoint")
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: checkpoint must be a JSON object")
     if doc.get("format") != CHECKPOINT_FORMAT:
@@ -417,14 +345,13 @@ def load_bundle(path: Path) -> ModelBundle:
     try:
         dims = doc["dims"]
         params = {name: _decode_array(doc["params"][name]) for name in _PARAMS}
-        declared = {name: _shape(spec, dims) for name, (_, _, spec) in _PARAMS.items()}
-        bundle = _assemble(params, dims["input_width"], dims["n_bins"],  # integers: _shape has read them
-                           float(doc["alpha"]), float(doc["delta"]))
+        declared = {name: _shape(spec, dims) for name, spec in _PARAMS.items()}
+        bundle = ModelBundle(params, float(doc["alpha"]), float(doc["delta"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: incomplete checkpoint: {exc}") from exc
-    if not all(0.0 < v < np.inf for v in (bundle.generator.alpha, bundle.delta)):
+    if not all(0.0 < v < np.inf for v in (bundle.alpha, bundle.delta)):
         raise DataFormatError(f"{path}: alpha and delta must be finite and positive, "
-                              f"got {bundle.generator.alpha!r} and {bundle.delta!r}")
+                              f"got {bundle.alpha!r} and {bundle.delta!r}")
     for name, shape in declared.items():
         if params[name].shape != shape:
             raise DataFormatError(

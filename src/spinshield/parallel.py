@@ -1,35 +1,17 @@
-"""Optional thread fan-out for embarrassingly parallel per-clip work.
+"""The ordered map of per-clip work.
 
-All randomness is carried by counter-based per-item streams, so results are
-independent of worker count; ``SPINSHIELD_THREADS`` caps the pool (default 1,
-i.e. serial).
+It runs in the calling thread.  The benchmark's tracer counts the items
+mapped through :func:`parallel_map`.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def max_workers() -> int:
-    raw = os.environ.get("SPINSHIELD_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        return 1
-    return max(1, workers)
-
-
 def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Ordered map over items, threaded when SPINSHIELD_THREADS > 1."""
-    workers = max_workers()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """``fn`` of each item, in order."""
+    return [fn(item) for item in items]

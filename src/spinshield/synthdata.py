@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import clipio
-from .errors import DataFormatError, from_record, json_int, to_record
+from .errors import DataFormatError, from_record, json_int, read_json, to_record
 from .spectral import DEFAULT_FPS, FloatArray, PatchSignalClip, keyed_rng
 
 PHASE_SLOPE_RANGE = 0.15  # radians per patch-grid step
@@ -254,12 +254,7 @@ def save_dataset(
 
 
 def _read_manifest(manifest_path: Path) -> dict:
-    if not manifest_path.exists():
-        raise DataFormatError(f"manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"bad manifest JSON: {exc}") from exc
+    manifest = read_json(manifest_path, "manifest")
     if not isinstance(manifest, dict):
         raise DataFormatError(f"{manifest_path}: manifest must be a JSON object")
     version = manifest.get("version")
@@ -276,12 +271,9 @@ def _manifest_spec(manifest: dict, manifest_path: Path) -> DatasetSpec:
 
 
 def _manifest_clips(
-    manifest: dict,
-    manifest_path: Path,
-    clip_format: str | None,
-    select: Callable[[int], Sequence[int]] | None = None,
+    manifest: dict, manifest_path: Path, select: Callable[[int], Sequence[int]] | None = None
 ) -> list[LabeledClip]:
-    fmt = clip_format or manifest.get("clip_format", "csv")
+    fmt = manifest.get("clip_format", "csv")
     base = manifest_path.parent
     shape = None
     if manifest["version"] != 1:
@@ -313,10 +305,10 @@ def _manifest_clips(
     return out
 
 
-def load_clips(manifest_path: Path, clip_format: str | None = None) -> list[LabeledClip]:
+def load_clips(manifest_path: Path) -> list[LabeledClip]:
     """Load every clip listed in a manifest, validating labels and signals."""
     manifest_path = Path(manifest_path)
-    return _manifest_clips(_read_manifest(manifest_path), manifest_path, clip_format)
+    return _manifest_clips(_read_manifest(manifest_path), manifest_path)
 
 
 def load_dataset(
@@ -330,4 +322,4 @@ def load_dataset(
     """
     manifest_path = Path(manifest_path)
     manifest = _read_manifest(manifest_path)
-    return _manifest_spec(manifest, manifest_path), _manifest_clips(manifest, manifest_path, None, select)
+    return _manifest_spec(manifest, manifest_path), _manifest_clips(manifest, manifest_path, select)

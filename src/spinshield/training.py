@@ -20,7 +20,6 @@ bundle it returns is float64, so checkpoints, reports and inference are too.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +31,7 @@ from . import autodiff as ad
 from . import models as md
 from . import objectives as obj
 from .attacks import DEFAULT_EPS0, DEFAULT_NOISE_SIGMA
-from .errors import DataFormatError, NumericalAbort, from_record, to_record
+from .errors import DataFormatError, NumericalAbort, from_record, read_json, to_record
 from .evaluation import compute_auc, score_rows
 from .spectral import ComplexArray, FloatArray, forward_stack, keyed_rng, minmax_normalize, synthesize_rows
 from .synthdata import LabeledClip
@@ -107,10 +106,7 @@ def config_from_dict(data: dict) -> TrainConfig:
 
 
 def load_config(path: Path) -> TrainConfig:
-    try:
-        return config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"bad train config JSON: {exc}") from exc
+    return config_from_dict(read_json(path, "train config"))
 
 
 class Adam:
@@ -492,7 +488,7 @@ def train(
         input_width=m * t_len, n_bins=n_bins, alpha=config.alpha, seed=config.seed
     )
     # the run trains float32 copies of the initial draws
-    arrays = {n: a.astype(np.float32) for n, a in md.named_arrays(bundle).items()}
+    arrays = {n: a.astype(np.float32) for n, a in bundle.params.items()}
     det_opt = Adam({n: a for n, a in arrays.items() if n.startswith(("enc.", "head."))},
                    config.learning_rate, config.adam_betas, config.adam_eps)
     gen_opt = Adam(
@@ -503,9 +499,8 @@ def train(
     )
     # the bundle's parameters are the optimizers' float32 views until the
     # best-validation snapshot replaces them, as float64, at the end
-    md.bind_named_arrays(bundle, {**det_opt.arrays, **gen_opt.arrays})
-    arrays = md.named_arrays(bundle)
-    assert all(arrays[n] is a for opt in (det_opt, gen_opt) for n, a in opt.arrays.items())
+    arrays = bundle.params
+    arrays.update(det_opt.arrays | gen_opt.arrays)
 
     batch_rng = keyed_rng(config.seed, _STREAM_BATCH)
     naive_rng = keyed_rng(config.seed, _STREAM_NAIVE)
@@ -587,7 +582,7 @@ def train(
         if epoch_hook is not None:
             epoch_hook(epoch, bundle)
 
-    md.set_named_arrays(bundle, best_arrays)
+    arrays.update({n: a.astype(np.float64) for n, a in best_arrays.items()})
     return TrainResult(
         bundle=bundle,
         log_rows=log_rows,

@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread per test process, set before numpy loads its BLAS: two test
+# processes on a small host otherwise oversubscribe its cores
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -54,7 +54,7 @@ def clean_path(bundle: md.ModelBundle, x: FloatArray) -> tuple[FloatArray, Float
 def env_views(bundle: md.ModelBundle, amplitude: FloatArray, phase: FloatArray, window: int) -> tuple[Node, Node]:
     """The adversary's ``(B, M*T)`` signal node and ``(B*M, K)`` mask node
     for a stack of clip spectra, through constant nodes."""
-    return lsa_views(amplitude, phase, window, consts(bundle), bundle.generator.alpha, bundle.delta)
+    return lsa_views(amplitude, phase, window, consts(bundle), bundle.alpha, bundle.delta)
 
 
 def attack_objective(

@@ -236,7 +236,7 @@ class TestCriterion2GradientSoundness:
             def gen_graph(nodes):  # Eq. 7
                 full = {**{n: Node(a) for n, a in det_arrays.items()}, **nodes}
                 signals, mask = md.lsa_perturb_graph(
-                    amps, norms, phases, frames, full, bundle.generator.alpha, bundle.delta
+                    amps, norms, phases, frames, full, bundle.alpha, bundle.delta
                 )
                 x = ad.reshape(signals, (3, width))
                 h_env = md.encoder_forward(md.standardize_rows(x), full)
@@ -300,23 +300,22 @@ class TestCriterion4LsaContract:
             )
             clip = PatchSignalClip(signals=rng.normal(size=(patches, frames)))
             spectrum = dft_onesided(clip)
-            perturbed, mask = md.lsa_perturb(spectrum, bundle.generator, bundle.delta)
+            perturbed, mask = md.lsa_perturb(spectrum, bundle)
             after = dft_onesided(perturbed)
             live = spectrum.amplitude > 1e-12
             ratio = np.log(after.amplitude[live] / spectrum.amplitude[live])
             ok &= np.all(after.amplitude[live] > 0)
-            ok &= np.max(np.abs(ratio)) <= bundle.generator.alpha + 1e-9
+            ok &= np.max(np.abs(ratio)) <= bundle.alpha + 1e-9
             both = (spectrum.amplitude > 1e-8) & (after.amplitude > 1e-8)
             delta = np.angle(np.exp(1j * (after.phase - spectrum.phase)))
             ok &= np.max(np.abs(delta[both])) < 1e-6
             ok &= np.all(mask.values > 0)
             if trial % 25 == 0:
-                neutral = md.GeneratorParams(
-                    w1=np.zeros_like(bundle.generator.w1), b1=np.zeros_like(bundle.generator.b1),
-                    w2=np.zeros_like(bundle.generator.w2), b2=np.zeros_like(bundle.generator.b2),
-                    alpha=bundle.generator.alpha,
+                neutral = md.ModelBundle(
+                    {n: np.zeros_like(a) if n.startswith("gen.") else a for n, a in bundle.params.items()},
+                    bundle.alpha, bundle.delta,
                 )
-                ident, ident_mask = md.lsa_perturb(spectrum, neutral, bundle.delta)
+                ident, ident_mask = md.lsa_perturb(spectrum, neutral)
                 ok &= np.max(np.abs(ident.signals - clip.signals)) < 1e-9
                 expected = spectrum.amplitude / (spectrum.amplitude + bundle.delta)
                 ok &= np.max(np.abs(ident_mask.values[0] - expected)) == 0.0

@@ -227,7 +227,7 @@ class TestGradientWork:
                                 gen_hidden=5, domain_hidden=3, seed=4)
         arrays = md.named_arrays(bundle)
         gen = {n: a for n, a in arrays.items() if n.startswith("gen.")}
-        alpha, delta = bundle.generator.alpha, bundle.delta
+        alpha, delta = bundle.alpha, bundle.delta
         z = ad.standardized(x, md.STANDARDIZE_EPS)[0]
         if step == "detector":
             detector = {n: a for n, a in arrays.items() if n.startswith(("enc.", "head."))}

@@ -42,6 +42,23 @@ class TestExitCodes:
         assert code == 2
         assert str(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("what, argv", [
+        ("dataset spec", ["gen-data", "--spec", "{f}", "--out", "{d}/ds"]),
+        ("train config", ["train", "--config", "{f}", "--data", "{d}/m.json", "--out", "{d}/m.ckpt"]),
+        ("manifest", ["train", "--data", "{f}", "--out", "{d}/m.ckpt"]),
+        ("attack spec", ["attack", "--spec", "{f}", "--in", "{d}/c.csv", "--out", "{d}/o.csv"]),
+        ("checkpoint", ["eval", "--checkpoint", "{f}", "--data", "{d}/m.json", "--out", "{d}/r.json"]),
+    ])
+    def test_json_file_missing_or_malformed(self, what, argv, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        argv = [arg.format(f=path, d=tmp_path) for arg in argv]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"data error: {what} not found: {path}\n"
+        path.write_text("{broken")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: bad {what} JSON in {path}: Expecting") and err.count("\n") == 1
+
     def test_unknown_attack_kind_is_usage_error(self, tmp_path, capsys):
         code = cli.main([
             "eval", "--checkpoint", str(tmp_path / "x"), "--data", str(tmp_path / "y"),

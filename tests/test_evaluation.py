@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,14 @@ class TestEvaluateUnderAttacks:
         with pytest.raises(DataFormatError, match="format"):
             evaluation.EvalReport.load(path)
 
+    def test_missing_or_malformed_report_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        with pytest.raises(DataFormatError, match=f"^report not found: {re.escape(str(path))}$"):
+            evaluation.EvalReport.load(path)
+        path.write_text("{broken")
+        with pytest.raises(DataFormatError, match=f"^bad report JSON in {re.escape(str(path))}: Expecting"):
+            evaluation.EvalReport.load(path)
+
     @pytest.mark.parametrize("doc", [[1, 2], "x"])
     def test_non_object_report_rejected(self, tmp_path, doc):
         path = tmp_path / "r.json"
@@ -160,7 +169,7 @@ class TestEvaluateUnderAttacks:
         evaluation.notch_sweep(bundle, dataset)
         evaluation.adaptive_attack_suite(bundle, dataset[:4], steps=3)
         evaluation.dump_features(bundle, dataset, tmp_path / "f.csv")
-        md.lsa_perturb(dft_onesided(dataset[0].clip), bundle.generator, bundle.delta)
+        md.lsa_perturb(dft_onesided(dataset[0].clip), bundle)
 
     def test_suite_scores_are_those_of_per_clip_attacks(self, small_world):
         bundle, dataset = small_world
@@ -313,12 +322,13 @@ class TestAdaptiveAttack:
         assert 0.0 <= out["auc"] <= 1.0
         assert len(out["scores"]) == 10
 
-    def test_thread_count_does_not_change_result(self, small_world, monkeypatch):
+    def test_suite_repeats_and_scores_each_clip_alone(self, small_world):
         bundle, dataset = small_world
-        serial = evaluation.adaptive_attack_suite(bundle, dataset[:8], steps=3)
-        monkeypatch.setenv("SPINSHIELD_THREADS", "4")
-        threaded = evaluation.adaptive_attack_suite(bundle, dataset[:8], steps=3)
-        assert threaded == serial
+        out = evaluation.adaptive_attack_suite(bundle, dataset[:8], steps=3)
+        assert evaluation.adaptive_attack_suite(bundle, dataset[:8], steps=3) == out
+        by_id = {lc.provenance["index"]: lc for lc in dataset[:8]}
+        alone = [evaluation.adaptive_attack(bundle, by_id[cid], steps=3)[1] for cid in out["clip_ids"]]
+        assert out["scores"] == alone
 
 
 class TestDumpFeatures:
@@ -330,7 +340,7 @@ class TestDumpFeatures:
         evaluation.dump_features(bundle, dataset, path_b)
         lines_a = path_a.read_text().splitlines()
         assert len(lines_a) == 2 * len(dataset) + 1
-        dim = bundle.encoder.w2.shape[1]
+        dim = bundle.params["enc.w2"].shape[1]
         assert lines_a[0] == "clip,view,y," + ",".join(f"h{j}" for j in range(dim))
         assert path_a.read_text() == path_b.read_text()
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -32,15 +34,15 @@ def head_probs(logits_fn, h, bundle, **kwargs):
 
 class TestEncode:
     def test_degenerate_weights_ignore_input(self, rng, bundle):
-        enc = bundle.encoder
-        enc.w1[:] = 0.0
-        enc.w2[:] = 0.0
-        enc.b1[:] = rng.normal(size=enc.b1.shape)
-        enc.b2[:] = rng.normal(size=enc.b2.shape)
+        p = bundle.params
+        p["enc.w1"][:] = 0.0
+        p["enc.w2"][:] = 0.0
+        p["enc.b1"][:] = rng.normal(size=p["enc.b1"].shape)
+        p["enc.b2"][:] = rng.normal(size=p["enc.b2"].shape)
         h1 = features(random_clip(rng), bundle)
         h2 = features(random_clip(rng), bundle)
         np.testing.assert_array_equal(h1, h2)
-        np.testing.assert_allclose(h1, enc.b2, atol=1e-12)
+        np.testing.assert_allclose(h1, p["enc.b2"], atol=1e-12)
 
     def test_identical_clips_identical_features(self, rng, bundle):
         clip = random_clip(rng)
@@ -81,15 +83,15 @@ class TestEncode:
 
     def test_siamese_weight_sharing_is_structural(self, bundle):
         arrays = md.named_arrays(bundle)
-        assert arrays["enc.w1"] is bundle.encoder.w1
+        assert arrays["enc.w1"] is bundle.params["enc.w1"]
         again = md.named_arrays(bundle)
         assert again["enc.w1"] is arrays["enc.w1"]
 
 
 class TestClassify:
     def test_zero_logits_uniform(self, bundle):
-        bundle.heads.wg[:] = 0.0
-        p = head_probs(md.classifier_logits, np.ones(bundle.heads.wg.shape[0]), bundle)
+        bundle.params["head.wg"][:] = 0.0
+        p = head_probs(md.classifier_logits, np.ones(bundle.params["head.wg"].shape[0]), bundle)
         np.testing.assert_array_equal(p, [0.5, 0.5])
 
     def test_saturation(self, rng):
@@ -98,9 +100,9 @@ class TestClassify:
         assert p[0] > 1 - 1e-8
 
     def test_matches_exp_normalize_oracle(self, rng, bundle):
-        h = rng.normal(size=bundle.heads.wg.shape[0])
+        h = rng.normal(size=bundle.params["head.wg"].shape[0])
         p = head_probs(md.classifier_logits, h, bundle)
-        logits = h @ bundle.heads.wg + bundle.heads.bg
+        logits = h @ bundle.params["head.wg"] + bundle.params["head.bg"]
         oracle = np.exp(logits) / np.exp(logits).sum()
         np.testing.assert_allclose(p, oracle, atol=1e-12)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -109,13 +111,13 @@ class TestClassify:
 
 class TestDiscriminateDomain:
     def test_grl_does_not_change_forward(self, rng, bundle):
-        h = rng.normal(size=bundle.heads.wq1.shape[0])
+        h = rng.normal(size=bundle.params["head.wq1"].shape[0])
         a = head_probs(md.domain_logits, h, bundle, through_grl=False)
         b = head_probs(md.domain_logits, h, bundle, through_grl=True)
         np.testing.assert_array_equal(a, b)
 
     def test_encoder_side_gradient_flips_sign(self, rng, bundle):
-        h_val = rng.normal(size=(4, bundle.heads.wq1.shape[0]))
+        h_val = rng.normal(size=(4, bundle.params["head.wq1"].shape[0]))
         params = {name: Node(arr) for name, arr in md.named_arrays(bundle).items()}
 
         def run(through_grl):
@@ -129,8 +131,8 @@ class TestDiscriminateDomain:
         np.testing.assert_allclose(run(True), -run(False), atol=1e-12)
 
     def test_discriminator_gradients_match_finite_differences(self, rng, bundle):
-        h_clean = rng.normal(size=(3, bundle.heads.wq1.shape[0]))
-        h_env = rng.normal(size=(3, bundle.heads.wq1.shape[0]))
+        h_clean = rng.normal(size=(3, bundle.params["head.wq1"].shape[0]))
+        h_env = rng.normal(size=(3, bundle.params["head.wq1"].shape[0]))
         arrays = {n: a for n, a in md.named_arrays(bundle).items() if n.startswith("head.wq") or n.startswith("head.bq")}
 
         def build(nodes):
@@ -156,13 +158,13 @@ class TestDiscriminateDomain:
 
 class TestLsaPerturb:
     def test_neutral_generator_is_identity(self, rng, bundle):
-        bundle.generator.w1[:] = 0.0
-        bundle.generator.w2[:] = 0.0
-        bundle.generator.b1[:] = 0.0
-        bundle.generator.b2[:] = 0.0
+        bundle.params["gen.w1"][:] = 0.0
+        bundle.params["gen.w2"][:] = 0.0
+        bundle.params["gen.b1"][:] = 0.0
+        bundle.params["gen.b2"][:] = 0.0
         clip = random_clip(rng)
         spectrum = dft_onesided(clip)
-        pert, mask = md.lsa_perturb(spectrum, bundle.generator, bundle.delta)
+        pert, mask = md.lsa_perturb(spectrum, bundle)
         np.testing.assert_allclose(pert.signals, clip.signals, atol=1e-9)
         expected = spectrum.amplitude / (spectrum.amplitude + bundle.delta)
         assert np.max(np.abs(mask.values[0] - expected)) == 0.0
@@ -170,16 +172,16 @@ class TestLsaPerturb:
     def test_modulation_bounded_by_alpha(self, rng, bundle):
         clip = random_clip(rng)
         spectrum = dft_onesided(clip)
-        pert, _ = md.lsa_perturb(spectrum, bundle.generator, bundle.delta)
+        pert, _ = md.lsa_perturb(spectrum, bundle)
         after = dft_onesided(pert)
         live = spectrum.amplitude > 1e-12
         ratio = np.log(after.amplitude[live] / spectrum.amplitude[live])
-        assert np.max(np.abs(ratio)) <= bundle.generator.alpha + 1e-9
+        assert np.max(np.abs(ratio)) <= bundle.alpha + 1e-9
 
     def test_phase_preserved(self, rng, bundle):
         clip = random_clip(rng)
         spectrum = dft_onesided(clip)
-        pert, _ = md.lsa_perturb(spectrum, bundle.generator, bundle.delta)
+        pert, _ = md.lsa_perturb(spectrum, bundle)
         after = dft_onesided(pert)
         live = spectrum.amplitude > 1e-8
         diff = np.angle(np.exp(1j * (after.phase - spectrum.phase)))
@@ -188,14 +190,14 @@ class TestLsaPerturb:
     def test_equals_the_graph_forward(self, rng, bundle):
         clip = random_clip(rng)
         spectrum = dft_onesided(clip)
-        pert, mask = md.lsa_perturb(spectrum, bundle.generator, bundle.delta)
+        pert, mask = md.lsa_perturb(spectrum, bundle)
         env, mask_node = graph_reference.env_views(bundle, spectrum.amplitude[None], spectrum.phase[None], 16)
         assert np.array_equal(pert.signals, env.value.reshape(-1, 16))
         assert np.array_equal(mask.values, mask_node.value[None])
 
     def test_output_real_and_finite(self, rng, bundle):
         clip = random_clip(rng)
-        pert, mask = md.lsa_perturb(dft_onesided(clip), bundle.generator, bundle.delta)
+        pert, mask = md.lsa_perturb(dft_onesided(clip), bundle)
         assert np.all(np.isfinite(pert.signals))
         assert np.all(mask.values > 0)
 
@@ -208,7 +210,7 @@ class TestLsaPerturb:
         def build(nodes):
             signals, _ = md.lsa_perturb_graph(
                 spectrum.amplitude, norm, spectrum.phase, 16, nodes,
-                bundle.generator.alpha, bundle.delta,
+                bundle.alpha, bundle.delta,
             )
             return ad.mean_all(ad.mul(signals, signals))
 
@@ -261,13 +263,13 @@ class TestRecomposeRows:
 
 
 class TestNamedArrays:
-    def test_bind_keeps_the_arrays_and_set_casts_to_float64(self, bundle):
-        live = {name: arr.astype(np.float32) for name, arr in md.named_arrays(bundle).items()}
-        md.bind_named_arrays(bundle, live)
-        assert all(arr is live[name] for name, arr in md.named_arrays(bundle).items())
-        md.set_named_arrays(bundle, live)
-        for name, arr in md.named_arrays(bundle).items():
-            assert arr.dtype == np.float64 and np.array_equal(arr, live[name])
+    def test_a_new_mapping_of_the_live_arrays(self, bundle):
+        arrays = md.named_arrays(bundle)
+        assert arrays is not bundle.params and arrays is not md.named_arrays(bundle)
+        assert list(arrays) == list(md._PARAMS)
+        assert all(arr is bundle.params[name] for name, arr in arrays.items())
+        arrays.pop("enc.w1")
+        assert "enc.w1" in bundle.params
 
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path, bundle):
@@ -276,9 +278,17 @@ class TestCheckpoints:
         loaded = md.load_bundle(path)
         for name, arr in md.named_arrays(bundle).items():
             np.testing.assert_array_equal(md.named_arrays(loaded)[name], arr)
-        assert loaded.generator.alpha == bundle.generator.alpha
+        assert loaded.alpha == bundle.alpha
         assert loaded.delta == bundle.delta
-        assert loaded.input_width == bundle.input_width
+        assert list(loaded.params) == list(bundle.params)
+
+    def test_bytes_pinned(self, tmp_path):
+        """The checkpoint of a fresh bundle, byte for byte: the dims read from
+        the shapes, the key order and the payloads."""
+        path = tmp_path / "model.ckpt"
+        md.save_bundle(md.init_bundle(256, 9, seed=3), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "977f4b7b9fed9b2b6dbc5b7a87c8596d8b3d71f63eda69b5d894fb2b9d6d96b9"
 
     def test_dimension_mismatch_rejected(self, tmp_path, bundle):
         import json

@@ -404,7 +404,7 @@ class TestFullObjectiveGradients:
             full = {**{n: Node(a) for n, a in enc_arrays.items() if not n.startswith("gen.")}, **nodes}
             signals, mask = md.lsa_perturb_graph(
                 amps.reshape(8, 5), norms.reshape(8, 5), phases.reshape(8, 5),
-                8, full, bundle.generator.alpha, bundle.delta,
+                8, full, bundle.alpha, bundle.delta,
             )
             x_env = ad.reshape(signals, (4, 16))
             h_env = md.encoder_forward(md.standardize_rows(x_env), full)

@@ -414,7 +414,7 @@ class TestAlternationIsolation:
                                 gen_hidden=5, domain_hidden=3, seed=4)
         arrays = md.named_arrays(bundle)
         gen_graph = graph_reference.leaves({n: a for n, a in arrays.items() if n.startswith("gen.")})
-        x_env = graph_reference.lsa_views(amps, phases, t, gen_graph, bundle.generator.alpha, bundle.delta)[0].value
+        x_env = graph_reference.lsa_views(amps, phases, t, gen_graph, bundle.alpha, bundle.delta)[0].value
         weights = LossWeights()
         detector = {n: a for n, a in arrays.items() if n.startswith(("enc.", "head."))}
 
@@ -641,13 +641,22 @@ class TestSinglePrecision:
                                  (training, "naive_env_views"), (training, "_param_grads"), (md, "tanh_backward"),
                                  (training, "synthesize_rows"), (md, "synthesize_rows"), (md, "recompose_adjoint")):
                 self._spy(patch, module, name, calls)
-            result = training.train(tiny_config(mode=mode, epochs=1), tiny_dataset)
+            live = []
+            result = training.train(tiny_config(mode=mode, epochs=1), tiny_dataset,
+                                    epoch_hook=lambda epoch, bundle: live.append(md.named_arrays(bundle)))
         steps = {"baseline": [], "naive_aug": ["naive_env_views", "synthesize_rows"],
                  "spinshield": ["_adversary_step", "lsa_forward", "synthesize_rows", "recompose_adjoint"]}[mode]
         assert sorted(calls) == sorted(["_detector_step", "_param_grads", "tanh_backward", *steps])
 
+        # while the run is live the bundle holds the optimizers' float32 views,
+        # one flat buffer per group; the bundle it returns holds float64 arrays
+        (during,) = live
+        assert all(a.dtype == np.float32 for a in during.values())
+        assert during["enc.w1"].base is during["head.bq2"].base is not None
+        assert during["gen.w1"].base is during["gen.b2"].base is not None
         arrays = md.named_arrays(result.bundle)
-        assert all(a.dtype == np.float64 for a in arrays.values())
+        assert list(arrays) == list(during)
+        assert all(a.dtype == np.float64 and not np.shares_memory(a, during["enc.w1"]) for a in arrays.values())
         md.save_bundle(result.bundle, tmp_path / "model.ckpt")
         params = json.loads((tmp_path / "model.ckpt").read_text())["params"]
         loaded = md.named_arrays(md.load_bundle(tmp_path / "model.ckpt"))
