@@ -7,7 +7,6 @@ into the record so that applying a spec is replayable without the seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -296,14 +295,3 @@ def spec_from_dict(data: dict) -> AttackSpec:
         raise DataFormatError(f"bad attack record: {exc}") from exc
     return AttackSpec(kind=kind, params=params, seed=seed)
 
-
-def spec_to_json(spec: AttackSpec) -> str:
-    return json.dumps(spec_to_dict(spec))
-
-
-def spec_from_json(text: str) -> AttackSpec:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"bad attack JSON: {exc}") from exc
-    return spec_from_dict(data)

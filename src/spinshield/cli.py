@@ -171,6 +171,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_adaptive(args: argparse.Namespace) -> int:
+    if args.limit < 1:
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     bundle = md.load_bundle(args.checkpoint)
     subset = _load_split(args, args.limit)
     result = evaluation.adaptive_attack_suite(bundle, subset, steps=args.steps, budget=args.budget)

@@ -128,8 +128,11 @@ class EvalReport:
 
 
 def _ordered(labeled: list[LabeledClip]) -> list[tuple[int, LabeledClip]]:
-    return sorted([(json_int(lc.provenance.get("index", i), "provenance index"), lc) for i, lc in enumerate(labeled)],
-                  key=lambda pair: pair[0])
+    pairs = sorted([(json_int(lc.provenance.get("index", i), "provenance index"), lc) for i, lc in enumerate(labeled)],
+                   key=lambda pair: pair[0])
+    if repeated := [cid for (cid, _), (next_id, _) in zip(pairs, pairs[1:]) if cid == next_id]:
+        raise ValueError(f"provenance index {repeated[0]} is repeated; a report names each clip by its own")
+    return pairs
 
 
 def _signal_stack(clips: list[PatchSignalClip]) -> FloatArray:
@@ -298,10 +301,10 @@ def adaptive_attack(
     """White-box per-clip attack: ascend the true-label CE over a bounded
     log-amplitude modulation field, phase fixed; returns the strongest
     perturbed clip found and its post-attack score."""
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    if budget < 0 or steps < 0:
+        raise ValueError(f"budget and steps must be non-negative, got {budget} and {steps}")
     clip, y = labeled.clip, labeled.y
-    if budget == 0.0 or steps <= 0:
+    if budget == 0.0 or steps == 0:
         return clip, score_clip(bundle, clip)
 
     amp, phase = forward_stack(clip.signals)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .errors import DataFormatError, json_int, read_json
+from .errors import DataFormatError, from_record, json_fields, json_int, read_json, to_record
 from .spectral import (
     DEFAULT_FPS,
     ComplexArray,
@@ -70,7 +70,19 @@ class ModelBundle:
     delta: float = DEFAULT_DELTA
 
 
-# every parameter: canonical name -> shape in terms of the checkpoint dims; the
+@dataclass(frozen=True)
+class Dims:
+    """The model's dimensions, in which :data:`_PARAMS` states every shape."""
+
+    input_width: int
+    n_bins: int
+    hidden: int
+    feature_dim: int
+    gen_hidden: int
+    domain_hidden: int
+
+
+# every parameter: canonical name -> shape in terms of the Dims fields; the
 # order is that of named_arrays, checkpoints and init_bundle's draws
 _PARAMS = {
     "enc.w1": ("input_width", "hidden"),
@@ -90,8 +102,8 @@ _PARAMS = {
 }
 
 
-def _shape(spec: tuple, dims: Mapping) -> tuple[int, ...]:
-    return tuple(d if isinstance(d, int) else json_int(dims[d], d) for d in spec)
+def _shape(spec: tuple, dims: Dims) -> tuple[int, ...]:
+    return tuple(d if isinstance(d, int) else getattr(dims, d) for d in spec)
 
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> FloatArray:
@@ -116,8 +128,7 @@ def init_bundle(
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     rng = keyed_rng(seed, 0)
-    dims = {"input_width": input_width, "n_bins": n_bins, "hidden": hidden,
-            "feature_dim": feature_dim, "gen_hidden": gen_hidden, "domain_hidden": domain_hidden}
+    dims = Dims(input_width, n_bins, hidden, feature_dim, gen_hidden, domain_hidden)
     params = {
         name: _uniform(rng, _shape(spec, dims)) if ".w" in name else np.zeros(_shape(spec, dims))
         for name, spec in _PARAMS.items()
@@ -303,15 +314,26 @@ def lsa_perturb_graph(
 # --- checkpoints -----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Checkpoint:
+    """A checkpoint file; each parameter is ``{"shape": [...], "data": <base64 of its float64 LE bytes>}``."""
+
+    format: str
+    dims: Dims
+    alpha: float
+    delta: float
+    params: dict
+
+
 def _encode_array(arr: FloatArray) -> dict:
     data = np.ascontiguousarray(arr, dtype="<f8")
     return {"shape": list(arr.shape), "data": base64.b64encode(data.tobytes()).decode("ascii")}
 
 
-def _decode_array(entry: dict) -> FloatArray:
+def _decode_array(entry: object, name: str) -> FloatArray:
+    entry = json_fields(entry, ("shape", "data"), name)
     shape = tuple(json_int(s, "shape") for s in entry["shape"])
-    raw = base64.b64decode(entry["data"])
-    arr = np.frombuffer(raw, dtype="<f8")
+    arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
     if arr.size != int(np.prod(shape)):
         raise DataFormatError(f"array payload size {arr.size} does not match shape {shape}")
     return arr.reshape(shape).astype(np.float64)
@@ -319,21 +341,11 @@ def _decode_array(entry: dict) -> FloatArray:
 
 def save_bundle(bundle: ModelBundle, path: Path) -> None:
     p = bundle.params
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "dims": {
-            "input_width": p["enc.w1"].shape[0],
-            "n_bins": p["gen.w1"].shape[0],
-            "hidden": p["enc.w1"].shape[1],
-            "feature_dim": p["enc.w2"].shape[1],
-            "gen_hidden": p["gen.w1"].shape[1],
-            "domain_hidden": p["head.wq1"].shape[1],
-        },
-        "alpha": bundle.alpha,
-        "delta": bundle.delta,
-        "params": {name: _encode_array(p[name]) for name in _PARAMS},
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    # the inverse of _shape: each named dim read from the shapes that state it
+    dims = Dims(**{d: n for name, spec in _PARAMS.items() for d, n in zip(spec, p[name].shape) if isinstance(d, str)})
+    params = {name: _encode_array(p[name]) for name in _PARAMS}
+    record = to_record(Checkpoint(CHECKPOINT_FORMAT, dims, bundle.alpha, bundle.delta, params))
+    Path(path).write_text(json.dumps(record), encoding="utf-8")
 
 
 def load_bundle(path: Path) -> ModelBundle:
@@ -343,19 +355,17 @@ def load_bundle(path: Path) -> ModelBundle:
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(f"{path}: unknown checkpoint format {doc.get('format')!r}")
     try:
-        dims = doc["dims"]
-        params = {name: _decode_array(doc["params"][name]) for name in _PARAMS}
-        declared = {name: _shape(spec, dims) for name, spec in _PARAMS.items()}
-        bundle = ModelBundle(params, float(doc["alpha"]), float(doc["delta"]))
+        checkpoint = from_record(Checkpoint, doc)
+        stored = json_fields(checkpoint.params, _PARAMS, "params")
+        params = {name: _decode_array(stored[name], name) for name in _PARAMS}
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: incomplete checkpoint: {exc}") from exc
+    bundle = ModelBundle(params, checkpoint.alpha, checkpoint.delta)
     if not all(0.0 < v < np.inf for v in (bundle.alpha, bundle.delta)):
         raise DataFormatError(f"{path}: alpha and delta must be finite and positive, "
                               f"got {bundle.alpha!r} and {bundle.delta!r}")
-    for name, shape in declared.items():
-        if params[name].shape != shape:
-            raise DataFormatError(
-                f"{path}: dimension mismatch for {name}: "
-                f"stored {params[name].shape}, declared {shape}"
-            )
+    for name, spec in _PARAMS.items():
+        if params[name].shape != (shape := _shape(spec, checkpoint.dims)):
+            raise DataFormatError(f"{path}: dimension mismatch for {name}: "
+                                  f"stored {params[name].shape}, declared {shape}")
     return bundle

@@ -219,6 +219,31 @@ def spec_from_dict(data: dict) -> DatasetSpec:
         raise DataFormatError(f"bad dataset spec: {exc}") from exc
 
 
+@dataclass(frozen=True)
+class ManifestEntry:
+    """One clip of a manifest; its provenance is free-form, and only its ``index`` is read."""
+
+    path: str
+    label: int
+    provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.path, str) or not isinstance(self.provenance, dict):
+            raise TypeError("path must be a string and provenance a JSON object")
+        json_int(self.provenance.get("index", 0), "provenance index")
+
+
+@dataclass(frozen=True, kw_only=True)
+class Manifest:
+    """A dataset's manifest file; the spec states every clip's shape from version 2 on."""
+
+    version: int
+    clip_format: str = "csv"
+    spec: DatasetSpec
+    seed: int
+    clips: list[ManifestEntry]
+
+
 def save_dataset(
     clips: list[LabeledClip], spec: DatasetSpec, out_dir: Path, clip_format: str = "csv"
 ) -> Path:
@@ -236,83 +261,47 @@ def save_dataset(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = "csv" if clip_format == "csv" else "spsc"
-    entries = []
-    for i, labeled in enumerate(clips):
-        name = f"clip_{i:05d}.{ext}"
-        clipio.write_clip(labeled.clip, out_dir / name, clip_format, sidecar=False)
-        entries.append({"path": name, "label": labeled.y, "provenance": labeled.provenance})
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "clip_format": clip_format,
-        "spec": spec_to_dict(spec),
-        "seed": spec.seed,
-        "clips": entries,
-    }
+    entries = [ManifestEntry(f"clip_{i:05d}.{ext}", labeled.y, labeled.provenance) for i, labeled in enumerate(clips)]
+    for entry, labeled in zip(entries, clips):
+        clipio.write_clip(labeled.clip, out_dir / entry.path, clip_format, sidecar=False)
+    manifest = Manifest(version=MANIFEST_VERSION, clip_format=clip_format, spec=spec, seed=spec.seed, clips=entries)
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+    manifest_path.write_text(json.dumps(to_record(manifest), indent=1), encoding="utf-8")
     return manifest_path
 
 
-def _read_manifest(manifest_path: Path) -> dict:
-    manifest = read_json(manifest_path, "manifest")
-    if not isinstance(manifest, dict):
+def _read_manifest(manifest_path: Path) -> Manifest:
+    doc = read_json(manifest_path, "manifest")
+    if not isinstance(doc, dict):
         raise DataFormatError(f"{manifest_path}: manifest must be a JSON object")
-    version = manifest.get("version")
+    version = doc.get("version")
     # a JSON true or 2.0 compares equal to a version number, but is not one
     if type(version) is not int or version not in (1, MANIFEST_VERSION):
         raise DataFormatError(f"unsupported manifest version {version!r}")
-    return manifest
-
-
-def _manifest_spec(manifest: dict, manifest_path: Path) -> DatasetSpec:
-    if not isinstance(manifest.get("spec"), dict):
-        raise DataFormatError(f"{manifest_path}: manifest has no dataset spec object")
-    return spec_from_dict(manifest["spec"])
-
-
-def _manifest_clips(
-    manifest: dict, manifest_path: Path, select: Callable[[int], Sequence[int]] | None = None
-) -> list[LabeledClip]:
-    fmt = manifest.get("clip_format", "csv")
-    base = manifest_path.parent
-    shape = None
-    if manifest["version"] != 1:
-        spec = _manifest_spec(manifest, manifest_path)
-        shape = (spec.patches, spec.frames)
-    entries = []
-    listed = manifest.get("clips", [])
+    listed = doc.get("clips", [])
     if not isinstance(listed, list):
         raise DataFormatError(f"{manifest_path}: manifest clips must be a JSON list")
-    for entry in listed:
+    try:
+        manifest = from_record(Manifest, {**doc, "clips": []})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{manifest_path}: bad manifest: {exc}") from exc
+    for entry in listed:  # one at a time, so that an error names its entry
         try:
-            label, rel, provenance = json_int(entry["label"], "label"), entry["path"], dict(entry.get("provenance", {}))
-            json_int(provenance.get("index", 0), "provenance index")
+            manifest.clips.append(from_record(ManifestEntry, entry))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"bad manifest entry {entry!r}: {exc}") from exc
-        if not isinstance(rel, str):
-            raise DataFormatError(f"bad manifest entry {entry!r}: path must be a string")
-        entries.append((label, rel, provenance))
-    if not entries:
+    if not manifest.clips:
         raise DataFormatError(f"{manifest_path}: manifest lists no clips")
-    out: list[LabeledClip] = []
-    for i in range(len(entries)) if select is None else select(len(entries)):
-        label, rel, provenance = entries[i]
-        try:
-            clip = clipio.read_clip(base / rel, fmt, shape)
-        except ValueError as exc:
-            raise DataFormatError(f"{rel}: {exc}") from exc
-        out.append(LabeledClip(clip=clip, y=label, provenance=provenance))
-    return out
+    return manifest
 
 
 def load_clips(manifest_path: Path) -> list[LabeledClip]:
     """Load every clip listed in a manifest, validating labels and signals."""
-    manifest_path = Path(manifest_path)
-    return _manifest_clips(_read_manifest(manifest_path), manifest_path)
+    return load_dataset(manifest_path)[1]
 
 
 def load_dataset(
-    manifest_path: Path, select: Callable[[int], Sequence[int]] | None = None
+    manifest_path: Path, select: Callable[[int], Sequence[int]] = range
 ) -> tuple[DatasetSpec, list[LabeledClip]]:
     """The manifest's dataset spec and its clips; the manifest is read once.
 
@@ -322,4 +311,12 @@ def load_dataset(
     """
     manifest_path = Path(manifest_path)
     manifest = _read_manifest(manifest_path)
-    return _manifest_spec(manifest, manifest_path), _manifest_clips(manifest, manifest_path, select)
+    shape = None if manifest.version == 1 else (manifest.spec.patches, manifest.spec.frames)
+    out: list[LabeledClip] = []
+    for entry in [manifest.clips[i] for i in select(len(manifest.clips))]:
+        try:
+            clip = clipio.read_clip(manifest_path.parent / entry.path, manifest.clip_format, shape)
+        except ValueError as exc:
+            raise DataFormatError(f"{entry.path}: {exc}") from exc
+        out.append(LabeledClip(clip=clip, y=entry.label, provenance=entry.provenance))
+    return manifest.spec, out

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -13,12 +15,10 @@ from spinshield.attacks import (
     build_mask,
     sample_attack,
     spec_from_dict,
-    spec_from_json,
     spec_to_dict,
-    spec_to_json,
     tukey_window,
 )
-from spinshield.errors import DataFormatError
+from spinshield.errors import DataFormatError, read_json
 from spinshield.spectral import FrequencyGrid, PatchSignalClip, dft_onesided, forward_stack, inverse_stack
 
 from conftest import random_clip
@@ -248,7 +248,7 @@ class TestSerialization:
         # the decoder reads every field the encoder writes, and no other
         for kind in attacks.ALL_KINDS + ("identity",):
             spec = sample_attack(kind, GRID16, seed=21, patches=3)
-            back = spec_from_json(spec_to_json(spec))
+            back = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
             assert back == spec
 
     def test_replay_from_record_alone(self, rng):
@@ -263,9 +263,11 @@ class TestSerialization:
         with pytest.raises(DataFormatError):
             spec_from_dict({"kind": "nonsense"})
 
-    def test_bad_json_rejected(self):
+    def test_bad_json_rejected(self, tmp_path):
+        path = tmp_path / "attack.json"
+        path.write_text("{not json")
         with pytest.raises(DataFormatError):
-            spec_from_json("{not json")
+            spec_from_dict(read_json(path, "attack spec"))
 
     def test_missing_field_rejected(self):
         with pytest.raises(DataFormatError):

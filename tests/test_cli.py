@@ -517,6 +517,66 @@ class TestMalformedInputs:
         assert "incomplete checkpoint" in err and "must be an integer" in err
         assert len(err.strip().splitlines()) == 1 and not out.exists()
 
+    @pytest.mark.parametrize("target, at, key, value, message", [
+        ("manifest", (), "versoin", 3, "unknown field 'versoin'"),
+        ("manifest", ("clips", 0), "lable", 1, "bad manifest entry"),
+        ("checkpoint", (), "aplha", 9.0, "unknown field 'aplha'"),
+        ("checkpoint", ("dims",), "hiden", 3, "unknown field 'hiden' in dims"),
+        ("checkpoint", ("params",), "enc.w3", {"shape": [1], "data": "AAAAAAAAAAA="}, "unknown field 'enc.w3' in params"),
+        ("checkpoint", ("params", "enc.b1"), "dtype", "<f8", "unknown field 'dtype' in enc.b1"),
+        ("checkpoint", (), "alpha", "0.6", "alpha must be a number, got '0.6'"),
+    ])
+    def test_misspelt_or_mistyped_record_field_is_data_error(self, pipeline, tmp_path, capsys, target, at, key, value,
+                                                             message):
+        # each file loaded: the misspelt key was passed over, and "0.6" read as 0.6
+        _, manifest, checkpoint = pipeline
+        source = manifest if target == "manifest" else checkpoint
+        edited = source.with_name(f"misspelt_{key}.json")
+        edited.write_text(json.dumps(_replaced(json.loads(source.read_text()), (*at, key), value)))
+        data, model = (edited, checkpoint) if target == "manifest" else (manifest, edited)
+        out = tmp_path / "features.csv"
+        code = cli.main(["features", "--checkpoint", str(model), "--data", str(data), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert message in err and len(err.strip().splitlines()) == 1 and not out.exists()
+
+    def test_repeated_provenance_index_is_data_error(self, pipeline, tmp_path, capsys):
+        # the report named two clips by one id, so replay_report could not reproduce it
+        _, manifest, checkpoint = pipeline
+        doc = json.loads(manifest.read_text())
+        doc["clips"][7]["provenance"]["index"] = 3
+        path = manifest.parent / "repeated_index.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        code = cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(path), "--out", str(out),
+                         "--kinds", "notch", "--n-seeds", "1", "--split", "all"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "provenance index 3 is repeated" in err and len(err.strip().splitlines()) == 1 and not out.exists()
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_adaptive_limit_below_one_is_data_error(self, pipeline, tmp_path, capsys, limit):
+        # -1 attacked all but the last clip, and 0 none, which ended in an AUC error
+        _, manifest, checkpoint = pipeline
+        out = tmp_path / "a.json"
+        code = cli.main(["adaptive", "--checkpoint", str(checkpoint), "--data", str(manifest), "--out", str(out),
+                         "--limit", limit])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"--limit must be at least 1, got {limit}" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_adaptive_negative_steps_is_data_error(self, pipeline, tmp_path, capsys):
+        # no attack ran, and the report said "steps": -3
+        _, manifest, checkpoint = pipeline
+        out = tmp_path / "a.json"
+        code = cli.main(["adaptive", "--checkpoint", str(checkpoint), "--data", str(manifest), "--out", str(out),
+                         "--steps", "-3", "--limit", "4"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "must be non-negative" in err and "and -3" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("meta", [{"M": 4.7, "T": 8}, {"M": 4, "T": "8"}, {"M": True, "T": 8}])
     def test_sidecar_shape_must_be_integers(self, tmp_path, capsys, meta):
         # int() read {"M": 4.7, "T": "8"} as a 4 x 8 clip
@@ -791,19 +851,19 @@ class TestFuzzedFiles:
     def _mutated_json(data, target, inputs):
         doc = inputs["documents"][target]
         how = data.draw(st.sampled_from(["value", "value", "value", "unknown", "root", "truncate"]), "how")
-        if how == "unknown" and target in inputs["records"]:
-            objects = [()] + [path for path in _paths(doc) if isinstance(_at(doc, path), dict)]
+        paths = list(_paths(doc))
+        if target == "manifest":
+            # every entry is read alike, so two stand for all; no command reads a clip's flip frame
+            paths = [p for p in paths if p[-1] != "t0" and not (p[0] == "clips" and p[1:2] >= (2,))]
+        if how == "unknown" and target in inputs["records"] | {"manifest", "checkpoint"}:
+            # a manifest entry's provenance is free-form: only its index is read
+            objects = [()] + [p for p in paths if isinstance(_at(doc, p), dict) and p[-1] != "provenance"]
             return json.dumps(_replaced(doc, (*data.draw(st.sampled_from(objects), "object"), "misspelt"), 1))
         if how == "root":
             return json.dumps(data.draw(st.sampled_from([[1, 2], "x", 3, None]), "root"))
         if how == "truncate":
             text = json.dumps(doc)
             return text[: data.draw(st.integers(0, len(text) - 1), "length")]
-        paths = list(_paths(doc))
-        if target == "manifest":
-            # every entry is read alike, so two stand for all; no command reads
-            # the manifest's copy of the spec seed or a clip's flip frame
-            paths = [p for p in paths if p != ("seed",) and p[-1] != "t0" and not (p[0] == "clips" and p[1:2] >= (2,))]
         path = data.draw(st.sampled_from(paths), "path")
         return json.dumps(_replaced(doc, path, data.draw(st.sampled_from(_wrong_types(_at(doc, path))), "value")))
 
@@ -860,7 +920,8 @@ class TestFuzzedFiles:
                 path.with_name("clip.csv.json").write_text(
                     self._mutated_json(data, target, inputs) if target == "sidecar" else json.dumps(sidecar))
             else:
-                path = tmp / "record.json"
+                # a manifest sits beside its clips, so that nothing but its own fields can fail it
+                path = inputs["manifest"].with_name("fuzzed.json") if target == "manifest" else tmp / "record.json"
                 path.write_text(self._mutated_json(data, target, inputs))
             argv = [*self._argv(target, path, inputs), "--out", str(tmp / "out")]
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -338,3 +338,81 @@ class TestMalformedRecords:
         assert atk.spec_from_dict({"kind": "notch", "center_bin": 3, "width_bins": 1}) == atk.AttackSpec(
             "notch", atk.NotchParams(3, 1, 0.0), 0)
         assert tr.config_from_dict({"weights": {}}).weights == obj.LossWeights()
+
+
+DELETE = object()
+
+# (what, where, key, new value or DELETE, message): a manifest's and a checkpoint's fields are
+# read by the codec too; {path} is the file and {entry} the edited manifest entry
+MALFORMED_FILES = [
+    ("manifest", (), "version", 3, "unsupported manifest version 3"),
+    ("manifest", (), "clips", 5, "{path}: manifest clips must be a JSON list"),
+    ("manifest", (), "clips", [], "{path}: manifest lists no clips"),
+    ("manifest", (), "versoin", 3, "{path}: bad manifest: unknown field 'versoin'"),
+    ("manifest", (), "spec", DELETE, "{path}: bad manifest: 'spec'"),
+    ("manifest", (), "spec", [1], "{path}: bad manifest: spec must be a JSON object, got list"),
+    ("manifest", ("spec",), "frames", "16", "{path}: bad manifest: frames must be an integer, got '16'"),
+    ("manifest", ("spec",), "frame", 16, "{path}: bad manifest: unknown field 'frame' in spec"),
+    ("manifest", (), "seed", 1.5, "{path}: bad manifest: seed must be an integer, got 1.5"),
+    ("manifest", ("clips", 0), "label", True, "bad manifest entry {entry}: label must be an integer, got True"),
+    ("manifest", ("clips", 0), "lable", 1, "bad manifest entry {entry}: unknown field 'lable'"),
+    ("manifest", ("clips", 0), "path", DELETE, "bad manifest entry {entry}: 'path'"),
+    ("manifest", ("clips", 0), "path", 5,
+     "bad manifest entry {entry}: path must be a string and provenance a JSON object"),
+    ("manifest", ("clips", 0), "provenance", [1],
+     "bad manifest entry {entry}: path must be a string and provenance a JSON object"),
+    ("manifest", ("clips", 0, "provenance"), "index", "0",
+     "bad manifest entry {entry}: provenance index must be an integer, got '0'"),
+    ("checkpoint", (), "format", "x", "{path}: unknown checkpoint format 'x'"),
+    ("checkpoint", (), "aplha", 9.0, "{path}: incomplete checkpoint: unknown field 'aplha'"),
+    ("checkpoint", (), "alpha", "0.6", "{path}: incomplete checkpoint: alpha must be a number, got '0.6'"),
+    ("checkpoint", ("dims",), "hidden", DELETE, "{path}: incomplete checkpoint: 'hidden'"),
+    ("checkpoint", ("dims",), "hiden", 3, "{path}: incomplete checkpoint: unknown field 'hiden' in dims"),
+    ("checkpoint", ("dims",), "hidden", 7,
+     "{path}: dimension mismatch for enc.w1: stored (48, 6), declared (48, 7)"),
+    ("checkpoint", ("params",), "enc.b2", DELETE, "{path}: incomplete checkpoint: 'enc.b2'"),
+    ("checkpoint", ("params",), "enc.w3", {}, "{path}: incomplete checkpoint: unknown field 'enc.w3' in params"),
+    ("checkpoint", (), "params", [1], "{path}: incomplete checkpoint: params must be a JSON object, got list"),
+    ("checkpoint", ("params", "enc.b1"), "dtype", "<f8",
+     "{path}: incomplete checkpoint: unknown field 'dtype' in enc.b1"),
+    ("checkpoint", ("params",), "enc.b1", [1], "{path}: incomplete checkpoint: enc.b1 must be a JSON object, got list"),
+]
+
+
+class TestFileRecords:
+    """Manifests and checkpoints are written and read through the codec, with
+    the bytes their hand-written codecs wrote."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        from spinshield import models as md
+
+        root = tmp_path_factory.mktemp("files")
+        spec = sd.DatasetSpec(n_clips=3, seed=2)
+        manifest = sd.save_dataset(sd.generate_dataset(spec), spec, root / "data", clip_format="binary")
+        checkpoint = root / "model.ckpt"
+        md.save_bundle(md.init_bundle(48, 9, hidden=6, feature_dim=4, gen_hidden=5, domain_hidden=3), checkpoint)
+        return {"manifest": manifest, "checkpoint": checkpoint}
+
+    def test_manifest_bytes_pinned(self, files):
+        digest = hashlib.sha256(files["manifest"].read_bytes()).hexdigest()
+        assert digest == "7108302f0b9c66f40960f7c93635d771a02f5074cd715455cf005c0485529db7"
+
+    @pytest.mark.parametrize("what, where, key, value, message", MALFORMED_FILES)
+    def test_message(self, files, what, where, key, value, message):
+        from spinshield import models as md
+
+        doc = json.loads(files[what].read_text())
+        parent = doc
+        for step in where:
+            parent = parent[step]
+        if value is DELETE:
+            del parent[key]
+        else:
+            parent[key] = value
+        path = files[what].with_name("edited.json")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as info:
+            sd.load_dataset(path) if what == "manifest" else md.load_bundle(path)
+        entry = doc["clips"][0] if what == "manifest" and isinstance(doc["clips"], list) and doc["clips"] else None
+        assert str(info.value) == message.format(path=path, entry=repr(entry))
