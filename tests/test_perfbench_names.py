@@ -26,10 +26,12 @@ def _bindings() -> dict:
 
 
 def test_tracer_wraps_every_target_and_restores_it(monkeypatch):
-    # _import_program pins the BLAS thread variables and extends sys.path; both are restored after the test
+    # _import_program sets the BLAS thread variables, unsets SPINSHIELD_THREADS and extends
+    # sys.path; monkeypatch restores all of them after the test
     monkeypatch.setattr(sys, "path", list(sys.path))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
+    monkeypatch.delenv("SPINSHIELD_THREADS", raising=False)
     pkg = _load("run")._import_program()
     tracing = _load("tracing")
     targets = [(owner, attr, getattr(owner, attr)) for owner, attr, *_ in tracing._targets(pkg)]
