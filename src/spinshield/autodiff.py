@@ -18,10 +18,9 @@ when reusing nodes.
 
 The program builds no graph: its closed-form kernels call the plain-array
 products that the ops here share (:func:`standardized`, :func:`standardize_vjp`,
-:func:`softmax_rows`, :func:`softmax_vjp`, :func:`softmax_parts`,
-:func:`cross_entropy_parts`, :func:`cross_entropy_vjp`).  Graphs are the
-tests' reference for those kernels bit for bit, and carry the gradient checks
-against finite differences.
+:func:`softmax_vjp`, :func:`softmax_parts`, :func:`cross_entropy_parts`,
+:func:`cross_entropy_vjp`).  Graphs are the tests' reference for those
+kernels bit for bit, and carry the gradient checks against finite differences.
 """
 
 from __future__ import annotations
@@ -299,16 +298,10 @@ def softmax(a: Node) -> Node:
     """Row-wise softmax of a 2-d logits matrix."""
     if a.value.ndim != 2:
         raise ValueError("softmax expects a 2-d logits matrix")
-    p = softmax_rows(a.value)
+    p = softmax_parts(a.value)[2]
     out = Node(p, (a,))
     out._backward = lambda g: _accumulate(a, softmax_vjp(p, g))
     return out
-
-
-def softmax_rows(z: FloatArray) -> FloatArray:
-    """The row-wise softmax of a 2-d logits matrix."""
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def softmax_vjp(p: FloatArray, g: FloatArray) -> FloatArray:

@@ -54,7 +54,7 @@ def _clean_path(bundle: md.ModelBundle, z: FloatArray) -> tuple[FloatArray, Floa
     """Features and class probabilities for standardized clip rows ``z``."""
     p = bundle.params
     h = md.encode(z, p)[1]
-    return h, ad.softmax_rows(md.classify(h, p))
+    return h, ad.softmax_parts(md.classify(h, p))[2]
 
 
 def score_rows(bundle: md.ModelBundle, z: FloatArray) -> np.ndarray:

@@ -208,6 +208,14 @@ class LsaViews(NamedTuple):
     inv_std: FloatArray
 
 
+def _lsa_modulation(gen: Mapping[str, FloatArray], amp: FloatArray, norm: FloatArray, alpha: float,
+                    delta: float) -> tuple[FloatArray, ...]:
+    """The generator's hidden layer and :func:`lsa_modulate`'s four outputs
+    for amplitude rows ``(B*M, K)`` and their min-max normalization ``norm``."""
+    hidden = np.tanh(norm @ gen["gen.w1"] + gen["gen.b1"])
+    return (hidden, *lsa_modulate(amp, hidden @ gen["gen.w2"] + gen["gen.b2"], alpha, delta))
+
+
 def lsa_forward(gen: Mapping[str, FloatArray], amp: FloatArray, norm: FloatArray, phasor: ComplexArray, window: int,
                 alpha: float, delta: float) -> LsaViews:
     """The adversary's views of clip spectra ``(B, M, K)`` with their
@@ -215,11 +223,8 @@ def lsa_forward(gen: Mapping[str, FloatArray], amp: FloatArray, norm: FloatArray
     generator's input) and unit phasors ``exp(i phase)``, and the
     intermediates of the pass."""
     b, m, k = amp.shape
-    norm = norm.reshape(b * m, k)
-    hidden = np.tanh(norm @ gen["gen.w1"] + gen["gen.b1"])
-    field = hidden @ gen["gen.w2"] + gen["gen.b2"]
-    squashed, new_amp, denom, mask = lsa_modulate(amp.reshape(b * m, k), field, alpha, delta)
-    phasor = phasor.reshape(b * m, k)
+    norm, phasor = norm.reshape(b * m, k), phasor.reshape(b * m, k)
+    hidden, squashed, new_amp, denom, mask = _lsa_modulation(gen, amp.reshape(b * m, k), norm, alpha, delta)
     signals = synthesize_rows(new_amp, phasor, window).reshape(b, m * window)
     z_env, inv_std = ad.standardized(signals, STANDARDIZE_EPS, out=signals)
     return LsaViews(norm, hidden, squashed, new_amp, denom, mask, phasor, z_env, inv_std)
@@ -239,13 +244,12 @@ def lsa_perturb(
     spectrum: OneSidedSpectrum, bundle: ModelBundle, fps: float | None = None
 ) -> tuple[PatchSignalClip, ModulationMask]:
     """Perturb one clip's amplitude spectrum with the bundle's learned adversary."""
-    phasor = np.exp(1j * spectrum.phase)
-    window = spectrum.grid.window
-    amp = spectrum.amplitude[None]
-    views = lsa_forward(bundle.params, amp, minmax_normalize(amp), phasor[None], window, bundle.alpha, bundle.delta)
-    signals = synthesize_rows(views.new_amp, views.phasor, window)
+    amp = spectrum.amplitude
+    *_, new_amp, _, mask = _lsa_modulation(bundle.params, amp, minmax_normalize(amp[None])[0], bundle.alpha,
+                                           bundle.delta)
+    signals = synthesize_rows(new_amp, np.exp(1j * spectrum.phase), spectrum.grid.window)
     clip = PatchSignalClip(signals=signals, fps=DEFAULT_FPS if fps is None else fps)
-    return clip, ModulationMask(values=views.mask[None], delta=bundle.delta)
+    return clip, ModulationMask(values=mask[None], delta=bundle.delta)
 
 
 # --- graph-level forward passes -------------------------------------------------

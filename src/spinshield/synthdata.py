@@ -231,6 +231,8 @@ class ManifestEntry:
         if not isinstance(self.path, str) or not isinstance(self.provenance, dict):
             raise TypeError("path must be a string and provenance a JSON object")
         json_int(self.provenance.get("index", 0), "provenance index")
+        if self.label not in (0, 1):
+            raise ValueError("label must be 0 (real) or 1 (fake)")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -285,6 +287,9 @@ def _read_manifest(manifest_path: Path) -> Manifest:
         manifest = from_record(Manifest, {**doc, "clips": []})
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{manifest_path}: bad manifest: {exc}") from exc
+    if manifest.seed != manifest.spec.seed:
+        raise DataFormatError(f"{manifest_path}: bad manifest: seed {manifest.seed} differs from the spec's seed "
+                              f"{manifest.spec.seed}")
     for entry in listed:  # one at a time, so that an error names its entry
         try:
             manifest.clips.append(from_record(ManifestEntry, entry))

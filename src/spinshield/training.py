@@ -230,10 +230,18 @@ def _stack_dataset(
     return rows, labels, amps, norms, phasors
 
 
-def _check_finite(value: float, what: str, step: int) -> float:
-    if not math.isfinite(value):
-        raise NumericalAbort(f"{what} is non-finite ({value}) at step {step}")
-    return float(value)
+def _checked_row(step: int, phase: str, names: tuple[str, ...], losses: Iterable[float]) -> dict:
+    """A step's log row: each loss checked for finiteness under its name, in
+    order, then set in its ``LOG_COLUMNS`` column, where every other column
+    is None; a loss with no column is checked but not logged."""
+    row = dict.fromkeys(LOG_COLUMNS)
+    row.update(step=step, phase=phase)
+    for what, value in zip(names, losses):
+        if not math.isfinite(value):
+            raise NumericalAbort(f"{what} is non-finite ({value}) at step {step}")
+        if what in row:
+            row[what] = float(value)
+    return row
 
 
 def _first_non_finite(arrays: Mapping[str, FloatArray]) -> str:
@@ -542,16 +550,9 @@ def train(
                 z_env = None
 
             losses = _detector_step(det_opt.arrays, det_opt.grads, z_clean, z_env, y, config.weights)
-            for value, what in zip(losses, ("L_det", "L_sym", "discriminator loss", "L_blind", "total")):
-                _check_finite(value, what, step)
+            log_rows.append(
+                _checked_row(step, "theta", ("L_det", "L_sym", "discriminator loss", "L_blind", "total"), losses))
             _adam_step(det_opt, step)
-            l_det, l_sym, _, l_blind, total = losses
-            log_rows.append({
-                "step": step, "phase": "theta",
-                "L_det": float(l_det), "L_sym": float(l_sym),
-                "L_blind": float(l_blind), "L_gen": None, "mmd": None,
-                "mask_reg": None, "total": float(total),
-            })
             step += 1
 
             # --- adversary step: detector frozen ----------------------------------
@@ -560,16 +561,9 @@ def train(
                 losses = _adversary_step(
                     frozen, gen_opt.arrays, gen_opt.grads, views, z_clean, y, config.weights, config.alpha
                 )
-                for value, what in zip(losses, ("mmd", "mask_reg", "L_gen")):
-                    _check_finite(value, what, step)
+                # the step's total is -L_gen, which is finite where L_gen is
+                log_rows.append(_checked_row(step, "phi", ("mmd", "mask_reg", "L_gen", "total"), (*losses, -losses[2])))
                 _adam_step(gen_opt, step)  # ascends L_gen: the gradients are of -L_gen
-                d_mmd, reg, l_gen = losses
-                log_rows.append({
-                    "step": step, "phase": "phi",
-                    "L_det": None, "L_sym": None, "L_blind": None,
-                    "L_gen": float(l_gen), "mmd": float(d_mmd),
-                    "mask_reg": float(reg), "total": float(-l_gen),
-                })
                 step += 1
 
         val_scores = score_rows(bundle, val_rows)

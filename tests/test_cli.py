@@ -473,6 +473,41 @@ class TestMalformedInputs:
         assert "bad manifest entry" in err and "label must be an integer" in err
         assert len(err.strip().splitlines()) == 1 and not (tmp_path / "m.ckpt").exists()
 
+    def test_out_of_range_label_outside_the_split_is_data_error(self, pipeline, tmp_path, capsys):
+        # only the split's clips were range-checked, when they were read: eval --split test exited 0
+        from spinshield import training
+
+        _, manifest, checkpoint = pipeline
+        doc = json.loads(manifest.read_text())
+        _, _, test = training.split_indices(len(doc["clips"]), 5)
+        outside = next(i for i in range(len(doc["clips"])) if i not in set(test.tolist()))
+        doc["clips"][outside]["label"] = 3
+        path = manifest.parent / "label_3.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        code = cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(path), "--out", str(out),
+                         "--kinds", "notch", "--n-seeds", "1", "--split", "test", "--split-seed", "5"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "bad manifest entry" in err and "label must be 0 (real) or 1 (fake)" in err
+        assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+    def test_manifest_seed_must_be_the_spec_seed(self, pipeline, tmp_path, capsys):
+        # the top-level seed was read by nothing, so a manifest could state two seeds
+        _, manifest, checkpoint = pipeline
+        doc = json.loads(manifest.read_text())
+        assert doc["seed"] == doc["spec"]["seed"] == 5
+        doc["seed"] = 99
+        path = manifest.parent / "seed_99.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        code = cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(path), "--out", str(out),
+                         "--kinds", "notch", "--n-seeds", "1", "--split", "test", "--split-seed", "5"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{path}: bad manifest: seed 99 differs from the spec's seed 5" in err
+        assert len(err.strip().splitlines()) == 1 and not out.exists()
+
     @pytest.mark.parametrize("index", [0.5, "3"])
     def test_provenance_index_must_be_an_integer(self, pipeline, tmp_path, capsys, index):
         # int() read the index, which became the clip's id in a report

@@ -16,6 +16,7 @@ from spinshield.errors import DataFormatError
 from spinshield.spectral import dft_onesided, forward_stack
 
 import graph_reference
+from test_autodiff import finite_diff
 
 
 def pair_counting_auc(scores, labels):
@@ -240,6 +241,26 @@ class TestGraphReference:
             evaluation.adaptive_attack(bundle, lc, steps=steps, budget=budget)
         assert seen["calls"] == len(clips) * (steps + 1)
         assert seen["labels"] == {0, 1} and seen["clipped"]
+
+
+class TestAttackObjectiveGradient:
+    def test_gradient_is_the_central_difference(self, small_world):
+        # the white-box attack's gradient at the log-amplitude field, in
+        # float64, against the objective's own value, for either label
+        bundle, dataset = small_world
+        rng = np.random.default_rng(8)
+        for y in (0, 1):
+            clip = next(lc.clip for lc in dataset if lc.y == y)
+            amp, phase = forward_stack(clip.signals)
+            phasor, window = np.exp(1j * phase), clip.frame_count
+            field = {"u": rng.uniform(-0.3, 0.3, size=amp.shape)}
+
+            def objective(want_grad):
+                return evaluation._attack_objective(bundle.params, amp, phasor, window, y, field["u"], want_grad)
+
+            grad = objective(True)[1]
+            numeric = finite_diff(lambda _: objective(False)[0], field, "u")
+            assert float(np.max(np.abs(numeric - grad))) <= 1e-6 * float(np.max(np.abs(grad)))
 
 
 class TestNotchSweep:

@@ -16,6 +16,7 @@ from spinshield.objectives import LossWeights
 from spinshield.spectral import forward_stack, keyed_rng, minmax_normalize
 
 import graph_reference
+from test_autodiff import finite_diff
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +289,31 @@ class TestTraining:
         monkeypatch.setattr(training, "_detector_step", poisoned)
         with pytest.raises(NumericalAbort, match="step"):
             training.train(tiny_config(mode="baseline"), tiny_dataset)
+
+    @pytest.mark.parametrize("kernel, position, message", [
+        ("_detector_step", 0, "L_det is non-finite (nan) at step 0"),
+        ("_detector_step", 1, "L_sym is non-finite (nan) at step 0"),
+        ("_detector_step", 2, "discriminator loss is non-finite (nan) at step 0"),
+        ("_detector_step", 3, "L_blind is non-finite (nan) at step 0"),
+        ("_detector_step", 4, "total is non-finite (nan) at step 0"),
+        ("_adversary_step", 0, "mmd is non-finite (nan) at step 1"),
+        ("_adversary_step", 1, "mask_reg is non-finite (nan) at step 1"),
+        ("_adversary_step", 2, "L_gen is non-finite (nan) at step 1"),
+    ])
+    def test_each_non_finite_loss_is_named(self, tiny_dataset, monkeypatch, kernel, position, message):
+        # every loss a step returns is checked before its Adam step, the
+        # discriminator's too, though it is not logged
+        original = getattr(training, kernel)
+
+        def poisoned(*args):
+            losses = list(original(*args))
+            losses[position] = np.float32(np.nan)
+            return tuple(losses)
+
+        monkeypatch.setattr(training, kernel, poisoned)
+        with pytest.raises(NumericalAbort) as info:
+            training.train(tiny_config(mode="spinshield", epochs=1), tiny_dataset)
+        assert str(info.value) == message
 
     def test_log_csv_schema(self, tiny_dataset, tmp_path):
         result = training.train(tiny_config(mode="spinshield"), tiny_dataset)
@@ -595,6 +621,92 @@ class TestStepKernels:
         config = tiny_config(mode="spinshield", epochs=1, weights=LossWeights(**{ablation: 0.0}))
         seen = self._run(monkeypatch, config, tiny_dataset)
         assert seen["adversary"] == 3
+
+
+class TestFiniteDifferences:
+    """Every gradient a step kernel writes is, in float64, the central
+    difference of the loss the kernel itself returns for that parameter
+    group: ``total - lambda_blind * L_disc`` at the encoder and classifier
+    (the discriminator learns on detached features), ``lambda_blind * L_disc``
+    at the discriminator (the encoder's confusion term holds it constant) and
+    ``-L_gen`` at the generator."""
+
+    RTOL = 1e-6
+
+    def _assert_central_differences(self, arrays, names, loss, grads):
+        """Each named gradient is, to ``RTOL`` of its largest magnitude, the
+        central differences of ``loss()`` in the named array."""
+        for name in names:
+            numeric = finite_diff(lambda _: loss(), arrays, name)
+            scale = float(np.max(np.abs(grads[name])))
+            assert scale > 0.0, name
+            gap = float(np.max(np.abs(numeric - grads[name])))
+            assert gap <= self.RTOL * scale, (name, gap / scale)
+
+    @pytest.fixture
+    def world(self):
+        rng = np.random.default_rng(23)
+        b, m, t = 6, 2, 8
+        signals = rng.normal(size=(b, m, t))
+        amps, phases = forward_stack(signals)
+        bundle = md.init_bundle(input_width=m * t, n_bins=t // 2 + 1, hidden=6, feature_dim=4,
+                                gen_hidden=5, domain_hidden=3, seed=4)
+        # the biases are drawn too, so that no gradient is 0 by symmetry
+        arrays = {n: a + 0.1 * rng.normal(size=a.shape) for n, a in bundle.params.items()}
+        z_clean = ad.standardized(signals.reshape(b, m * t), md.STANDARDIZE_EPS)[0]
+        y = np.array([0, 1] * (b // 2))
+        return arrays, amps, np.exp(1j * phases), t, z_clean, y, bundle.alpha, bundle.delta
+
+    @pytest.mark.parametrize("mode", ["baseline", "spinshield"])
+    def test_detector_step(self, world, mode):
+        arrays, amps, phasors, t, z_clean, y, alpha, delta = world
+        gen = {n: a for n, a in arrays.items() if n.startswith("gen.")}
+        z_env = None if mode == "baseline" else md.lsa_forward(gen, amps, minmax_normalize(amps), phasors, t,
+                                                                 alpha, delta).z_env
+        detector = {n: a for n, a in arrays.items() if n.startswith(("enc.", "head."))}
+        weights = LossWeights()
+        grads, scratch = ({n: np.full_like(a, np.nan) for n, a in detector.items()} for _ in range(2))
+        training._detector_step(detector, grads, z_clean, z_env, y, weights)
+
+        def losses():
+            return training._detector_step(detector, scratch, z_clean, z_env, y, weights)
+
+        def encoder_loss():
+            _, _, l_disc, _, total = losses()
+            return total - weights.lambda_blind * l_disc
+
+        encoder = [n for n in detector if n.startswith(("enc.", "head.wg", "head.bg"))]
+        disc = [n for n in detector if n not in encoder]
+        self._assert_central_differences(detector, encoder, encoder_loss, grads)
+        if mode == "spinshield":
+            self._assert_central_differences(detector, disc, lambda: weights.lambda_blind * losses()[2], grads)
+        else:
+            assert all(not grads[n].any() for n in disc)
+
+    def test_adversary_step(self, world, monkeypatch):
+        arrays, amps, phasors, t, z_clean, y, alpha, delta = world
+        gen = {n: a for n, a in arrays.items() if n.startswith("gen.")}
+        frozen = {n: arrays[n] for n in training._ADVERSARY_READS}
+        weights = LossWeights()
+        # no gradient flows through the MMD's median bandwidth, so the
+        # differences hold it at its value at the unperturbed parameters
+        held = []
+
+        def held_bandwidth(d2, kernel, bandwidth=obj._bandwidth):
+            if not held:
+                held.append(bandwidth(d2, kernel))
+            return held[0]
+
+        monkeypatch.setattr(obj, "_bandwidth", held_bandwidth)
+        grads, scratch = ({n: np.full_like(a, np.nan) for n, a in gen.items()} for _ in range(2))
+
+        def step(into):
+            views = md.lsa_forward(gen, amps, minmax_normalize(amps), phasors, t, alpha, delta)
+            return training._adversary_step(frozen, gen, into, views, z_clean, y, weights, alpha)
+
+        d_mmd = step(grads)[0]
+        assert d_mmd > 0.0 and held
+        self._assert_central_differences(gen, gen, lambda: -step(scratch)[2], grads)
 
 
 class TestSinglePrecision:
