@@ -67,6 +67,8 @@ def main() -> None:
     parser.add_argument("--out", type=Path, required=True, help="a new or empty directory for the session's files")
     args = parser.parse_args()
     out = args.out.resolve()
+    if not (args.src / "spinshield" / "cli.py").is_file():
+        parser.error(f"{args.src} holds no spinshield package")
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
